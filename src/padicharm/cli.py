@@ -215,7 +215,6 @@ def cmd_tree(args) -> int:
         args.k,
         max_depth=args.max_depth,
         engine=args.engine,
-        workers=args.workers,
     )
     if args.format == "dot":
         sys.stdout.write(tree_dot(tree))
@@ -323,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["stirling", "expansion", "both"], default="both"
     )
     p_tree.add_argument("--format", choices=["json", "dot"], default="json")
-    p_tree.add_argument("--workers", type=int, default=1)
     p_tree.add_argument("--stamp", action="store_true", help="embed a build timestamp")
     p_tree.set_defaults(func=cmd_tree)
 

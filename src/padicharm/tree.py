@@ -5,7 +5,9 @@ k - 1; level 0 is the root alone.  A child joins level u + 1 when the
 weighted sum of its h_p terms gains one more power of p, equivalently
 when vp(H(child_value, k)) clears W - (k-1)s + 1 for its digit length.
 Both tests are implemented; in dual mode they arbitrate each other and
-any mismatch aborts the build with the offending digit string.
+any mismatch aborts the build with the offending digit string.  The
+valuation test runs on one forward-only scaled Stirling row per build
+(valuation._ScaledHRow), which children reach in increasing value order.
 
 Rejected children whose parent is a node are kept as leaves: they pin
 exact valuations for every integer whose digits run through them.
@@ -13,7 +15,6 @@ exact valuations for every integer whose digits run through them.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import (
@@ -26,7 +27,7 @@ from .core import (
 )
 from .expansion import h_prime_mod, recip_power_sum
 from .report import CheckReport
-from .valuation import DEFAULT_POLICY, EscalationPolicy, vp_H
+from .valuation import _ScaledHRow
 
 __all__ = [
     "ChildStats",
@@ -38,12 +39,10 @@ __all__ = [
     "validate_ptree",
 ]
 
-# Stirling-route membership cost grows superlinearly with the child value;
-# these defaults keep dual checking inside interactive budgets while still
-# spot-verifying every shallow level.
-DUAL_VALUE_CAP = 60_000
-SPOT_VALUE_CAP = 200_000
-SPOT_MAX_LEVEL = 10
+# The running Stirling row steps through every integer up to the largest
+# checked child, so dual checking costs O(k * DUAL_VALUE_CAP) small-modulus
+# steps per tree at most.
+DUAL_VALUE_CAP = 1_000_000
 
 
 @dataclass
@@ -108,21 +107,16 @@ def build_tree(
     engine: str = "both",
     *,
     guard: int = 4,
-    policy: EscalationPolicy = DEFAULT_POLICY,
-    workers: int = 1,
     dual_value_cap: int = DUAL_VALUE_CAP,
-    spot_value_cap: int = SPOT_VALUE_CAP,
-    spot_max_level: int = SPOT_MAX_LEVEL,
 ) -> PTree:
     """Build the digit tree of (p, k) down to max_depth levels.
 
     engine "expansion" tests membership through the weighted h_p sums,
-    "stirling" through vp_H, "both" runs the two and aborts on mismatch.
-    In dual mode the Stirling side is only exercised up to dual_value_cap
-    (plus one spot check per level up to spot_max_level), since its cost
-    grows with the child value itself; the expansion side always runs.
-    Children are evaluated in increasing digit order and the result does
-    not depend on the worker count.
+    "stirling" through the running Stirling row, "both" runs the two and
+    aborts on mismatch.  In dual mode the Stirling side covers every child
+    value up to dual_value_cap, since the row must step through every
+    integer below the child; the expansion side always runs.  Children are
+    evaluated in increasing value order, so one row serves the whole build.
     """
     if engine not in ("stirling", "expansion", "both"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -130,7 +124,6 @@ def build_tree(
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     sc = structure_constants(k, p)
     use_exp = engine in ("expansion", "both")
-    use_st = engine in ("stirling", "both")
 
     prec = max_depth + 1 + max(guard, 2)
     mod = p ** prec
@@ -144,22 +137,25 @@ def build_tree(
     status = "truncated"
     dual_checks = 0
 
+    # Child values rise across a level and from level to level, and the
+    # threshold falls with depth, so one row sized for the first level's
+    # threshold and the largest checked value decides every Stirling test.
+    st_cap = 0
+    if engine != "expansion":
+        st_cap = p ** (len(root) + max_depth) - 1
+        if engine == "both":
+            st_cap = min(st_cap, dual_value_cap)
+        row = _ScaledHRow(
+            k, p, max(st_cap, 1), _membership_threshold(sc, k, len(root) + 1)
+        )
+
     for u in range(max_depth):
         if not frontier:
             break
         threshold = _membership_threshold(sc, k, len(frontier[0][0]) + 1)
         pu = pow(p, u, mod)
-        # one Stirling spot check per shallow level, decided up front so the
-        # outcome cannot depend on scheduling
-        spot_key = None
-        if engine == "both" and u <= spot_max_level:
-            first_value = frontier[0][1] * p
-            if dual_value_cap < first_value <= spot_value_cap:
-                spot_key = (0, 0)
-
-        def expand(node_index: int, entry=None):
-            node, value, sigma = entry
-            results = []
+        next_frontier = []
+        for node, value, sigma in frontier:
             head = h_prime_mod(node, k, prec) if use_exp else 0
             base = (p - 1) * value
             block_sum = recip_power_sum(base, 1, p, prec) if use_exp else 0
@@ -170,52 +166,20 @@ def build_tree(
                 child_sigma = 0
                 if use_exp:
                     if b:
-                        block_sum_b = (
-                            block_sum + pow(cp(base + b, p), -1, mod)
-                        ) % mod
-                    else:
-                        block_sum_b = block_sum
-                    block_sum = block_sum_b
-                    hp = (head + pi * block_sum_b) % mod
+                        block_sum = (block_sum + pow(cp(base + b, p), -1, mod)) % mod
+                    hp = (head + pi * block_sum) % mod
                     child_sigma = (sigma + hp * pu) % mod
                     member_exp = child_sigma % p ** (u + 1) == 0
-                if use_st and (
-                    engine == "stirling"
-                    or child_value <= dual_value_cap
-                    or (node_index, b) == spot_key
-                ):
-                    member_st = vp_H(child_value, k, p, policy) >= threshold
+                if child_value <= st_cap:
+                    member_st = row.vp_at_least(child_value, threshold)
                 if member_exp is not None and member_st is not None:
+                    dual_checks += 1
                     if member_exp != member_st:
                         raise EngineDisagreement(
                             f"engines disagree on {child}: "
                             f"expansion={member_exp}, stirling={member_st}"
                         )
                 member = member_exp if member_exp is not None else member_st
-                results.append(
-                    (
-                        child,
-                        child_value,
-                        child_sigma,
-                        member,
-                        member_exp is not None and member_st is not None,
-                    )
-                )
-            return results
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(
-                    pool.map(expand, range(len(frontier)), frontier)
-                )
-        else:
-            batches = [expand(i, entry) for i, entry in enumerate(frontier)]
-
-        next_frontier = []
-        for batch in batches:
-            for child, child_value, child_sigma, member, dual in batch:
-                if dual:
-                    dual_checks += 1
                 if member:
                     next_frontier.append((child, child_value, child_sigma))
                 else:

@@ -13,6 +13,11 @@ The modular route never trusts its precision guess: a zero residue only
 says the valuation is at least the working precision, so it escalates
 and retries until the residue pins the valuation exactly.
 
+Scans over increasing n (vp_H_sweep here, tree membership in
+padicharm.tree) instead advance one running row with the p-part of n!
+divided out, so their modulus grows with log n rather than with vp(n!);
+see _ScaledHRow.
+
 Exact rationals are fractions.Fraction values and stay normalized.
 """
 
@@ -203,14 +208,73 @@ def vp_H(n: int, k: int, p: int, policy: EscalationPolicy = DEFAULT_POLICY) -> i
     return vp_H_with_guard(n, k, p, policy)[0]
 
 
+class _ScaledHRow:
+    """Running row Z_j(n) = s(n+1, j+1) * p^(jL - vp(n!)) mod p^A, j = 0..k.
+
+    With L = ilog_p(n_max), Z_j(n) = H(n, j) * p^(jL) * D(n) where
+    D(n) = n! / p^vp(n!) is a p-adic unit, so vp(Z_k(n)) = vp(H(n, k)) + kL.
+    One step is the Stirling recurrence with the p-part of n divided out:
+
+        Z_j(n) = u(n) * Z_j(n-1) + p^(L - vp(n)) * Z_{j-1}(n-1)
+
+    with u(n) the part of n prime to p.  Since vp(n) <= L for every
+    n <= n_max, each factor is p-integral and every residue is exact mod
+    p^A.  The row therefore needs only A = k*L + v_max digits, not
+    vp(n!), to decide vp(H(n, k)) >= t for any t <= v_max and to pin
+    vp(H(n, k)) whenever it lies below v_max.  It only moves forward in n.
+    """
+
+    def __init__(self, k: int, p: int, n_max: int, v_max: int) -> None:
+        self.k, self.p, self.n_max = k, p, n_max
+        self.L = ilog(n_max, p)
+        self.kL = k * self.L
+        self.A = self.kL + v_max
+        self.mod = p ** max(self.A, 0)
+        self.scale = [p ** (self.L - v) for v in range(self.L + 1)]
+        self.n = 0
+        self.row = [1] + [0] * k
+
+    def advance(self, n: int) -> int:
+        """Step the row to n and return Z_k(n)."""
+        if not self.n <= n <= self.n_max:
+            raise ValueError(
+                f"row at n={self.n} cannot move to {n} (n_max={self.n_max})"
+            )
+        p, k, mod, row, scale = self.p, self.k, self.mod, self.row, self.scale
+        for m in range(self.n + 1, n + 1):
+            u, v = m, 0
+            while u % p == 0:
+                u //= p
+                v += 1
+            pv = scale[v]
+            for j in range(k, 0, -1):
+                row[j] = (u * row[j] + pv * row[j - 1]) % mod
+            row[0] = u * row[0] % mod
+        self.n = n
+        return row[k]
+
+    def vp_at_least(self, n: int, t: int) -> bool:
+        """Whether vp(H(n, k)) >= t, for t <= v_max."""
+        e = self.kL + t
+        if e > self.A:
+            raise ValueError(f"threshold {t} lies above the row's v_max")
+        # Z_k is p-integral, so vp(H(n, k)) >= -kL always holds
+        return e <= 0 or self.advance(n) % self.p ** e == 0
+
+    def vp(self, n: int) -> int | None:
+        """vp(H(n, k)) if it lies below v_max, else None."""
+        residue = self.advance(n)
+        return vp_int(residue, self.p) - self.kL if residue else None
+
+
 def vp_H_sweep(
     n_max: int, k: int, p: int, policy: EscalationPolicy = DEFAULT_POLICY
 ) -> dict[int, int]:
     """vp(H(n, k)) for every n in [k, n_max] from one shared row sweep.
 
-    Uses a single modulus sized for n_max; any zero residue along the way
-    falls back to the per-value escalating route, so results always agree
-    with vp_H.
+    Advances one scaled row (_ScaledHRow) with the vp_H starting guard
+    as v_max; any valuation at or above it falls back to vp_H, so results
+    always agree with vp_H.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -218,24 +282,9 @@ def vp_H_sweep(
         raise ValueError(f"n_max must be at least k, got {n_max}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    M = vp_factorial(n_max, p) + _initial_guard(n_max, k, p, policy)
-    if M * math.log2(p) > policy.max_modulus_bits:
-        raise PrecisionError(
-            f"sweep modulus {p}^{M} exceeds the {policy.max_modulus_bits}-bit cap"
-        )
-    mod = p ** M
-    row = [0] * (k + 2)
-    row[0] = 1
+    row = _ScaledHRow(k, p, n_max, _initial_guard(n_max, k, p, policy))
     out: dict[int, int] = {}
-    for i in range(n_max + 1):
-        for m in range(min(k + 1, i + 1), 0, -1):
-            row[m] = (row[m - 1] + i * row[m]) % mod
-        row[0] = i * row[0] % mod
-        n = i  # row now holds s(n + 1, .)
-        if n >= k:
-            residue = row[k + 1]
-            if residue:
-                out[n] = vp_int(residue, p) - vp_factorial(n, p)
-            else:
-                out[n] = vp_H(n, k, p, policy)
+    for n in range(k, n_max + 1):
+        val = row.vp(n)
+        out[n] = val if val is not None else vp_H(n, k, p, policy)
     return out

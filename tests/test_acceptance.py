@@ -45,19 +45,23 @@ def announce(cid, ok, detail, t0):
 def test_c01_tree_cardinalities():
     t0 = time.time()
     expected = {2: 8, 3: 24, 4: 16, 5: 7, 6: 23}
+    # floors on the memberships both engines decided (all of them here)
+    dual_floor = {2: 24, 3: 72, 4: 48, 5: 21, 6: 69}
     got = {}
     ok = True
     for k, want in expected.items():
         tree = tree_3(k)
-        got[k] = (tree.node_count, tree.status)
+        got[k] = (tree.node_count, tree.status, tree.dual_checks)
         ok = ok and tree.status == "complete" and tree.node_count == want
-    announce(1, ok, f"complete 3-adic trees k=2..6 sized {got}", t0)
+        ok = ok and tree.dual_checks >= dual_floor[k]
+    announce(1, ok, f"complete 3-adic trees k=2..6 (nodes, status, dual checks) {got}", t0)
 
 
-def test_c02_tree_k7_at_least_43():
+def test_c02_tree_k7_exactly_43():
     t0 = time.time()
     tree = tree_3(7)
-    ok = tree.node_count >= 43
+    ok = tree.status == "complete" and tree.node_count == 43
+    ok = ok and tree.dual_checks >= 123
     # precision stability: an independent rebuild at doubled guard must
     # reproduce the same levels
     rebuilt = build_tree(3, 7, 32, engine="expansion", guard=8)
@@ -65,7 +69,8 @@ def test_c02_tree_k7_at_least_43():
     announce(
         2,
         ok,
-        f"3-adic k=7 tree holds {tree.node_count} nodes (status {tree.status})",
+        f"3-adic k=7 tree holds {tree.node_count} nodes (status {tree.status}, "
+        f"{tree.dual_checks} dual checks)",
         t0,
     )
 

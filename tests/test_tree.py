@@ -122,14 +122,6 @@ def test_f_sequence_validation():
         f_sequence(-1)
 
 
-def test_worker_count_does_not_change_the_tree():
-    from padicharm.cli import tree_document
-
-    solo = build_tree(3, 3, 6, workers=1)
-    pooled = build_tree(3, 3, 6, workers=4)
-    assert tree_document(solo) == tree_document(pooled)
-
-
 def _extend_randomly(rng, digits, p, extra):
     for _ in range(extra):
         digits = digits + (rng.randrange(p),)

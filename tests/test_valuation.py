@@ -6,10 +6,11 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from padicharm.core import INFINITE, PrecisionError, SizeCapError, vp
+from padicharm.core import INFINITE, PrecisionError, SizeCapError, to_digits, vp
 from padicharm.valuation import (
     DEFAULT_POLICY,
     EscalationPolicy,
+    _ScaledHRow,
     exact_H,
     exact_H_table,
     stirling,
@@ -191,3 +192,67 @@ def test_vp_H_sweep_matches_single_calls(p, k):
     assert set(sweep) == set(range(k, 81))
     for n in range(k, 81):
         assert sweep[n] == vp_H(n, k, p)
+
+
+def _p_free_factorials(n_max, p):
+    """D(n) = n! / p^vp(n!) for n = 0..n_max."""
+    out = [1]
+    for m in range(1, n_max + 1):
+        while m % p == 0:
+            m //= p
+        out.append(out[-1] * m)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scaled_row_matches_oracles(p):
+    # every residue, valuation and threshold decision of the running row
+    # against the Fraction table, and every valuation against vp_H
+    n_max, v_max = 300, 3
+    table = exact_H_table(n_max, 6)
+    units = _p_free_factorials(n_max, p)
+    for k in range(1, 7):
+        row = _ScaledHRow(k, p, n_max, v_max)
+        assert row.kL == k * (len(to_digits(n_max, p)) - 1)
+        assert row.A == row.kL + v_max
+        mod = p ** row.A
+        for n in range(k, n_max + 1):
+            scaled = table[n][k] * p ** row.kL * units[n]
+            assert scaled.denominator % p != 0
+            expected = scaled.numerator * pow(scaled.denominator, -1, mod) % mod
+            assert row.advance(n) == expected
+            want = vp(table[n][k], p)
+            assert vp_H(n, k, p) == want
+            assert row.vp(n) == (want if want < v_max else None)
+            # t = -kL is the last threshold decided without a residue,
+            # t = v_max the one whose modulus is all of p^A
+            for t in range(-row.kL - 2, v_max + 1):
+                assert row.vp_at_least(n, t) == (want >= t)
+
+
+def test_scaled_row_refuses_what_it_cannot_decide():
+    row = _ScaledHRow(2, 3, 100, 4)
+    row.advance(50)
+    with pytest.raises(ValueError):
+        row.advance(49)  # the row never rewinds
+    with pytest.raises(ValueError):
+        row.advance(101)  # past n_max, vp(n) <= L is no longer guaranteed
+    with pytest.raises(ValueError):
+        row.vp_at_least(60, 5)  # above v_max the modulus is too small
+    assert row.vp_at_least(60, 4) == (vp_H(60, 2, 3) >= 4)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=1500),
+    st.integers(min_value=0, max_value=1500),
+    st.integers(min_value=-4, max_value=12),
+)
+def test_scaled_row_matches_vp_H(p, k, n, extra, v_max):
+    n = max(n, k)
+    row = _ScaledHRow(k, p, n + extra, v_max)
+    want = vp_H(n, k, p)
+    assert row.vp(n) == (want if want < v_max else None)
+    assert row.vp_at_least(n, v_max) == (want >= v_max)
+    assert row.vp_at_least(n, -row.kL) is True
