@@ -254,12 +254,14 @@ class _ScaledHRow:
         return row[k]
 
     def vp_at_least(self, n: int, t: int) -> bool:
-        """Whether vp(H(n, k)) >= t, for t <= v_max."""
+        """Whether vp(H(n, k)) >= t, for t <= max(v_max, -kL)."""
         e = self.kL + t
+        # Z_k is p-integral, so vp(H(n, k)) >= -kL always holds
+        if e <= 0:
+            return True
         if e > self.A:
             raise ValueError(f"threshold {t} lies above the row's v_max")
-        # Z_k is p-integral, so vp(H(n, k)) >= -kL always holds
-        return e <= 0 or self.advance(n) % self.p ** e == 0
+        return self.advance(n) % self.p ** e == 0
 
     def vp(self, n: int) -> int | None:
         """vp(H(n, k)) if it lies below v_max, else None."""
