@@ -12,30 +12,24 @@ from .core import (
     SizeCapError,
     StructureConstants,
     a_p_set,
-    bp_block,
     bp_count,
     cp,
     digit_sum,
     free_p,
-    from_digits,
     is_prime,
     pi_p_mod,
     structure_constants,
     to_digits,
-    v_p_max,
     vp,
     vp_factorial,
     vp_int,
 )
 from .expansion import (
-    ExpansionTerm,
     ExpansionVerdict,
-    expansion_terms,
     h_p_mod,
     h_prime_mod,
     recip_esym,
     recip_power_sum,
-    sigma_mod,
     vp_H_expansion,
 )
 from .report import CheckReport

@@ -47,22 +47,27 @@ class CacheRecord:
 
 
 class CacheIntegrityError(RuntimeError):
-    """Conflicting valuations stored for the same (p, n, k)."""
+    """A cache file with a torn or malformed line, or with conflicting
+    valuations stored for the same (p, n, k)."""
 
 
 class ValCache:
-    """Append-only JSON-lines store keyed by (p, n, k), single writer."""
+    """Append-only JSON-lines store keyed by (p, n, k), single writer.
+
+    Every record is one JSON object and its newline, written at once, so a
+    line without its newline is torn.  A torn or malformed line is refused,
+    never truncated: appending after it would corrupt the next record.
+    """
 
     def __init__(self, path: str):
         self.path = path
         self._records: dict[tuple[int, int, int], CacheRecord] = {}
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.strip():
                         continue
-                    rec = CacheRecord(**json.loads(line))
+                    rec = _parse_record(line, path, lineno)
                     key = (rec.p, rec.n, rec.k)
                     old = self._records.get(key)
                     if old is not None and old.valuation != rec.valuation:
@@ -89,6 +94,22 @@ class ValCache:
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
         self._records[key] = rec
+
+
+def _parse_record(line: str, path: str, lineno: int) -> CacheRecord:
+    def refuse(why: str) -> CacheIntegrityError:
+        return CacheIntegrityError(f"cache {path} line {lineno}: {why}")
+
+    if not line.endswith("\n"):
+        raise refuse("torn record (no terminating newline)")
+    try:
+        rec = CacheRecord(**json.loads(line))
+    except (ValueError, TypeError) as exc:
+        raise refuse(f"malformed record ({exc})") from None
+    ints = (rec.p, rec.n, rec.k, rec.valuation, rec.guard)
+    if not all(type(x) is int for x in ints) or not isinstance(rec.engine, str):
+        raise refuse("malformed record (wrong field types)")
+    return rec
 
 
 def tree_document(tree: PTree, stamp: bool = False) -> dict:
@@ -165,7 +186,7 @@ def cmd_val(args) -> int:
         hit = cache.get(p, n, k)
         if hit is not None:
             print(json.dumps(
-                {"p": p, "n": n, "k": k, "valuation": hit.valuation, "method": method},
+                {"p": p, "n": n, "k": k, "valuation": hit.valuation, "method": hit.engine},
                 sort_keys=True,
             ))
             return 0

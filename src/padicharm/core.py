@@ -22,7 +22,6 @@ __all__ = [
     "StructureConstants",
     "is_prime",
     "to_digits",
-    "from_digits",
     "digit_sum",
     "ilog",
     "cp",
@@ -31,11 +30,9 @@ __all__ = [
     "free_p",
     "vp_factorial",
     "bp_count",
-    "bp_block",
     "a_p_set",
     "a_p_set_by_filter",
     "structure_constants",
-    "v_p_max",
     "pi_p_mod",
 ]
 
@@ -200,11 +197,6 @@ def to_digits(n: int, p: int) -> DigitString:
     return DigitString(p, tuple(reversed(digits)))
 
 
-def from_digits(d: DigitString) -> int:
-    """Inverse of to_digits."""
-    return d.value
-
-
 def digit_sum(n: int, p: int) -> int:
     """Sum of base-p digits of n >= 1."""
     return to_digits(n, p).digit_sum
@@ -300,17 +292,6 @@ def bp_count(d: DigitString) -> int:
     return v - v // d.p
 
 
-def bp_block(d: DigitString) -> tuple[int, Iterator[int]]:
-    """Count and lazily streamed members of the coprime block of d.
-
-    The members are cp(1), ..., cp(count); the iterator never materializes
-    them, which matters because the count grows like value(d) * (1 - 1/p).
-    """
-    count = bp_count(d)
-    p = d.p
-    return count, (cp(i, p) for i in range(1, count + 1))
-
-
 def a_p_set(n: int, v: int, p: int) -> list[int]:
     """All m in [1, n] with vp(m) = s - v, where s + 1 = digit length of n.
 
@@ -359,18 +340,6 @@ def structure_constants(k: int, p: int) -> StructureConstants:
     t = len(root) - 1
     U = sum(bp_count(root.prefix(v + 1)) * v for v in range(t + 1)) + t + 1
     return StructureConstants(p=p, k=k, t=t, root_digits=root, U=U, W=U - t - 1)
-
-
-def v_p_max(k: int, p: int, s: int) -> int:
-    """Largest vp(i_1 * ... * i_k) over increasing k-tuples below p^(s+1).
-
-    Valid for n whose digit string extends the root digits of k - 1 with
-    s >= t + 1; equals k*s - U.
-    """
-    sc = structure_constants(k, p)
-    if s < sc.t + 1:
-        raise ValueError(f"s must be at least t + 1 = {sc.t + 1}, got {s}")
-    return k * s - sc.U
 
 
 def pi_p_mod(k: int, p: int, M: int) -> int:

@@ -9,17 +9,24 @@ quantities computed here are
       budget U + v,
   h_p_mod     : h_prime of the parent plus the root-block unit times the
       reciprocal sum over the prefix's own coprime block,
-  sigma_mod   : the p-power weighted sum of h_p terms along the prefix,
+  sigma       : the p-power weighted sum of h_p terms along the prefix,
 
 all reduced mod p^M.  These drive both an independent valuation method
 (vp_H_expansion) and the membership test for deep tree levels.
+
+h_prime is read off a (count, depth-sum) DP over the prefix's digit
+groups, and _add_group is its only step: it folds one group.  h_prime_mod
+folds a whole prefix from scratch and is the reference; _WalkNode walks
+down the digits and folds one group per digit, carrying the DP table and
+sigma from parent to child.  build_tree, f_sequence and vp_H_expansion all
+walk _WalkNode.
 
 Reciprocal power sums over the coprime sequence c_p are the workhorse.
 The sequence is periodic in blocks of p - 1 consecutive units, so a
 prefix sum splits into full blocks plus a short tail; the full blocks
 are collapsed through the p-adic binomial series of (pq + m)^(-r),
-leaving exact power sums of the block index q, which are polynomial in
-the block count.  That keeps the cost polynomial in the precision even
+leaving power sums of the block index q, which are polynomial in the
+block count.  That keeps the cost polynomial in the precision even
 when the prefix length is astronomically large, which is what makes
 tree levels beyond Stirling feasibility reachable at all.
 """
@@ -33,9 +40,8 @@ from functools import lru_cache
 from .core import (
     DigitString,
     PrecisionError,
-    SizeCapError,
+    StructureConstants,
     bp_count,
-    cp,
     is_prime,
     pi_p_mod,
     structure_constants,
@@ -44,14 +50,11 @@ from .core import (
 )
 
 __all__ = [
-    "ExpansionTerm",
     "ExpansionVerdict",
     "recip_power_sum",
     "recip_esym",
     "h_prime_mod",
     "h_p_mod",
-    "sigma_mod",
-    "expansion_terms",
     "vp_H_expansion",
 ]
 
@@ -75,23 +78,20 @@ def _stirling2_rows(j_max: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=512)
-def _index_power_sums(Q: int, j_max: int) -> tuple[int, ...]:
-    """Exact sums of q^j over q = 0..Q-1 for j = 0..j_max.
+def _index_power_sums(Q: int, p: int, M: int) -> tuple[int, ...]:
+    """Sums of q^j over q = 0..Q-1 for j = 0..M-1, mod p^M.
 
-    q^j is expanded in falling factorials so each sum is a single
-    binomial coefficient; everything stays in exact integers.
+    q^j is expanded in falling factorials, so each sum is a combination of
+    the terms i! * C(Q, i+1) = Q(Q-1)...(Q-i) / (i+1), one per i.
     """
-    s2 = _stirling2_rows(j_max)
-    fact = [math.factorial(i) for i in range(j_max + 1)]
-    out = []
-    for j in range(j_max + 1):
-        total = 0
-        for i in range(j + 1):
-            coeff = s2[j][i]
-            if coeff:
-                total += coeff * fact[i] * math.comb(Q, i + 1)
-        out.append(total)
-    return tuple(out)
+    mod = p ** M
+    s2 = _stirling2_rows(M - 1)
+    falling = []
+    product = Q
+    for i in range(M):
+        falling.append(product // (i + 1) % mod)
+        product *= Q - i - 1
+    return tuple(sum(c * f for c, f in zip(s2[j], falling)) % mod for j in range(M))
 
 
 @lru_cache(maxsize=None)
@@ -101,11 +101,14 @@ def _unit_power_sum(p: int, M: int, u: int) -> int:
     return sum(pow(m, -u, mod) for m in range(1, p)) % mod
 
 
+# The scans below inline cp(i, p) = i + (i - 1) // (p - 1): the public
+# entry points have validated p already.
+
 def _recip_power_sum_direct(B: int, r: int, p: int, M: int) -> int:
     mod = p ** M
     total = 0
     for i in range(1, B + 1):
-        total = (total + pow(cp(i, p), -r, mod)) % mod
+        total = (total + pow(i + (i - 1) // (p - 1), -r, mod)) % mod
     return total
 
 
@@ -113,19 +116,19 @@ def _recip_power_sum_closed(B: int, r: int, p: int, M: int) -> int:
     """Block decomposition of sum_{i<=B} cp(i)^(-r) mod p^M.
 
     Full blocks contribute sum_j binom(-r, j) p^j T(r+j) F_j where T is a
-    unit power sum and F_j the exact power sum of block indices; the
-    partial block is summed directly.
+    unit power sum and F_j the power sum of block indices; the partial
+    block is summed directly.
     """
     mod = p ** M
     Q, m0 = divmod(B, p - 1)
     total = 0
     if Q:
-        F = _index_power_sums(Q, M - 1)
+        F = _index_power_sums(Q, p, M)
         pj = 1
         for j in range(M):
             c = math.comb(r + j - 1, j)
             term = c % mod * _unit_power_sum(p, M, r + j) % mod
-            term = term * (F[j] % mod) % mod * pj % mod
+            term = term * F[j] % mod * pj % mod
             total = (total - term if j & 1 else total + term) % mod
             pj = pj * p % mod
     base = p * Q % mod
@@ -153,7 +156,7 @@ def _recip_esym_direct(B: int, m_max: int, p: int, M: int) -> list[int]:
     e = [0] * (m_max + 1)
     e[0] = 1
     for i in range(1, B + 1):
-        inv = pow(cp(i, p), -1, mod)
+        inv = pow(i + (i - 1) // (p - 1), -1, mod)
         for d in range(min(i, m_max), 0, -1):
             e[d] = (e[d] + e[d - 1] * inv) % mod
     return e
@@ -195,6 +198,8 @@ def recip_esym(B: int, m_max: int, p: int, M: int) -> list[int]:
     """e_0..e_{m_max} of the reciprocals 1/cp(1), ..., 1/cp(B), mod p^M."""
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     m_max = min(m_max, B)
     if m_max == 0:
         return [1]
@@ -203,7 +208,7 @@ def recip_esym(B: int, m_max: int, p: int, M: int) -> list[int]:
     return _recip_esym_newton(B, m_max, p, M)
 
 
-def _require_extension(prefix: DigitString, k: int) -> tuple:
+def _require_extension(prefix: DigitString, k: int) -> StructureConstants:
     sc = structure_constants(k, prefix.p)
     if not prefix.extends(sc.root_digits):
         raise ValueError(
@@ -213,73 +218,144 @@ def _require_extension(prefix: DigitString, k: int) -> tuple:
     return sc
 
 
+def _add_group(dp: list[list[int]], B: int, w: int, k: int, p: int, M: int) -> list[list[int]]:
+    """Fold one digit group, B units at depth w, into the h' DP.
+
+    dp[c][W] sums the selections of c items with depth sum W, for W up to
+    the table's width; the group enters through its elementary symmetric
+    sums, so group size never costs more than the degree actually
+    reachable within the width.  Entries below any budget do not depend
+    on the width.  Tables are never mutated, so a group that adds nothing
+    returns the same table.
+    """
+    width = len(dp[0]) - 1
+    m_top = min(k if w == 0 else min(k, width // w), B)
+    if m_top == 0:
+        return dp
+    ep = recip_esym(B, m_top, p, M)
+    mod = p ** M
+    new = [row[:] for row in dp]
+    for c in range(k):
+        row = dp[c]
+        for W in range(width + 1):
+            val = row[W]
+            if not val:
+                continue
+            top = min(m_top, k - c) if w == 0 else min(m_top, k - c, (width - W) // w)
+            for mu in range(1, top + 1):
+                new[c + mu][W + mu * w] = (new[c + mu][W + mu * w] + val * ep[mu]) % mod
+    return new
+
+
+def _fold(prefix: DigitString, k: int, width: int, M: int) -> list[list[int]]:
+    """The h' DP table of a whole prefix, one _add_group per digit."""
+    p = prefix.p
+    dp = [[1] + [0] * width] + [[0] * (width + 1) for _ in range(k)]
+    value = 0
+    for w, digit in enumerate(prefix.digits):
+        parent, value = value, value * p + digit
+        dp = _add_group(dp, value - parent, w, k, p, M)
+    return dp
+
+
 def h_prime_mod(prefix: DigitString, k: int, M: int) -> int:
     """Budget-constrained selection sum over the prefix's item pool.
 
     Items are pairs (w, j) with w in [0, len(prefix)-1] and j in the
     coprime block of the length-(w+1) prefix; a selection picks k distinct
     items whose depths sum to exactly U + v and contributes the product of
-    the modular inverses of its units.  Groups enter a (count, depth-sum)
-    DP through their elementary symmetric sums, so group size never costs
-    more than the degree actually reachable within the budget.
+    the modular inverses of its units.  Folds every group from scratch.
     """
     if M < 1:
         raise ValueError(f"M must be positive, got {M}")
     sc = _require_extension(prefix, k)
-    p = prefix.p
-    v = len(prefix) - sc.t - 1
-    budget = sc.U + v
-    mod = p ** M
-    dp = [[0] * (budget + 1) for _ in range(k + 1)]
-    dp[0][0] = 1
-    for w in range(sc.t + v + 1):
-        B = bp_count(prefix.prefix(w + 1))
-        cap = k if w == 0 else min(k, budget // w)
-        m_top = min(cap, B)
-        if m_top == 0:
-            continue
-        ep = recip_esym(B, m_top, p, M)
-        new = [row[:] for row in dp]
-        for c in range(k):
-            row = dp[c]
-            for W in range(budget + 1):
-                val = row[W]
-                if not val:
-                    continue
-                top = min(m_top, k - c) if w == 0 else min(
-                    m_top, k - c, (budget - W) // w
-                )
-                for mu in range(1, top + 1):
-                    new[c + mu][W + mu * w] = (
-                        new[c + mu][W + mu * w] + val * ep[mu]
-                    ) % mod
-        dp = new
-    return dp[k][budget]
+    budget = sc.U + len(prefix) - sc.t - 1
+    return _fold(prefix, k, budget, M)[k][budget]
 
 
-def _h_prime_streamed(prefix: DigitString, k: int, M: int, item_cap: int = 200_000) -> int:
-    """Item-by-item reference DP; cost is linear in value(prefix)."""
-    sc = _require_extension(prefix, k)
-    p = prefix.p
-    v = len(prefix) - sc.t - 1
-    budget = sc.U + v
-    if prefix.value > item_cap:
-        raise SizeCapError(
-            f"streamed path over {prefix.value} items exceeds cap {item_cap}"
+class _WalkNode:
+    """One digit prefix on a walk down from the root digits of k - 1.
+
+    depth is v, the number of digits past the root.  sigma (0 at the root)
+    and the h' DP table are computed on first use from the parent: the
+    child's sigma adds its h_p term, which reads the parent's h', and the
+    child's table folds exactly one group, of B = value(parent)*(p-1) + b
+    units, into the parent's.  The root's table is as wide as its budget
+    U; a child whose budget U + v would exceed its parent's width refolds
+    its digits at twice that width instead.  Once a node holds both it
+    lets go of its parent, so a walk keeps only its frontier alive.
+    """
+
+    __slots__ = ("k", "sc", "M", "pi", "digits", "value", "depth", "_parent", "_sigma", "_dp")
+
+    def __init__(
+        self,
+        k: int,
+        sc: StructureConstants,
+        M: int,
+        pi: int,
+        digits: DigitString,
+        value: int,
+        parent: "_WalkNode | None",
+    ) -> None:
+        self.k, self.sc, self.M, self.pi = k, sc, M, pi
+        self.digits = digits
+        self.value = value
+        self.depth = len(digits) - len(sc.root_digits)
+        self._parent = parent
+        self._sigma = 0 if parent is None else None
+        self._dp = None
+
+    @classmethod
+    def root(cls, k: int, p: int, M: int) -> "_WalkNode":
+        """The root digits of k - 1, with residues mod p^M."""
+        sc = structure_constants(k, p)
+        return cls(k, sc, M, pi_p_mod(k, p, M), sc.root_digits, sc.root_digits.value, None)
+
+    def child(self, b: int) -> "_WalkNode":
+        return _WalkNode(
+            self.k, self.sc, self.M, self.pi, self.digits.child(b),
+            self.value * self.digits.p + b, self,
         )
-    mod = p ** M
-    dp = [[0] * (budget + 1) for _ in range(k + 1)]
-    dp[0][0] = 1
-    for w in range(sc.t + v + 1):
-        B = bp_count(prefix.prefix(w + 1))
-        for i in range(1, B + 1):
-            inv = pow(cp(i, p), -1, mod)
-            for c in range(k - 1, -1, -1):
-                row = dp[c]
-                for W in range(budget - w, -1, -1):
-                    if row[W]:
-                        dp[c + 1][W + w] = (dp[c + 1][W + w] + row[W] * inv) % mod
-    return dp[k][budget]
+
+    @property
+    def h_prime(self) -> int:
+        return self._table()[self.k][self.sc.U + self.depth]
+
+    @property
+    def sigma(self) -> int:
+        if self._sigma is None:
+            parent = self._parent
+            p = self.digits.p
+            mod = p ** self.M
+            base = parent.value * (p - 1)
+            # siblings share the base block sum through recip_power_sum's cache
+            block = recip_power_sum(base, 1, p, self.M)
+            for i in range(base + 1, base + self.digits.digits[-1] + 1):
+                block += pow(i + (i - 1) // (p - 1), -1, mod)
+            h_p = parent.h_prime + self.pi * block
+            self._sigma = (parent.sigma + h_p * pow(p, parent.depth, mod)) % mod
+            if self._dp is not None:
+                self._parent = None
+        return self._sigma
+
+    def _table(self) -> list[list[int]]:
+        if self._dp is None:
+            parent = self._parent
+            if parent is None:
+                self._dp = _fold(self.digits, self.k, self.sc.U, self.M)
+            else:
+                width = len(parent._table()[0]) - 1
+                if self.sc.U + self.depth <= width:
+                    self._dp = _add_group(
+                        parent._table(), self.value - parent.value,
+                        len(self.digits) - 1, self.k, self.digits.p, self.M,
+                    )
+                else:
+                    self._dp = _fold(self.digits, self.k, 2 * width, self.M)
+                if self._sigma is not None:
+                    self._parent = None
+        return self._dp
 
 
 def h_p_mod(prefix: DigitString, k: int, M: int) -> int:
@@ -298,33 +374,6 @@ def h_p_mod(prefix: DigitString, k: int, M: int) -> int:
     head = h_prime_mod(prefix.parent(), k, M)
     tail = pi_p_mod(k, p, M) * recip_power_sum(bp_count(prefix), 1, p, M)
     return (head + tail) % mod
-
-
-def sigma_mod(prefix: DigitString, k: int, M: int) -> int:
-    """p-power weighted sum of the h_p terms along the prefix, mod p^M."""
-    sc = _require_extension(prefix, k)
-    if len(prefix) < sc.t + 2:
-        raise ValueError(
-            f"prefix must extend the root by at least one digit, got {prefix}"
-        )
-    p = prefix.p
-    mod = p ** M
-    u = len(prefix) - sc.t - 2
-    total = 0
-    pv = 1
-    for v in range(u + 1):
-        total = (total + h_p_mod(prefix.prefix(sc.t + v + 2), k, M) * pv) % mod
-        pv = pv * p % mod
-    return total
-
-
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One h_p term of the expansion, with its working precision."""
-
-    prefix: DigitString
-    prec: int
-    residue: int
 
 
 @dataclass(frozen=True)
@@ -354,7 +403,16 @@ class ExpansionVerdict:
         return v
 
 
-def _expansion_setup(n: int, k: int, p: int):
+def vp_H_expansion(n: int, k: int, p: int, guard: int = 4) -> ExpansionVerdict:
+    """vp(H(n, k)) from the digit-local expansion.
+
+    Walks one node down the digits of n, so each digit group is folded
+    once, and scans the accumulated weighted sum (the node's sigma) for
+    the first index v where its valuation is exactly v; later terms carry
+    at least v + 1 powers of p and cannot disturb it, so the valuation
+    U + v - k*s is exact.  If the whole scan stays above its index, only
+    the tail bound remains.
+    """
     d = to_digits(n, p)
     sc = structure_constants(k, p)
     if not d.extends(sc.root_digits):
@@ -364,39 +422,10 @@ def _expansion_setup(n: int, k: int, p: int):
     s = len(d) - 1
     if s < sc.t + 1:
         raise ValueError(f"n={n} needs at least {sc.t + 2} digits in base {p}")
-    return d, sc, s
-
-
-def expansion_terms(n: int, k: int, p: int, guard: int = 4) -> list[ExpansionTerm]:
-    """The h_p terms feeding vp_H_expansion, at a shared precision."""
-    d, sc, s = _expansion_setup(n, k, p)
-    M = (s - sc.t) + max(guard, 1)
-    return [
-        ExpansionTerm(
-            prefix=d.prefix(sc.t + v + 2),
-            prec=M,
-            residue=h_p_mod(d.prefix(sc.t + v + 2), k, M),
-        )
-        for v in range(s - sc.t)
-    ]
-
-
-def vp_H_expansion(n: int, k: int, p: int, guard: int = 4) -> ExpansionVerdict:
-    """vp(H(n, k)) from the digit-local expansion.
-
-    Scans the accumulated weighted sum for the first index v where its
-    valuation is exactly v; later terms carry at least v + 1 powers of p
-    and cannot disturb it, so the valuation U + v - k*s is exact.  If the
-    whole scan stays above its index, only the tail bound remains.
-    """
-    d, sc, s = _expansion_setup(n, k, p)
-    M = (s - sc.t) + max(guard, 1)
-    mod = p ** M
-    acc = 0
-    pv = 1
-    for v in range(s - sc.t):
-        acc = (acc + h_p_mod(d.prefix(sc.t + v + 2), k, M) * pv) % mod
-        pv = pv * p % mod
+    node = _WalkNode.root(k, p, (s - sc.t) + max(guard, 1))
+    for v, b in enumerate(d.digits[sc.t + 1:]):
+        node = node.child(b)
+        acc = node.sigma
         if acc and vp_int(acc, p) <= v:
             return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
     return ExpansionVerdict(lower_bound=(s - sc.t) - k * s + sc.U)

@@ -6,8 +6,12 @@ weighted sum of its h_p terms gains one more power of p, equivalently
 when vp(H(child_value, k)) clears W - (k-1)s + 1 for its digit length.
 Both tests are implemented; in dual mode they arbitrate each other and
 any mismatch aborts the build with the offending digit string.  The
-valuation test runs on one forward-only scaled Stirling row per build
+expansion test keeps one expansion._WalkNode per frontier entry, so each
+child folds one digit group into its parent's h' table.  The valuation
+test runs on one forward-only scaled Stirling row per build
 (valuation._ScaledHRow), which children reach in increasing value order.
+The branch bits f_sequence are the levels of the (2, 2) tree, which has
+exactly one node per level.
 
 Rejected children whose parent is a node are kept as leaves: they pin
 exact valuations for every integer whose digits run through them.
@@ -21,11 +25,8 @@ from .core import (
     DigitString,
     EngineDisagreement,
     StructureConstants,
-    cp,
-    pi_p_mod,
-    structure_constants,
 )
-from .expansion import h_prime_mod, recip_power_sum
+from .expansion import _WalkNode
 from .report import CheckReport
 from .valuation import _ScaledHRow
 
@@ -122,17 +123,11 @@ def build_tree(
         raise ValueError(f"unknown engine {engine!r}")
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
-    sc = structure_constants(k, p)
     use_exp = engine in ("expansion", "both")
-
-    prec = max_depth + 1 + max(guard, 2)
-    mod = p ** prec
-    pi = pi_p_mod(k, p, prec) if use_exp else 0
-
-    root = sc.root_digits
-    levels: list[list[DigitString]] = [[root]]
-    # internal frontier entries: (digit string, value, sigma residue)
-    frontier: list[tuple[DigitString, int, int]] = [(root, root.value, 0)]
+    root = _WalkNode.root(k, p, max_depth + 1 + max(guard, 2))
+    sc = root.sc
+    levels: list[list[DigitString]] = [[root.digits]]
+    frontier = [root]
     leaves: list[DigitString] = []
     status = "truncated"
     dual_checks = 0
@@ -142,49 +137,39 @@ def build_tree(
     # threshold and the largest checked value decides every Stirling test.
     st_cap = 0
     if engine != "expansion":
-        st_cap = p ** (len(root) + max_depth) - 1
+        st_cap = p ** (len(root.digits) + max_depth) - 1
         if engine == "both":
             st_cap = min(st_cap, dual_value_cap)
         row = _ScaledHRow(
-            k, p, max(st_cap, 1), _membership_threshold(sc, k, len(root) + 1)
+            k, p, max(st_cap, 1), _membership_threshold(sc, k, len(root.digits) + 1)
         )
 
     for u in range(max_depth):
         if not frontier:
             break
-        threshold = _membership_threshold(sc, k, len(frontier[0][0]) + 1)
-        pu = pow(p, u, mod)
+        threshold = _membership_threshold(sc, k, len(frontier[0].digits) + 1)
         next_frontier = []
-        for node, value, sigma in frontier:
-            head = h_prime_mod(node, k, prec) if use_exp else 0
-            base = (p - 1) * value
-            block_sum = recip_power_sum(base, 1, p, prec) if use_exp else 0
+        for node in frontier:
             for b in range(p):
                 child = node.child(b)
-                child_value = value * p + b
                 member_exp = member_st = None
-                child_sigma = 0
                 if use_exp:
-                    if b:
-                        block_sum = (block_sum + pow(cp(base + b, p), -1, mod)) % mod
-                    hp = (head + pi * block_sum) % mod
-                    child_sigma = (sigma + hp * pu) % mod
-                    member_exp = child_sigma % p ** (u + 1) == 0
-                if child_value <= st_cap:
-                    member_st = row.vp_at_least(child_value, threshold)
+                    member_exp = child.sigma % p ** (u + 1) == 0
+                if child.value <= st_cap:
+                    member_st = row.vp_at_least(child.value, threshold)
                 if member_exp is not None and member_st is not None:
                     dual_checks += 1
                     if member_exp != member_st:
                         raise EngineDisagreement(
-                            f"engines disagree on {child}: "
+                            f"engines disagree on {child.digits}: "
                             f"expansion={member_exp}, stirling={member_st}"
                         )
                 member = member_exp if member_exp is not None else member_st
                 if member:
-                    next_frontier.append((child, child_value, child_sigma))
+                    next_frontier.append(child)
                 else:
-                    leaves.append(child)
-        levels.append([entry[0] for entry in next_frontier])
+                    leaves.append(child.digits)
+        levels.append([node.digits for node in next_frontier])
         frontier = next_frontier
         if not frontier:
             status = "complete"
@@ -244,41 +229,22 @@ class FSequence:
 def f_sequence(S: int, *, guard: int = 4) -> FSequence:
     """Bits f_0..f_S for p = 2, k = 2.
 
-    f_s is 1 exactly when appending digit 1 keeps the membership
-    inequality vp(H(<f_0..f_{s-1},1>, 2)) >= 1 - s; the tree for (2, 2)
-    branches exactly once per level, so the other digit is taken
-    otherwise (and is verified to pass).
+    f_s is the digit b that keeps the membership inequality
+    vp(H(<f_0..f_{s-1},b>, 2)) >= 1 - s, i.e. the last digit of the single
+    node at level s of the (2, 2) tree, built here by the expansion engine.
+    That tree branches exactly once per level; a level of any other size
+    raises EngineDisagreement.
     """
     if S < 0:
         raise ValueError(f"S must be nonnegative, got {S}")
-    p, k = 2, 2
-    prec = S + 2 + max(guard, 2)
-    mod = p ** prec
-    pi = pi_p_mod(k, p, prec)
-    bits = [1]
-    digits = DigitString(p, (1,))
-    value = 1
-    sigma = 0
-    for s in range(1, S + 1):
-        head = h_prime_mod(digits, k, prec)
-        base = value  # (p - 1) * value
-        chosen = None
-        for b in (1, 0):
-            block_sum = recip_power_sum(base + b, 1, p, prec)
-            hp = (head + pi * block_sum) % mod
-            cand_sigma = (sigma + hp * pow(p, s - 1, mod)) % mod
-            if cand_sigma % p ** s == 0:
-                chosen = (b, cand_sigma)
-                break
-        if chosen is None:
-            raise EngineDisagreement(
-                f"no surviving digit at level {s}; branching invariant broken"
-            )
-        b, sigma = chosen
-        bits.append(b)
-        digits = digits.child(b)
-        value = value * p + b
-    return FSequence(tuple(bits))
+    tree = build_tree(2, 2, S, engine="expansion", guard=guard)
+    sizes = [len(level) for level in tree.levels]
+    if sizes != [1] * (S + 1):
+        raise EngineDisagreement(
+            f"T_2(2) level sizes {sizes} are not one node per level down to "
+            f"depth {S}; branching invariant broken"
+        )
+    return FSequence(tree.levels[-1][0].digits)
 
 
 def validate_ptree(tree: PTree) -> CheckReport:

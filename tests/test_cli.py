@@ -146,6 +146,62 @@ def test_cache_conflict_is_fatal(tmp_path, capsys):
     assert rc == 1 and "conflicting" in err
 
 
+def test_cache_hit_reports_stored_engine(tmp_path, capsys):
+    cache = tmp_path / "vals.jsonl"
+    rc, out, _ = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
+                     "--method", "stirling", "--cache", str(cache))
+    assert rc == 0 and json.loads(out)["method"] == "stirling"
+    rc, out, _ = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
+                     "--method", "exact", "--cache", str(cache))
+    assert rc == 0
+    assert json.loads(out) == {"p": 2, "n": 7, "k": 2, "valuation": -2, "method": "stirling"}
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"engine": "both", "guard": 14, "k": 2, "n": 9',  # torn mid-record
+        json.dumps({"p": 2, "n": 9, "k": 2, "valuation": -3, "engine": "both",
+                    "guard": 14}),  # complete JSON, torn before its newline
+    ],
+)
+def test_cache_torn_final_line_is_refused(tmp_path, capsys, bad_line):
+    cache = tmp_path / "vals.jsonl"
+    rc, _, _ = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
+                   "--cache", str(cache))
+    assert rc == 0
+    with open(cache, "a", encoding="utf-8") as fh:
+        fh.write(bad_line)
+    before = cache.read_text()
+    rc, out, err = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
+                       "--cache", str(cache))
+    assert rc == 1 and out == ""
+    assert f"error: cache {cache} line 2: torn record" in err
+    assert cache.read_text() == before  # refused, not truncated
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "[2, 7, 2]",
+        '{"p": 2, "n": 9, "k": 2}',
+        '{"p": 2, "n": 9, "k": 2, "valuation": "-3", "engine": "both", "guard": 14}',
+        "not json at all",
+    ],
+)
+def test_cache_malformed_line_names_file_and_line(tmp_path, capsys, bad_line):
+    cache = tmp_path / "vals.jsonl"
+    good = json.dumps({"p": 2, "n": 7, "k": 2, "valuation": -2, "engine": "both",
+                       "guard": 14})
+    cache.write_text(good + "\n\n" + bad_line + "\n" + good + "\n")
+    rc, _, err = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
+                     "--cache", str(cache))
+    assert rc == 1
+    assert f"cache {cache} line 3: malformed record" in err
+    with pytest.raises(CacheIntegrityError, match="line 3"):
+        ValCache(str(cache))
+
+
 def test_expansion_method_reports_lower_bound_failure(capsys):
     # n = 6 only admits a lower bound through the expansion route
     rc, _, err = run(capsys, "val", "--p", "2", "--n", "6", "--k", "2",

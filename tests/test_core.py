@@ -10,17 +10,14 @@ from padicharm.core import (
     DigitString,
     a_p_set,
     a_p_set_by_filter,
-    bp_block,
     bp_count,
     cp,
     digit_sum,
     free_p,
-    from_digits,
     is_prime,
     pi_p_mod,
     structure_constants,
     to_digits,
-    v_p_max,
     vp,
     vp_factorial,
     vp_int,
@@ -42,7 +39,7 @@ PRIMES = [2, 3, 5, 7, 59]
 def test_digit_examples(n, p, digits):
     d = to_digits(n, p)
     assert d.digits == digits
-    assert from_digits(d) == n
+    assert d.value == n
 
 
 def test_digit_sum():
@@ -55,7 +52,7 @@ def test_roundtrip(n, p):
     d = to_digits(n, p)
     assert d.digits[0] != 0
     assert all(0 <= a < p for a in d.digits)
-    assert from_digits(d) == n
+    assert d.value == n
 
 
 def test_digit_rejections():
@@ -152,19 +149,11 @@ def test_vp_factorial_floor_sum_random(n, p):
 
 
 def test_bp_block_examples():
-    count, members = bp_block(DigitString(3, (1, 1)))
-    assert count == 3 and list(members) == [1, 2, 4]
-    count, members = bp_block(DigitString(2, (1,)))
-    assert count == 1 and list(members) == [1]
-    count, _ = bp_block(DigitString(3, (1, 2, 0)))
-    assert count == 10
-
-
-def test_bp_block_streams_lazily():
-    count, members = bp_block(to_digits(10 ** 12, 5))
-    assert count == 10 ** 12 - 10 ** 12 // 5
-    first = [next(members) for _ in range(4)]
-    assert first == [1, 2, 3, 4]
+    d = DigitString(3, (1, 1))
+    assert bp_count(d) == 3 and [cp(i, 3) for i in range(1, bp_count(d) + 1)] == [1, 2, 4]
+    d = DigitString(2, (1,))
+    assert bp_count(d) == 1 and [cp(i, 2) for i in range(1, bp_count(d) + 1)] == [1]
+    assert bp_count(DigitString(3, (1, 2, 0))) == 10
 
 
 @pytest.mark.parametrize(
@@ -226,7 +215,8 @@ def _brute_v_max(n, k, p):
 
 
 def test_v_p_max_examples():
-    assert v_p_max(2, 2, 2) == 3
+    # the largest valuation of an increasing k-tuple below p^(s+1) is k*s - U
+    assert 2 * 2 - structure_constants(2, 2).U == 3
     assert _brute_v_max(7, 2, 2) == 3
 
 
@@ -238,12 +228,7 @@ def test_v_p_max_brute(p, k):
         # largest n with the right digit prefix and s + 1 digits
         n = (sc.root_digits.value + 1) * p ** extra - 1
         if math.comb(n, k) <= 60_000:
-            assert _brute_v_max(n, k, p) == v_p_max(k, p, s)
-
-
-def test_v_p_max_rejects_short():
-    with pytest.raises(ValueError):
-        v_p_max(5, 3, 1)
+            assert _brute_v_max(n, k, p) == k * s - sc.U
 
 
 def test_pi_p_mod_examples():
@@ -260,8 +245,7 @@ def test_pi_p_mod_is_unit_inverse(p, k):
     sc = structure_constants(k, p)
     prod = 1
     for v in range(sc.t + 1):
-        count, members = bp_block(sc.root_digits.prefix(v + 1))
-        for j in members:
-            prod = prod * j % mod
+        for i in range(1, bp_count(sc.root_digits.prefix(v + 1)) + 1):
+            prod = prod * cp(i, p) % mod
     assert prod * pi_p_mod(k, p, M) % mod == 1
     assert pi_p_mod(k, p, M) % p != 0

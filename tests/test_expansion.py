@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from padicharm.core import (
     DigitString,
-    bp_block,
+    bp_count,
+    cp,
     structure_constants,
     to_digits,
     vp,
@@ -16,17 +17,15 @@ from padicharm.core import (
 )
 from padicharm.expansion import (
     ExpansionVerdict,
-    _h_prime_streamed,
+    _WalkNode,
     _recip_esym_direct,
     _recip_esym_newton,
     _recip_power_sum_closed,
     _recip_power_sum_direct,
-    expansion_terms,
     h_p_mod,
     h_prime_mod,
     recip_esym,
     recip_power_sum,
-    sigma_mod,
     vp_H_expansion,
 )
 from padicharm.valuation import exact_H, vp_H
@@ -40,12 +39,16 @@ def frac_mod(q: Fraction, p: int, M: int) -> int:
 
 # --- reference oracles, exact Fractions all the way -----------------------
 
+def block(d):
+    """Members cp(1), ..., cp(bp_count(d)) of the coprime block of d."""
+    return [cp(i, d.p) for i in range(1, bp_count(d) + 1)]
+
+
 def ref_pi(k, p):
     sc = structure_constants(k, p)
     prod = Fraction(1)
     for v in range(sc.t + 1):
-        _, members = bp_block(sc.root_digits.prefix(v + 1))
-        for j in members:
+        for j in block(sc.root_digits.prefix(v + 1)):
             prod /= j
     return prod
 
@@ -55,8 +58,7 @@ def ref_items(prefix, k):
     v = len(prefix) - sc.t - 1
     items = []
     for w in range(sc.t + v + 1):
-        _, members = bp_block(prefix.prefix(w + 1))
-        for j in members:
+        for j in block(prefix.prefix(w + 1)):
             items.append((w, j))
     return items, sc.U + v
 
@@ -70,10 +72,28 @@ def ref_h_prime(prefix, k):
     return total
 
 
+def h_prime_streamed(prefix, k, M):
+    """h' mod p^M by an item-by-item DP; cost is linear in value(prefix)."""
+    sc = structure_constants(k, prefix.p)
+    p = prefix.p
+    budget = sc.U + len(prefix) - sc.t - 1
+    mod = p ** M
+    dp = [[0] * (budget + 1) for _ in range(k + 1)]
+    dp[0][0] = 1
+    for w in range(len(prefix)):
+        for j in block(prefix.prefix(w + 1)):
+            inv = pow(j, -1, mod)
+            for c in range(k - 1, -1, -1):
+                row = dp[c]
+                for W in range(budget - w, -1, -1):
+                    if row[W]:
+                        dp[c + 1][W + w] = (dp[c + 1][W + w] + row[W] * inv) % mod
+    return dp[k][budget]
+
+
 def ref_h_p(prefix, k):
-    _, members = bp_block(prefix)
-    block = sum((Fraction(1, j) for j in members), Fraction(0))
-    return ref_h_prime(prefix.parent(), k) + ref_pi(k, prefix.p) * block
+    total = sum((Fraction(1, j) for j in block(prefix)), Fraction(0))
+    return ref_h_prime(prefix.parent(), k) + ref_pi(k, prefix.p) * total
 
 
 def ref_sigma(prefix, k):
@@ -154,7 +174,23 @@ def test_recip_esym_degree_cap():
     assert recip_esym(2, 5, 3, 4) == _recip_esym_direct(2, 2, 3, 4)
 
 
+def test_recip_esym_rejects_composite_p():
+    # the scans inline cp(i, p), so p is validated at the entry point
+    with pytest.raises(ValueError):
+        recip_esym(5, 2, 4, 3)
+    with pytest.raises(ValueError):
+        recip_esym(0, 0, 4, 3)
+
+
 # --- h_prime / h_p / sigma --------------------------------------------------
+
+def walk(prefix, k, M):
+    """The digit walk's node at prefix, reached digit by digit from the root."""
+    node = _WalkNode.root(k, prefix.p, M)
+    for b in prefix.digits[len(node.digits):]:
+        node = node.child(b)
+    return node
+
 
 def test_h_prime_examples():
     assert h_prime_mod(DigitString(2, (1,)), 2, 3) == 0
@@ -182,7 +218,7 @@ def test_h_prime_three_routes_agree(p, k):
             continue
         M = rng.randint(1, 6)
         grouped = h_prime_mod(prefix, k, M)
-        streamed = _h_prime_streamed(prefix, k, M)
+        streamed = h_prime_streamed(prefix, k, M)
         brute = frac_mod(ref_h_prime(prefix, k), p, M)
         assert grouped == streamed == brute, (prefix, k, M)
         checked += 1
@@ -196,7 +232,7 @@ def test_h_prime_streamed_agrees_on_larger_prefixes():
         for _ in range(4):
             prefix = _random_prefix(rng, p, k, 7)
             M = 6
-            assert h_prime_mod(prefix, k, M) == _h_prime_streamed(prefix, k, M)
+            assert h_prime_mod(prefix, k, M) == h_prime_streamed(prefix, k, M)
 
 
 def test_h_prime_rejects_wrong_root():
@@ -228,15 +264,15 @@ def test_h_p_matches_fraction_oracle_and_is_integral(p, k):
 def test_sigma_examples():
     # frozen from the Fraction oracle: sigma(<1,1>_2) = 4/3, ord 2
     assert ref_sigma(DigitString(2, (1, 1)), 2) == Fraction(4, 3)
-    s = sigma_mod(DigitString(2, (1, 1)), 2, 5)
+    s = walk(DigitString(2, (1, 1)), 2, 5).sigma
     assert s == 12 and vp_int(s, 2) == 2
     # sigma(<1,1,0>_2) = 76/15, ord 2
     assert ref_sigma(DigitString(2, (1, 1, 0)), 2) == Fraction(76, 15)
-    s = sigma_mod(DigitString(2, (1, 1, 0)), 2, 5)
+    s = walk(DigitString(2, (1, 1, 0)), 2, 5).sigma
     assert s == 20 and vp_int(s, 2) == 2
     # sigma(<1,1,1>_2) = 562/105 carries only one factor of 2
     assert ref_sigma(DigitString(2, (1, 1, 1)), 2) == Fraction(562, 105)
-    s = sigma_mod(DigitString(2, (1, 1, 1)), 2, 5)
+    s = walk(DigitString(2, (1, 1, 1)), 2, 5).sigma
     assert vp_int(s, 2) == 1
 
 
@@ -247,7 +283,31 @@ def test_sigma_matches_fraction_oracle(p, k):
         prefix = _random_prefix(rng, p, k, 2).child(rng.randrange(p))
         if prefix.value > 230:
             continue
-        assert sigma_mod(prefix, k, 6) == frac_mod(ref_sigma(prefix, k), p, 6)
+        assert walk(prefix, k, 6).sigma == frac_mod(ref_sigma(prefix, k), p, 6)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(min_value=2, max_value=5), st.data())
+@settings(max_examples=30, deadline=None)
+def test_walk_matches_from_scratch_dp(p, k, data):
+    # The root's table is U wide and doubles at depth 1 and again at depth
+    # U + 1, so every path here crosses at least two doublings.
+    sc = structure_constants(k, p)
+    depth = data.draw(st.integers(min_value=sc.U + 1, max_value=sc.U + 2), label="depth")
+    path = data.draw(st.lists(st.integers(0, p - 1), min_size=depth, max_size=depth), label="path")
+    M = data.draw(st.integers(min_value=1, max_value=8), label="M")
+    mod = p ** M
+    node = _WalkNode.root(k, p, M)
+    sigma = 0
+    for b in path:
+        assert node.h_prime == h_prime_mod(node.digits, k, M), node.digits
+        if node.value <= 2000:  # the streamed oracle is linear in the value
+            assert node.h_prime == h_prime_streamed(node.digits, k, M)
+        child = node.child(b)
+        sigma = (sigma + h_p_mod(child.digits, k, M) * p ** node.depth) % mod
+        assert child.sigma == sigma, child.digits
+        node = child
+    assert node.h_prime == h_prime_mod(node.digits, k, M)
+    assert len(node._table()[0]) - 1 >= 4 * sc.U
 
 
 # --- expansion verdicts -----------------------------------------------------
@@ -306,14 +366,6 @@ def test_vp_H_expansion_exhaustive_small(p, k):
             assert verdict.value == reference, (n, k, p)
         else:
             assert reference >= verdict.value, (n, k, p)
-
-
-def test_expansion_terms_shape():
-    terms = expansion_terms(22, 2, 2)
-    d = to_digits(22, 2)
-    assert [len(t.prefix) for t in terms] == [2, 3, 4, 5]
-    assert all(t.prefix.digits == d.digits[: len(t.prefix)] for t in terms)
-    assert all(0 <= t.residue < 2 ** t.prec for t in terms)
 
 
 def test_expansion_verdict_validation():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from padicharm.core import DigitString
+from padicharm import tree as tree_module
+from padicharm.core import DigitString, EngineDisagreement
 from padicharm.tree import (
     FSequence,
     build_tree,
@@ -113,6 +114,25 @@ def test_f_sequence_matches_tree_levels():
     assert [len(level) for level in tree.levels] == [1] * 11
     for u, level in enumerate(tree.levels):
         assert level[0].digits == f.bits[: u + 1]
+
+
+@pytest.mark.parametrize("broken", ["two nodes", "no node"])
+def test_f_sequence_refuses_a_level_without_exactly_one_node(monkeypatch, broken):
+    real_build = tree_module.build_tree
+
+    def build(*args, **kwargs):
+        tree = real_build(*args, **kwargs)
+        node = tree.levels[2][0]
+        if broken == "two nodes":
+            tree.levels[2].append(node.parent().child(1 - node.digits[-1]))
+        else:
+            del tree.levels[2:]
+            tree.levels.append([])
+        return tree
+
+    monkeypatch.setattr(tree_module, "build_tree", build)
+    with pytest.raises(EngineDisagreement, match="branching invariant"):
+        f_sequence(4)
 
 
 def test_f_sequence_validation():
