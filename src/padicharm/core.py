@@ -295,25 +295,38 @@ def bp_count(d: DigitString) -> int:
 def a_p_set(n: int, v: int, p: int) -> list[int]:
     """All m in [1, n] with vp(m) = s - v, where s + 1 = digit length of n.
 
-    Computed from the coprime block of the length-(v+1) digit prefix; the
-    direct filter a_p_set_by_filter must give the same answer.
+    Built from the coprime block of the length-(v+1) digit prefix: with
+    scale = p^(s-v) and head = n // scale (the value of that prefix), the
+    slice is {j * scale : 1 <= j <= head, p does not divide j}.  The list
+    of all multiples j * scale is made by range() and every p-th entry
+    (j divisible by p) is deleted by one slice deletion, so no member
+    passes through Python-level code.  The direct filter
+    a_p_set_by_filter must give the same answer.
     """
     d = to_digits(n, p)
     s = len(d) - 1
     if not 0 <= v <= s:
         raise ValueError(f"v must lie in [0, {s}], got {v}")
-    count = bp_count(d.prefix(v + 1))
     scale = p ** (s - v)
-    return [cp(i, p) * scale for i in range(1, count + 1)]
+    out = list(range(scale, n // scale * scale + 1, scale))
+    del out[p - 1::p]
+    return out
 
 
 def a_p_set_by_filter(n: int, v: int, p: int) -> list[int]:
-    """Reference filter for a_p_set; linear scan over [1, n]."""
+    """Reference filter for a_p_set: vp(m) = s - v tested on each candidate.
+
+    Scans the multiples m of p^(s-v) in [1, n] and keeps those that
+    p^(s-v+1) does not divide, i.e. the definition of the slice read off
+    m directly, without the digit prefix.
+    """
     d = to_digits(n, p)
     s = len(d) - 1
     if not 0 <= v <= s:
         raise ValueError(f"v must lie in [0, {s}], got {v}")
-    return [m for m in range(1, n + 1) if vp_int(m, p) == s - v]
+    pe = p ** (s - v)
+    pe_next = pe * p
+    return [m for m in range(pe, n + 1, pe) if m % pe_next]
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,14 @@ def test_c06_identity_suite():
         layer_k_set=(2, 3),
     )
     announce(6, report.passed, f"identity suite counts {report.observed}", t0)
+    # every comparison of the suite, so none can be dropped quietly
+    assert report.observed == {
+        "harmonic-stirling-ratio": 78,
+        "legendre-factorial": 40004,
+        "valuation-slice": 42102,
+        "block-telescoping": 2388,
+        "valuation-layer-sum": 2479,
+    }
 
 
 def test_c07_cross_engine_equivalence():

@@ -23,7 +23,8 @@ from padicharm.checks import (
     harm_hit_count,
     monitor_lower_bound,
 )
-from padicharm.core import free_p, vp_int
+from padicharm import checks
+from padicharm.core import a_p_set, a_p_set_by_filter, free_p, vp_int
 from padicharm.expansion import h_p_mod
 from padicharm.core import structure_constants, to_digits
 
@@ -50,6 +51,40 @@ def test_structural_identities_small():
     assert report.passed, report.witness
     assert report.observed["harmonic-stirling-ratio"] == 78
     assert report.observed["valuation-layer-sum"] > 0
+
+
+def _drop_one_member(kernel, at):
+    def patched(n, v, p):
+        out = kernel(n, v, p)
+        return out[:-1] if (n, v, p) == at else out
+    return patched
+
+
+_SMALL_SUITE = dict(
+    p_set=(2, 3), legendre_n_max=50, slice_n_max=200, k_max=10, layer_n_max=20
+)
+
+
+# (n, v, p): the first comparison, a middle slice, the last n, the top slice
+@pytest.mark.parametrize("at", [(1, 0, 2), (37, 2, 3), (200, 7, 2), (130, 1, 5)], ids=str)
+def test_structural_check_catches_a_wrong_slice(monkeypatch, at):
+    # the slice reference grows one integer per n; a single dropped member
+    # anywhere must still be a valuation-slice failure at that (n, v, p)
+    monkeypatch.setattr(checks, "a_p_set", _drop_one_member(a_p_set, at))
+    report = check_structural_identities(**_SMALL_SUITE, slice_p_set=(2, 3, 5))
+    assert not report.passed
+    n, v, p = at
+    assert report.witness == {"identity": "valuation-slice", "n": n, "v": v, "p": p}
+
+
+@pytest.mark.parametrize("at", [(1, 0, 2), (37, 3, 3), (200, 7, 2), (130, 3, 5)], ids=str)
+def test_structural_check_catches_a_wrong_filter_slice(monkeypatch, at):
+    # the standalone filter is compared on the top slice v = s only
+    monkeypatch.setattr(checks, "a_p_set_by_filter", _drop_one_member(a_p_set_by_filter, at))
+    report = check_structural_identities(**_SMALL_SUITE, slice_p_set=(2, 3, 5))
+    assert not report.passed
+    n, v, p = at
+    assert report.witness == {"identity": "valuation-slice-filter", "n": n, "v": v, "p": p}
 
 
 def test_layer_sums_against_naive_enumeration():

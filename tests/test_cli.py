@@ -1,6 +1,9 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicharm.cli import CacheRecord, ValCache, CacheIntegrityError, main
 
@@ -200,6 +203,56 @@ def test_cache_malformed_line_names_file_and_line(tmp_path, capsys, bad_line):
     assert f"cache {cache} line 3: malformed record" in err
     with pytest.raises(CacheIntegrityError, match="line 3"):
         ValCache(str(cache))
+
+
+_CACHE_RECORDS = st.lists(
+    st.builds(
+        CacheRecord,
+        p=st.sampled_from([2, 3, 5, 7, 59]),
+        n=st.integers(1, 10**12),
+        k=st.integers(1, 200),
+        valuation=st.integers(-10**30, 10**30),
+        engine=st.text(max_size=12),
+        guard=st.integers(0, 10**6),
+    ),
+    min_size=1,
+    max_size=12,
+    unique_by=lambda rec: (rec.p, rec.n, rec.k),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CACHE_RECORDS)
+def test_cache_file_round_trip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vals.jsonl")
+        store = ValCache(path)
+        for rec in records:
+            store.put(rec)
+            store.put(rec)  # a repeated put appends nothing
+        reopened = ValCache(path)
+        for rec in records:
+            assert reopened.get(rec.p, rec.n, rec.k) == rec
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    assert len(lines) == len(records)
+    for line in lines:
+        assert line.endswith("\n")
+        assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
+
+
+def test_cache_line_with_guard_field_still_loads(tmp_path, capsys):
+    # the record layout written since the first release, guard field included
+    cache = tmp_path / "vals.jsonl"
+    line = '{"engine": "both", "guard": 14, "k": 2, "n": 9, "p": 2, "valuation": -5}\n'
+    cache.write_text(line)
+    assert ValCache(str(cache)).get(2, 9, 2) == CacheRecord(
+        p=2, n=9, k=2, valuation=-5, engine="both", guard=14
+    )
+    rc, out, _ = run(capsys, "val", "--p", "2", "--n", "9", "--k", "2",
+                     "--cache", str(cache))
+    assert rc == 0 and json.loads(out)["valuation"] == -5
+    assert cache.read_text() == line  # a hit appends nothing
 
 
 def test_expansion_method_reports_lower_bound_failure(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padicharm.core import (
     INFINITE,
@@ -165,12 +165,45 @@ def test_a_p_set_examples(n, v, p, expected):
     assert a_p_set_by_filter(n, v, p) == expected
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+def _slices_by_definition(n, p):
+    """[m in [1, n] with vp(m) = s - v] for v = 0..s, by one vp_int per m."""
+    s = len(to_digits(n, p)) - 1
+    slices = [[] for _ in range(s + 1)]
+    for m in range(1, n + 1):
+        slices[s - vp_int(m, p)].append(m)
+    return slices
+
+
+def _assert_slices_match_definition(n, p):
+    # both kernels are pinned to the definition, not to each other, and
+    # the slices for v = 0..s partition [1, n]
+    expected = _slices_by_definition(n, p)
+    got = [a_p_set(n, v, p) for v in range(len(expected))]
+    assert got == expected
+    assert [a_p_set_by_filter(n, v, p) for v in range(len(expected))] == expected
+    assert sorted(m for sl in got for m in sl) == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_a_p_set_formula_equals_filter(p):
-    for n in range(1, 301):
-        s = len(to_digits(n, p)) - 1
-        for v in range(s + 1):
-            assert a_p_set(n, v, p) == a_p_set_by_filter(n, v, p)
+    for n in range(1, 401):
+        _assert_slices_match_definition(n, p)
+
+
+@st.composite
+def _slice_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    kind = draw(st.sampled_from(["any", "power", "below-power"]))
+    if kind == "any":
+        return draw(st.integers(1, 10**5)), p
+    s = draw(st.integers(1, len(to_digits(10**5, p)) - 1))
+    return p**s - (kind == "below-power"), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(_slice_inputs())
+def test_a_p_set_matches_definition_up_to_1e5(n_p):
+    _assert_slices_match_definition(*n_p)
 
 
 def test_a_p_set_rejects_bad_v():
