@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Measure where the closed-form reciprocal sums overtake the direct scans.
+
+For every (p, m, M, B) of the grid this times, as the median of repeated
+perf_counter runs, the two routes behind each dispatch on
+expansion._DIRECT_LIMIT:
+
+  esym  recip_esym(B, m, p, M): the per-unit scan against Newton's
+        identities over closed-form power sums,
+  psum  recip_power_sum(B, r, p, M) for r = 1..m: the per-unit scan
+        against the closed form.
+
+The caches keyed by B are cleared before every timed call; the first run
+of each cell also builds the B-independent weights, which real walks
+reuse, and is dropped.  It prints the direct/closed time ratio of every
+row (above 1: the closed form wins), the smallest grid B of each cell
+from which the closed form wins everywhere, and the largest B at which a
+direct scan still wins somewhere.
+
+Example:
+    PYTHONPATH=src python3 scripts/crossover.py --repeats 7
+"""
+
+import argparse
+import statistics
+import time
+
+from padicharm import expansion
+
+GRID_B = (2, 4, 8, 12, 16, 20, 24, 28, 32, 48, 64, 128, 256, 1024, 4096)
+
+
+def _clear() -> None:
+    expansion.recip_power_sum.cache_clear()
+    expansion._index_power_sums.cache_clear()
+
+
+def _median_seconds(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats + 1):
+        _clear()
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times[1:])
+
+
+def _routes(B: int, m: int, p: int, M: int):
+    """(direct, closed) callables for the esym and psum operations."""
+    return {
+        "esym": (
+            lambda: expansion._recip_esym_direct(B, m, p, M),
+            lambda: expansion._recip_esym_newton(B, m, p, M),
+        ),
+        "psum": (
+            lambda: [expansion._recip_power_sum_direct(B, r, p, M) for r in range(1, m + 1)],
+            lambda: [expansion._recip_power_sum_closed(B, r, p, M) for r in range(1, m + 1)],
+        ),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--p", type=int, nargs="+", default=[2, 3, 5])
+    parser.add_argument("--m", type=int, nargs="+", default=[2, 8])
+    parser.add_argument("--M", type=int, nargs="+", default=[12, 72])
+    parser.add_argument("--B", type=int, nargs="+", default=list(GRID_B))
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args()
+
+    limit = expansion._DIRECT_LIMIT
+    # Newton's power sums must take the closed form at every B of the grid.
+    expansion._DIRECT_LIMIT = -1
+    print(f"{'p':>3} {'m':>3} {'M':>4} {'B':>6} {'esym':>8} {'psum':>8}")
+    crossings = {}
+    for p in args.p:
+        for m in args.m:
+            for M in args.M:
+                wins = {"esym": [], "psum": []}
+                for B in sorted(args.B):
+                    if B < m:
+                        continue
+                    ratios = {}
+                    for op, (direct, closed) in _routes(B, m, p, M).items():
+                        assert direct() == closed(), (op, p, m, M, B)
+                        ratio = _median_seconds(direct, args.repeats) / _median_seconds(
+                            closed, args.repeats)
+                        ratios[op] = ratio
+                        wins[op].append((B, ratio > 1))
+                    print(f"{p:>3} {m:>3} {M:>4} {B:>6} {ratios['esym']:>8.2f} "
+                          f"{ratios['psum']:>8.2f}", flush=True)
+                for op, row in wins.items():
+                    losses = [B for B, won in row if not won]
+                    later = [B for B, _ in row if not losses or B > losses[-1]]
+                    crossings[(p, m, M, op)] = (later[0] if later else None,
+                                                losses[-1] if losses else 0)
+    print()
+    print(f"{'p':>3} {'m':>3} {'M':>4} {'op':>5} {'closed wins from B':>19}")
+    for (p, m, M, op), (first, _) in crossings.items():
+        print(f"{p:>3} {m:>3} {M:>4} {op:>5} {first if first is not None else '-':>19}")
+    last_direct = max(last for _, last in crossings.values())
+    print(f"\nlargest grid B where a direct scan wins: {last_direct} "
+          f"(_DIRECT_LIMIT is {limit})")
+
+
+if __name__ == "__main__":
+    main()

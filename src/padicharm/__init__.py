@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .core import (
     INFINITE,
+    ArgumentError,
     DigitString,
     EngineDisagreement,
     InfiniteValuation,

@@ -18,6 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from .core import (
+    ArgumentError,
     a_p_set,
     a_p_set_by_filter,
     bp_count,
@@ -265,7 +266,7 @@ def check_structural_identities(
 def check_lengyel_identity(m_max: int = 12, policy: EscalationPolicy = DEFAULT_POLICY) -> CheckReport:
     """v2(H(2^m - 1, 2)) = 4 - 2m for m = 2..m_max (Lengyel's identity)."""
     if m_max < 2:
-        raise ValueError(f"m_max must be at least 2, got {m_max}")
+        raise ArgumentError(f"m_max must be at least 2, got {m_max}")
     observed = {}
     witness = None
     passed = True
@@ -288,6 +289,8 @@ def check_lengyel_identity(m_max: int = 12, policy: EscalationPolicy = DEFAULT_P
 
 def check_integral_scan(n_max: int = 40) -> CheckReport:
     """The only integral H(n, k) with k <= n <= n_max are (1,1) and (3,2)."""
+    if n_max < 1:
+        raise ArgumentError(f"n_max must be positive, got {n_max}")
     table = exact_H_table(n_max, n_max)
     found = [
         (n, k)
@@ -319,6 +322,10 @@ def check_corollary_2adic(
     Samples below exact_cross_max are also cross-checked against exact
     rationals.
     """
+    if S < 1 or sample_count < 0:
+        raise ArgumentError(
+            f"need S >= 1 and sample_count >= 0, got S={S}, sample_count={sample_count}"
+        )
     bits = f_sequence(S).bits
     rng = random.Random(seed)
     exact_vals: dict[int, int] = {}
@@ -401,7 +408,7 @@ def check_ubound(p: int, k: int, x: int, policy: EscalationPolicy = DEFAULT_POLI
     at most 3 x^0.835."""
     sc = structure_constants(k, p)
     if x < (k - 1) * p:
-        raise ValueError(f"x must be at least (k-1)p = {(k - 1) * p}")
+        raise ArgumentError(f"x must be at least (k-1)p = {(k - 1) * p}")
     depth = ilog(x, p) - sc.t + 1
     tree = build_tree(p, k, max_depth=depth)
     nodes = tree.node_values()
@@ -471,9 +478,9 @@ def check_harm_count(p: int, x: int, y: int, r: Fraction | int = 0) -> CheckRepo
     """Harmonic congruence hits on a window shorter than p stay below
     1.5 y^(2/3) + 1."""
     if not 1 <= y < p:
-        raise ValueError(f"need 1 <= y < p, got y={y}, p={p}")
+        raise ArgumentError(f"need 1 <= y < p, got y={y}, p={p}")
     if x < 1:
-        raise ValueError(f"x must be positive, got {x}")
+        raise ArgumentError(f"x must be positive, got {x}")
     count, hits = harm_hit_count(p, x, y, Fraction(r))
     passed = _lt_harm_bound(count, y)
     return CheckReport(
@@ -490,6 +497,8 @@ def check_harm_count_suite(
     p: int, cases: int = 100, seed: int = 0, *, x_max: int = 400
 ) -> CheckReport:
     """Seeded batch of harmonic congruence windows for one prime."""
+    if cases < 0:
+        raise ArgumentError(f"cases must be nonnegative, got {cases}")
     rng = random.Random(seed)
     worst = 0
     witness = None
@@ -535,6 +544,10 @@ def check_cpicong(
     ceil(p/2), below 3((p-2)/2)^(2/3) + 2, and no two consecutive window
     lengths may both hit.
     """
+    if q_samples < 1 or a_samples < 0:
+        raise ArgumentError(
+            f"need q_samples >= 1 and a_samples >= 0, got {q_samples}, {a_samples}"
+        )
     rng = random.Random(seed)
     qs = []
     for _ in range(q_samples):
@@ -592,7 +605,7 @@ def check_p59_exponent(prime_bound: int = 1000, *, guard: float = 1e-6) -> Check
     guard band escalates precision instead of deciding.
     """
     if prime_bound < 59:
-        raise ValueError(f"prime_bound must be at least 59, got {prime_bound}")
+        raise ArgumentError(f"prime_bound must be at least 59, got {prime_bound}")
     primes = _primes_upto(prime_bound)
 
     def g_values(prec: int) -> list[tuple[object, int]]:

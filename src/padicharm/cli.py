@@ -3,7 +3,9 @@
 This is the only module that does I/O.  Machine paths emit line-delimited
 JSON (or DOT for trees); randomized checks require an explicit seed.
 Exit codes: 0 success, 1 check failure / engine discrepancy / precision
-failure, 2 usage error.
+failure, 2 usage error: a parse error, an ArgumentError (SizeCapError
+included).  Any other exception is a fault and propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .checks import (
     check_ubound,
     monitor_lower_bound,
 )
-from .core import EngineDisagreement, PrecisionError, vp
+from .core import ArgumentError, EngineDisagreement, PrecisionError, vp
 from .expansion import vp_H_expansion
 from .tree import PTree, build_tree, f_sequence
 from .valuation import exact_H, exact_H_table, vp_H_with_guard
@@ -210,7 +212,7 @@ def cmd_val(args) -> int:
         if k >= 2:
             try:
                 verdict = vp_H_expansion(n, k, p)
-            except ValueError:
+            except ArgumentError:
                 verdict = None  # digits of n do not extend those of k-1
         if verdict is not None:
             if verdict.is_exact and verdict.value != val:
@@ -383,7 +385,7 @@ def main(argv=None) -> int:
     except (EngineDisagreement, PrecisionError, CacheIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # SizeCapError included
+    except ArgumentError as exc:  # SizeCapError included; other ValueErrors are faults
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

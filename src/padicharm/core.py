@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 __all__ = [
+    "ArgumentError",
     "SizeCapError",
     "PrecisionError",
     "EngineDisagreement",
@@ -37,7 +38,15 @@ __all__ = [
 ]
 
 
-class SizeCapError(ValueError):
+class ArgumentError(ValueError):
+    """An argument lies outside the domain of a public function.
+
+    The command line reports it as a usage error (exit 2); any other
+    ValueError is a fault of the program.
+    """
+
+
+class SizeCapError(ArgumentError):
     """An input exceeds the configured exact-arithmetic cap."""
 
 
@@ -77,7 +86,7 @@ def is_prime(n: int) -> bool:
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
+        raise ArgumentError(f"modulus must be prime, got {p}")
 
 
 class InfiniteValuation:
@@ -126,19 +135,30 @@ Valuation = Union[int, InfiniteValuation]
 
 @dataclass(frozen=True)
 class DigitString:
-    """Big-endian base-p digit vector with nonzero leading digit."""
+    """Big-endian base-p digit vector with nonzero leading digit.
+
+    The constructor validates; strings derived from a valid one (prefix,
+    parent, child, to_digits) are built by _trusted, which does not.
+    """
 
     p: int
     digits: tuple[int, ...]
 
+    @classmethod
+    def _trusted(cls, p: int, digits: tuple[int, ...]) -> "DigitString":
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "digits", digits)
+        return self
+
     def __post_init__(self) -> None:
         _require_prime(self.p)
         if not self.digits:
-            raise ValueError("digit string must be nonempty")
+            raise ArgumentError("digit string must be nonempty")
         if self.digits[0] == 0:
-            raise ValueError("leading digit must be nonzero")
+            raise ArgumentError("leading digit must be nonzero")
         if any(not 0 <= d < self.p for d in self.digits):
-            raise ValueError(f"digits must lie in [0, {self.p - 1}]: {self.digits}")
+            raise ArgumentError(f"digits must lie in [0, {self.p - 1}]: {self.digits}")
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -163,16 +183,18 @@ class DigitString:
 
     def prefix(self, length: int) -> "DigitString":
         if not 1 <= length <= len(self.digits):
-            raise ValueError(f"prefix length {length} out of range")
-        return DigitString(self.p, self.digits[:length])
+            raise ArgumentError(f"prefix length {length} out of range")
+        return DigitString._trusted(self.p, self.digits[:length])
 
     def parent(self) -> "DigitString":
         if len(self.digits) < 2:
-            raise ValueError("a single digit has no parent")
-        return DigitString(self.p, self.digits[:-1])
+            raise ArgumentError("a single digit has no parent")
+        return DigitString._trusted(self.p, self.digits[:-1])
 
     def child(self, digit: int) -> "DigitString":
-        return DigitString(self.p, self.digits + (digit,))
+        if not 0 <= digit < self.p:
+            raise ArgumentError(f"digit must lie in [0, {self.p - 1}], got {digit}")
+        return DigitString._trusted(self.p, self.digits + (digit,))
 
     def extends(self, other: "DigitString") -> bool:
         return (
@@ -189,12 +211,12 @@ def to_digits(n: int, p: int) -> DigitString:
     """
     _require_prime(p)
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ArgumentError(f"n must be positive, got {n}")
     digits = []
     while n:
         n, d = divmod(n, p)
         digits.append(d)
-    return DigitString(p, tuple(reversed(digits)))
+    return DigitString._trusted(p, tuple(reversed(digits)))
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -219,7 +241,7 @@ def cp(i: int, p: int) -> int:
     """
     _require_prime(p)
     if i < 1:
-        raise ValueError(f"index must be positive, got {i}")
+        raise ArgumentError(f"index must be positive, got {i}")
     return i + (i - 1) // (p - 1)
 
 
@@ -269,7 +291,7 @@ def free_p(m: int, p: int) -> int:
     """m with every factor of p removed; never divisible by p."""
     _require_prime(p)
     if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+        raise ArgumentError(f"m must be positive, got {m}")
     return m // p ** vp_int(m, p)
 
 
@@ -277,7 +299,7 @@ def vp_factorial(n: int, p: int) -> int:
     """vp(n!) by Legendre's formula (n - digit_sum(n)) / (p - 1)."""
     _require_prime(p)
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise ArgumentError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 0
     return (n - digit_sum(n, p)) // (p - 1)
@@ -306,7 +328,7 @@ def a_p_set(n: int, v: int, p: int) -> list[int]:
     d = to_digits(n, p)
     s = len(d) - 1
     if not 0 <= v <= s:
-        raise ValueError(f"v must lie in [0, {s}], got {v}")
+        raise ArgumentError(f"v must lie in [0, {s}], got {v}")
     scale = p ** (s - v)
     out = list(range(scale, n // scale * scale + 1, scale))
     del out[p - 1::p]
@@ -323,7 +345,7 @@ def a_p_set_by_filter(n: int, v: int, p: int) -> list[int]:
     d = to_digits(n, p)
     s = len(d) - 1
     if not 0 <= v <= s:
-        raise ValueError(f"v must lie in [0, {s}], got {v}")
+        raise ArgumentError(f"v must lie in [0, {s}], got {v}")
     pe = p ** (s - v)
     pe_next = pe * p
     return [m for m in range(pe, n + 1, pe) if m % pe_next]
@@ -348,7 +370,7 @@ class StructureConstants:
 def structure_constants(k: int, p: int) -> StructureConstants:
     """Constants of the digit machinery for k >= 2 (k = 1 is rejected)."""
     if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+        raise ArgumentError(f"k must be at least 2, got {k}")
     root = to_digits(k - 1, p)
     t = len(root) - 1
     U = sum(bp_count(root.prefix(v + 1)) * v for v in range(t + 1)) + t + 1
@@ -362,7 +384,7 @@ def pi_p_mod(k: int, p: int, M: int) -> int:
     unit mod p, so the inverse exists for every M >= 1.
     """
     if M < 1:
-        raise ValueError(f"M must be positive, got {M}")
+        raise ArgumentError(f"M must be positive, got {M}")
     sc = structure_constants(k, p)
     mod = p ** M
     prod = 1

@@ -23,12 +23,18 @@ walk _WalkNode.
 
 Reciprocal power sums over the coprime sequence c_p are the workhorse.
 The sequence is periodic in blocks of p - 1 consecutive units, so a
-prefix sum splits into full blocks plus a short tail; the full blocks
+prefix sum splits into Q full blocks plus a short tail; the full blocks
 are collapsed through the p-adic binomial series of (pq + m)^(-r),
-leaving power sums of the block index q, which are polynomial in the
-block count.  That keeps the cost polynomial in the precision even
-when the prefix length is astronomically large, which is what makes
-tree levels beyond Stirling feasibility reachable at all.
+leaving power sums of the block index q, which are polynomial in Q.
+Written in falling factorials they become sum_i w_i f_i(Q), with
+f_i(Q) = Q(Q-1)...(Q-i)/(i+1) and weights w_i that depend on r, p and
+the precision M but not on Q.  The weights are built once, in O(M^2),
+and every block count then costs O(M) products: polynomial in the
+precision even when the prefix length is astronomically large, which is
+what makes tree levels beyond Stirling feasibility reachable at all.
+Elementary symmetric sums follow from the power sums by Newton's
+identities.  Below a few dozen units the direct per-unit scans are
+cheaper, and they stay as the oracles of the closed forms.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    ArgumentError,
     DigitString,
     PrecisionError,
     StructureConstants,
@@ -58,47 +65,58 @@ __all__ = [
     "vp_H_expansion",
 ]
 
-# Below this block count the direct scan is cheaper than the closed form.
-_DIRECT_LIMIT = 4096
+# Up to this block count the direct scans are used.  scripts/crossover.py
+# times both routes over p in {2, 3, 5}, m in {2, 8}, M in {12, 72}: the
+# closed forms win from B = 4..8 (power sums) and 8..32 (symmetric sums,
+# the latest at m = 8), and a direct scan wins nowhere past B = 28, on a
+# 2-core x86 VM with Python 3.11; CHANGES.md has the table.
+_DIRECT_LIMIT = 32
 
 
-@lru_cache(maxsize=None)
-def _stirling2_rows(j_max: int) -> tuple[tuple[int, ...], ...]:
-    """Second-kind Stirling triangle up to row j_max."""
-    rows = [(1,)]
-    for j in range(1, j_max + 1):
-        prev = rows[-1]
-        row = [0] * (j + 1)
-        for i in range(1, j + 1):
-            row[i] = (prev[i - 1] if i - 1 < len(prev) else 0) + i * (
-                prev[i] if i < len(prev) else 0
-            )
-        rows.append(tuple(row))
-    return tuple(rows)
+@lru_cache(maxsize=256)
+def _closed_weights(r: int, p: int, M: int) -> tuple[int, ...]:
+    """w_i = sum_{i<=j<M} (-1)^j C(r+j-1, j) T(r+j) p^j S2(j, i) mod p^M.
+
+    T(u) is the sum of m^(-u) over the units m = 1..p-1 and S2 the Stirling
+    numbers of the second kind, whose rows are built mod p^M on the way.
+    The weights do not depend on the block count, so one build, O(M^2),
+    serves every B.
+    """
+    mod = p ** M
+    inverses = [pow(m, -1, mod) for m in range(1, p)]
+    unit_powers = [pow(x, r, mod) for x in inverses]
+    weights = [0] * M
+    row = [1]
+    binom = 1
+    pj = 1
+    for j in range(M):
+        if j:
+            row = [0] + [(row[i - 1] + i * row[i]) % mod for i in range(1, j)] + [1]
+            binom = binom * (r + j - 1) // j
+            unit_powers = [x * y % mod for x, y in zip(unit_powers, inverses)]
+        a = binom * sum(unit_powers) % mod * pj % mod
+        if j & 1:
+            a = mod - a
+        for i in range(j + 1):
+            weights[i] += a * row[i]
+        pj *= p
+    return tuple(w % mod for w in weights)
 
 
 @lru_cache(maxsize=512)
 def _index_power_sums(Q: int, p: int, M: int) -> tuple[int, ...]:
-    """Sums of q^j over q = 0..Q-1 for j = 0..M-1, mod p^M.
+    """The terms f_i = i! * C(Q, i+1) = Q(Q-1)...(Q-i) / (i+1) mod p^M.
 
-    q^j is expanded in falling factorials, so each sum is a combination of
-    the terms i! * C(Q, i+1) = Q(Q-1)...(Q-i) / (i+1), one per i.
+    sum_{q<Q} q^j = sum_i S2(j, i) f_i, which _closed_weights has folded in.
+    f_i vanishes from i = Q on, so at most min(Q, M) terms are returned.
     """
     mod = p ** M
-    s2 = _stirling2_rows(M - 1)
     falling = []
     product = Q
-    for i in range(M):
+    for i in range(min(Q, M)):
         falling.append(product // (i + 1) % mod)
         product *= Q - i - 1
-    return tuple(sum(c * f for c, f in zip(s2[j], falling)) % mod for j in range(M))
-
-
-@lru_cache(maxsize=None)
-def _unit_power_sum(p: int, M: int, u: int) -> int:
-    """Sum of m^(-u) over the units m = 1..p-1, mod p^M."""
-    mod = p ** M
-    return sum(pow(m, -u, mod) for m in range(1, p)) % mod
+    return tuple(falling)
 
 
 # The scans below inline cp(i, p) = i + (i - 1) // (p - 1): the public
@@ -115,37 +133,31 @@ def _recip_power_sum_direct(B: int, r: int, p: int, M: int) -> int:
 def _recip_power_sum_closed(B: int, r: int, p: int, M: int) -> int:
     """Block decomposition of sum_{i<=B} cp(i)^(-r) mod p^M.
 
-    Full blocks contribute sum_j binom(-r, j) p^j T(r+j) F_j where T is a
-    unit power sum and F_j the power sum of block indices; the partial
-    block is summed directly.
+    The Q full blocks contribute sum_i w_i f_i(Q) (_closed_weights,
+    _index_power_sums), O(M) per call once the weights are built; the
+    partial block is summed directly.
     """
     mod = p ** M
     Q, m0 = divmod(B, p - 1)
     total = 0
     if Q:
-        F = _index_power_sums(Q, p, M)
-        pj = 1
-        for j in range(M):
-            c = math.comb(r + j - 1, j)
-            term = c % mod * _unit_power_sum(p, M, r + j) % mod
-            term = term * F[j] % mod * pj % mod
-            total = (total - term if j & 1 else total + term) % mod
-            pj = pj * p % mod
-    base = p * Q % mod
+        weights = _closed_weights(r, p, M)
+        total = sum(w * f for w, f in zip(weights, _index_power_sums(Q, p, M)))
+    base = p * Q
     for m in range(1, m0 + 1):
-        total = (total + pow(base + m, -r, mod)) % mod
-    return total
+        total += pow(base + m, -r, mod)
+    return total % mod
 
 
 @lru_cache(maxsize=65536)
 def recip_power_sum(B: int, r: int, p: int, M: int) -> int:
     """sum_{i=1}^{B} cp(i)^(-r) mod p^M, for any block count B >= 0."""
     if B < 0:
-        raise ValueError(f"B must be nonnegative, got {B}")
+        raise ArgumentError(f"B must be nonnegative, got {B}")
     if r < 1 or M < 1:
-        raise ValueError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
+        raise ArgumentError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise ArgumentError(f"p must be prime, got {p}")
     if B <= _DIRECT_LIMIT:
         return _recip_power_sum_direct(B, r, p, M)
     return _recip_power_sum_closed(B, r, p, M)
@@ -197,9 +209,9 @@ def _recip_esym_newton(B: int, m_max: int, p: int, M: int) -> list[int]:
 def recip_esym(B: int, m_max: int, p: int, M: int) -> list[int]:
     """e_0..e_{m_max} of the reciprocals 1/cp(1), ..., 1/cp(B), mod p^M."""
     if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative, got {m_max}")
+        raise ArgumentError(f"m_max must be nonnegative, got {m_max}")
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise ArgumentError(f"p must be prime, got {p}")
     m_max = min(m_max, B)
     if m_max == 0:
         return [1]
@@ -211,7 +223,7 @@ def recip_esym(B: int, m_max: int, p: int, M: int) -> list[int]:
 def _require_extension(prefix: DigitString, k: int) -> StructureConstants:
     sc = structure_constants(k, prefix.p)
     if not prefix.extends(sc.root_digits):
-        raise ValueError(
+        raise ArgumentError(
             f"prefix {prefix} does not extend the root digits "
             f"{sc.root_digits} of k-1"
         )
@@ -267,7 +279,7 @@ def h_prime_mod(prefix: DigitString, k: int, M: int) -> int:
     the modular inverses of its units.  Folds every group from scratch.
     """
     if M < 1:
-        raise ValueError(f"M must be positive, got {M}")
+        raise ArgumentError(f"M must be positive, got {M}")
     sc = _require_extension(prefix, k)
     budget = sc.U + len(prefix) - sc.t - 1
     return _fold(prefix, k, budget, M)[k][budget]
@@ -366,7 +378,7 @@ def h_p_mod(prefix: DigitString, k: int, M: int) -> int:
     """
     sc = _require_extension(prefix, k)
     if len(prefix) < sc.t + 2:
-        raise ValueError(
+        raise ArgumentError(
             f"prefix must extend the root by at least one digit, got {prefix}"
         )
     p = prefix.p
@@ -416,12 +428,12 @@ def vp_H_expansion(n: int, k: int, p: int, guard: int = 4) -> ExpansionVerdict:
     d = to_digits(n, p)
     sc = structure_constants(k, p)
     if not d.extends(sc.root_digits):
-        raise ValueError(
+        raise ArgumentError(
             f"digit string of n={n} does not start with the digits of k-1={k - 1}"
         )
     s = len(d) - 1
     if s < sc.t + 1:
-        raise ValueError(f"n={n} needs at least {sc.t + 2} digits in base {p}")
+        raise ArgumentError(f"n={n} needs at least {sc.t + 2} digits in base {p}")
     node = _WalkNode.root(k, p, (s - sc.t) + max(guard, 1))
     for v, b in enumerate(d.digits[sc.t + 1:]):
         node = node.child(b)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    ArgumentError,
     DigitString,
     EngineDisagreement,
     StructureConstants,
@@ -120,9 +121,9 @@ def build_tree(
     evaluated in increasing value order, so one row serves the whole build.
     """
     if engine not in ("stirling", "expansion", "both"):
-        raise ValueError(f"unknown engine {engine!r}")
+        raise ArgumentError(f"unknown engine {engine!r}")
     if max_depth < 0:
-        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+        raise ArgumentError(f"max_depth must be nonnegative, got {max_depth}")
     use_exp = engine in ("expansion", "both")
     root = _WalkNode.root(k, p, max_depth + 1 + max(guard, 2))
     sc = root.sc
@@ -215,9 +216,9 @@ class FSequence:
 
     def __post_init__(self) -> None:
         if not self.bits or self.bits[0] != 1:
-            raise ValueError("bit sequence must start with 1")
+            raise ArgumentError("bit sequence must start with 1")
         if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+            raise ArgumentError("bits must be 0 or 1")
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -236,7 +237,7 @@ def f_sequence(S: int, *, guard: int = 4) -> FSequence:
     raises EngineDisagreement.
     """
     if S < 0:
-        raise ValueError(f"S must be nonnegative, got {S}")
+        raise ArgumentError(f"S must be nonnegative, got {S}")
     tree = build_tree(2, 2, S, engine="expansion", guard=guard)
     sizes = [len(level) for level in tree.levels]
     if sizes != [1] * (S + 1):

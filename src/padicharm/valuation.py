@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    ArgumentError,
     PrecisionError,
     SizeCapError,
     ilog,
@@ -62,11 +63,11 @@ class EscalationPolicy:
 
     def __post_init__(self) -> None:
         if self.initial_guard < 1:
-            raise ValueError("initial_guard must be positive")
+            raise ArgumentError("initial_guard must be positive")
         if self.growth_factor < 2:
-            raise ValueError("growth_factor must be at least 2")
+            raise ArgumentError("growth_factor must be at least 2")
         if self.max_modulus_bits < 8:
-            raise ValueError("max_modulus_bits too small to be useful")
+            raise ArgumentError("max_modulus_bits too small to be useful")
 
 
 DEFAULT_POLICY = EscalationPolicy()
@@ -74,9 +75,9 @@ DEFAULT_POLICY = EscalationPolicy()
 
 def _check_range(n: int, k: int) -> None:
     if n < 0 or k < 0:
-        raise ValueError(f"n and k must be nonnegative, got n={n}, k={k}")
+        raise ArgumentError(f"n and k must be nonnegative, got n={n}, k={k}")
     if k > n:
-        raise ValueError(f"k must not exceed n, got n={n}, k={k}")
+        raise ArgumentError(f"k must not exceed n, got n={n}, k={k}")
 
 
 def exact_H(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
@@ -139,9 +140,9 @@ def stirling(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> int:
     for n >= 1 by convention, k > n is rejected.
     """
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ArgumentError(f"n must be positive, got {n}")
     if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
+        raise ArgumentError(f"k must lie in [0, {n}], got {k}")
     if n > cap:
         raise SizeCapError(f"n={n} exceeds exact-arithmetic cap {cap}")
     return _stirling_row(n, k)[k]
@@ -156,13 +157,13 @@ def stirling_mod(
 ) -> int:
     """s(n, k) mod p^M by the same single-row sweep, scalar ops only."""
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise ArgumentError(f"n must be positive, got {n}")
     if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
+        raise ArgumentError(f"k must lie in [0, {n}], got {k}")
     if M < 1:
-        raise ValueError(f"M must be positive, got {M}")
+        raise ArgumentError(f"M must be positive, got {M}")
     if not is_prime(p):
-        raise ValueError(f"modulus base must be prime, got {p}")
+        raise ArgumentError(f"modulus base must be prime, got {p}")
     if M * math.log2(p) > max_modulus_bits:
         raise PrecisionError(
             f"modulus p^M = {p}^{M} exceeds the {max_modulus_bits}-bit cap"
@@ -187,10 +188,10 @@ def vp_H_with_guard(
     short of the modulus-bit cap.
     """
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise ArgumentError(f"k must be positive, got {k}")
     _check_range(n, k)
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise ArgumentError(f"p must be prime, got {p}")
     F = vp_factorial(n, p)
     guard = _initial_guard(n, k, p, policy)
     while True:
@@ -279,11 +280,11 @@ def vp_H_sweep(
     always agree with vp_H.
     """
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise ArgumentError(f"k must be positive, got {k}")
     if n_max < k:
-        raise ValueError(f"n_max must be at least k, got {n_max}")
+        raise ArgumentError(f"n_max must be at least k, got {n_max}")
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise ArgumentError(f"p must be prime, got {p}")
     row = _ScaledHRow(k, p, n_max, _initial_guard(n_max, k, p, policy))
     out: dict[int, int] = {}
     for n in range(k, n_max + 1):

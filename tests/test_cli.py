@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -261,3 +263,62 @@ def test_expansion_method_reports_lower_bound_failure(capsys):
                      "--method", "expansion")
     assert rc == 1
     assert "lower" in err or "bounds" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("val", "--p", "4", "--n", "3", "--k", "2"),                     # p not prime
+    ("val", "--p", "2", "--n", "3", "--k", "5"),                     # k > n
+    ("val", "--p", "3", "--n", "2", "--k", "2", "--method", "expansion"),
+    ("tree", "--p", "3", "--k", "1"),
+    ("fseq", "--terms", "-1"),
+    ("verify", "corollary-2adic", "--seed", "1", "--terms", "0"),
+    ("verify", "cpicong", "--seed", "1", "--q-samples", "0"),
+    ("verify", "integral-scan", "--max-n", "0"),
+])
+def test_argument_errors_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("val", "--p", "2", "--n", "5000", "--k", "2", "--method", "exact"),
+    ("scan", "--max-n", "5000"),
+])
+def test_size_cap_exits_2(capsys, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and "exceeds exact-arithmetic cap" in err
+
+
+def test_parser_errors_exit_2(capsys):
+    rc, _, err = run(capsys, "val", "--p", "2", "--n", "3")  # --k missing
+    assert rc == 2 and "--k" in err
+    rc, _, _ = run(capsys, "tree", "--p", "3", "--k", "2", "--engine", "bogus")
+    assert rc == 2
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(S):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("padicharm.cli.f_sequence", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["fseq", "--terms", "2"])
+    assert "usage error" not in capsys.readouterr().err
+
+
+def test_internal_value_error_exits_1_with_a_traceback():
+    import padicharm
+
+    src = os.path.dirname(os.path.dirname(padicharm.__file__))
+    script = (
+        "import sys, padicharm.cli as cli\n"
+        "def broken(S): raise ValueError('internal fault')\n"
+        "cli.f_sequence = broken\n"
+        "sys.exit(cli.main(['fseq', '--terms', '2']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "ValueError: internal fault" in proc.stderr
+    assert "usage error" not in proc.stderr

@@ -66,6 +66,42 @@ def test_digit_rejections():
         DigitString(3, (1, 3))
     with pytest.raises(ValueError):
         DigitString(3, ())
+    with pytest.raises(ValueError, match="prime"):
+        DigitString(4, (1, 2))
+    with pytest.raises(ValueError, match="prime"):
+        to_digits(9, 9)
+    d = to_digits(7, 3)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            d.child(bad)
+
+
+@given(st.integers(min_value=1, max_value=10 ** 6), st.sampled_from(PRIMES), st.data())
+def test_derived_digit_strings_validate_once(n, p, data):
+    """to_digits checks p once; prefix, parent and child of a valid string
+    check nothing but the new digit, and equal the validated constructor."""
+    import padicharm.core as core
+
+    calls = []
+    real = core.is_prime
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    core.is_prime = counting
+    try:
+        d = to_digits(n, p)
+        assert calls == [p]
+        b = data.draw(st.integers(min_value=0, max_value=p - 1))
+        derived = [d.child(b), d.prefix(data.draw(st.integers(1, len(d))))]
+        if len(d) > 1:
+            derived.append(d.parent())
+        assert calls == [p]
+    finally:
+        core.is_prime = real
+    for e in derived:
+        assert e == DigitString(e.p, e.digits) and hash(e) == hash(DigitString(p, e.digits))
 
 
 def test_is_prime_small():

@@ -15,9 +15,13 @@ from padicharm.core import (
     vp,
     vp_int,
 )
+from padicharm import expansion
 from padicharm.expansion import (
+    _DIRECT_LIMIT,
     ExpansionVerdict,
     _WalkNode,
+    _closed_weights,
+    _index_power_sums,
     _recip_esym_direct,
     _recip_esym_newton,
     _recip_power_sum_closed,
@@ -126,6 +130,96 @@ def test_power_sum_closed_equals_direct_random(B, r, p, M):
     assert _recip_power_sum_closed(B, r, p, M) == _recip_power_sum_direct(B, r, p, M)
 
 
+@given(
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=80),
+)
+@settings(max_examples=150)
+def test_power_sum_closed_equals_direct_deep_precision(B, r, p, M):
+    # deep walks run at M of about 35-65
+    assert _recip_power_sum_closed(B, r, p, M) == _recip_power_sum_direct(B, r, p, M)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("Q", [0, 1])
+def test_power_sum_closed_first_blocks_every_tail(p, Q):
+    for m0 in range(p - 1):
+        B = Q * (p - 1) + m0
+        for r in range(1, 11):
+            for M in (1, 2, 40, 80):
+                assert _recip_power_sum_closed(B, r, p, M) == _recip_power_sum_direct(B, r, p, M)
+
+
+def full_blocks_by_index_powers(Q, r, p, M):
+    """The Q full blocks in the closed form's ungrouped shape, mod p^M:
+    sum_j (-1)^j C(r+j-1, j) T(r+j) p^j F_j, with T(u) the sum of m^(-u)
+    over the units m < p and F_j = sum_{q<Q} q^j = sum_i S2(j, i) f_i from
+    an exact Stirling triangle of the second kind."""
+    mod = p ** M
+    s2 = [[1]]
+    for j in range(1, M):
+        prev = s2[-1] + [0]
+        s2.append([0] + [prev[i - 1] + i * prev[i] for i in range(1, j + 1)])
+    falling, product = [], Q
+    for i in range(M):
+        falling.append(product // (i + 1))
+        product *= Q - i - 1
+    total = 0
+    for j in range(M):
+        F = sum(c * f for c, f in zip(s2[j], falling))
+        T = sum(pow(m, -(r + j), mod) for m in range(1, p))
+        total += (-1) ** j * math.comb(r + j - 1, j) * T * p ** j * F
+    return total % mod
+
+
+def test_index_power_oracle_sums_block_indices():
+    # F_j is the power sum of the block indices, so one full block at a
+    # time the oracle is the direct sum over q of the binomial series
+    for p, Q, r, M in ((2, 7, 1, 9), (3, 5, 2, 6), (5, 4, 3, 5), (7, 1, 1, 4)):
+        mod = p ** M
+        direct = sum(pow(p * q + m, -r, mod) for q in range(Q) for m in range(1, p)) % mod
+        assert full_blocks_by_index_powers(Q, r, p, M) == direct
+
+
+@given(
+    st.one_of(st.integers(min_value=0, max_value=500), st.integers(min_value=3 ** 20, max_value=2 ** 80)),
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=60)
+def test_closed_weights_regroup_the_index_power_form(Q, r, p, M):
+    terms = _index_power_sums(Q, p, M)
+    regrouped = sum(w * f for w, f in zip(_closed_weights(r, p, M), terms)) % p ** M
+    assert regrouped == full_blocks_by_index_powers(Q, r, p, M)
+
+
+def test_dispatch_agrees_with_the_direct_scans_at_the_crossover(monkeypatch):
+    routes = []
+    for name in ("_recip_power_sum_direct", "_recip_power_sum_closed",
+                 "_recip_esym_direct", "_recip_esym_newton"):
+        real = getattr(expansion, name)
+        monkeypatch.setattr(
+            expansion, name,
+            lambda *args, _real=real, _name=name: routes.append(_name) or _real(*args))
+    for p in (2, 3, 5, 7):
+        for M in (12, 72):
+            for B in (_DIRECT_LIMIT, _DIRECT_LIMIT + 1):
+                recip_power_sum.cache_clear()
+                for r in (1, 2, 5):
+                    del routes[:]
+                    assert recip_power_sum(B, r, p, M) == _recip_power_sum_direct(B, r, p, M)
+                    assert routes[0] == ("_recip_power_sum_direct" if B <= _DIRECT_LIMIT
+                                         else "_recip_power_sum_closed")
+                for m in (1, 2, 8):
+                    del routes[:]
+                    assert recip_esym(B, m, p, M) == _recip_esym_direct(B, m, p, M)
+                    assert routes[0] == ("_recip_esym_direct" if B <= _DIRECT_LIMIT
+                                         else "_recip_esym_newton")
+
+
 def test_power_sum_direct_small_matches_fractions():
     total = Fraction(0)
     from padicharm.core import cp
@@ -152,6 +246,18 @@ def test_esym_newton_equals_direct(B, m, p, M):
 @settings(max_examples=60)
 def test_esym_newton_equals_direct_random(B, m, p, M):
     m = min(m, B)
+    assert _recip_esym_newton(B, m, p, M) == _recip_esym_direct(B, m, p, M)
+
+
+@given(
+    st.integers(min_value=_DIRECT_LIMIT + 1, max_value=400),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=80),
+)
+@settings(max_examples=60)
+def test_esym_newton_equals_direct_deep_precision(B, m, p, M):
+    # the Newton route takes over right above the crossover, at walk precision
     assert _recip_esym_newton(B, m, p, M) == _recip_esym_direct(B, m, p, M)
 
 
