@@ -15,10 +15,9 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
-
 from .core import (
     ArgumentError,
+    SizeCapError,
     a_p_set,
     a_p_set_by_filter,
     bp_count,
@@ -35,6 +34,7 @@ from .expansion import h_p_mod, vp_H_expansion
 from .report import CheckReport
 from .tree import build_tree, f_sequence
 from .valuation import (
+    DEFAULT_EXACT_CAP,
     DEFAULT_POLICY,
     EscalationPolicy,
     exact_H_table,
@@ -223,12 +223,14 @@ def check_structural_identities(
                 checked += 1
     observed["block-telescoping"] = checked
 
-    # graded tuple sums vs h_p_mod, and the max valuation k*s - U
+    # graded tuple sums vs h_p_mod, and the max valuation k*s - U; many n
+    # share a prefix, so h_p_mod runs once per distinct prefix
     checked = 0
     for p in layer_p_set:
         for k in layer_k_set:
             sc = structure_constants(k, p)
             root = sc.root_digits
+            h_p_by_prefix: dict[tuple[int, ...], int] = {}
             for n, row, occ in _jp_layer_sums(layer_n_max, k, p, layer_prec):
                 d = to_digits(n, p)
                 s = len(d) - 1
@@ -241,7 +243,11 @@ def check_structural_identities(
                         {"identity": "max-valuation", "n": n, "k": k, "p": p, "observed": v_obs},
                     )
                 for v in range(s - sc.t):
-                    expected = h_p_mod(d.prefix(sc.t + v + 2), k, layer_prec)
+                    prefix = d.prefix(sc.t + v + 2)
+                    expected = h_p_by_prefix.get(prefix.digits)
+                    if expected is None:
+                        expected = h_p_mod(prefix, k, layer_prec)
+                        h_p_by_prefix[prefix.digits] = expected
                     if row[v_obs - v] != expected:
                         return report(
                             False,
@@ -262,6 +268,25 @@ def check_structural_identities(
 
 
 # ---------------------------------------------------------------------------
+
+def _exact_H_valuations(ns: set[int], k: int, p: int) -> dict[int, int]:
+    """vp(H(n, k)) = vp(s(n+1, k+1)) - vp(n!) for each n >= k in ns.
+
+    One exact integer row s(n+1, 1..k+1) is advanced by
+    s(n+1, j+1) = n s(n, j+1) + s(n, j), the recurrence of exact_H_table
+    with the denominator n! left unreduced, and read only at the n asked
+    for.
+    """
+    out = {}
+    row = [1] + [0] * k  # s(1, 1..k+1)
+    for n in range(1, max(ns, default=0) + 1):
+        for j in range(k, 0, -1):
+            row[j] = n * row[j] + row[j - 1]
+        row[0] *= n
+        if n in ns:
+            out[n] = vp_int(row[k], p) - vp_factorial(n, p)
+    return out
+
 
 def check_lengyel_identity(m_max: int = 12, policy: EscalationPolicy = DEFAULT_POLICY) -> CheckReport:
     """v2(H(2^m - 1, 2)) = 4 - 2m for m = 2..m_max (Lengyel's identity)."""
@@ -328,22 +353,25 @@ def check_corollary_2adic(
         )
     bits = f_sequence(S).bits
     rng = random.Random(seed)
-    exact_vals: dict[int, int] = {}
-    if exact_cross_max:
-        table = exact_H_table(min(exact_cross_max, 2 ** S), 2)
-        for n in range(2, len(table)):
-            val = vp(table[n][2], 2)
-            assert isinstance(val, int)
-            exact_vals[n] = val
-    matched = mismatched = crossed = 0
-    witness = None
-
     # random draws almost never match the whole bit prefix, so the prefixes
     # themselves are added as systematic full-match cases
     prefix_values = [
         int("".join(map(str, bits[: s + 1])), 2) for s in range(1, S + 1)
     ]
     samples = [rng.randint(2, 2 ** S) for _ in range(sample_count)] + prefix_values
+    exact_vals: dict[int, int] = {}
+    if exact_cross_max:
+        cross_max = min(exact_cross_max, 2 ** S)
+        if cross_max < 0:
+            raise ArgumentError(f"exact_cross_max must be nonnegative, got {exact_cross_max}")
+        if cross_max > DEFAULT_EXACT_CAP:
+            raise SizeCapError(
+                f"n_max={cross_max} exceeds exact-arithmetic cap {DEFAULT_EXACT_CAP}"
+            )
+        exact_vals = _exact_H_valuations({n for n in samples if n <= cross_max}, 2, 2)
+    matched = mismatched = crossed = 0
+    witness = None
+
     for n in samples:
         d = to_digits(n, 2).digits
         s = len(d) - 1
@@ -463,15 +491,25 @@ def check_ubound(p: int, k: int, x: int, policy: EscalationPolicy = DEFAULT_POLI
 
 # ---------------------------------------------------------------------------
 
+def _harmonic_numbers(n_max: int) -> list[Fraction]:
+    """[H_0, H_1, ..., H_n_max]."""
+    out = [Fraction(0)]
+    for i in range(1, n_max + 1):
+        out.append(out[-1] + Fraction(1, i))
+    return out
+
+
+def _harm_window_hits(
+    harmonic: list[Fraction], p: int, x: int, y: int, r: Fraction
+) -> tuple[int, list[int]]:
+    """Hits of harm_hit_count read from a table of H_0..H_(x+y) or longer."""
+    hits = [v for v in range(x, x + y + 1) if vp(harmonic[v] - r, p) > 0]
+    return len(hits), hits
+
+
 def harm_hit_count(p: int, x: int, y: int, r: Fraction) -> tuple[int, list[int]]:
     """Count v in [x, x+y] with vp(H_v - r) > 0, plus the hits."""
-    hits = []
-    h = sum((Fraction(1, i) for i in range(1, x)), Fraction(0))
-    for v in range(x, x + y + 1):
-        h += Fraction(1, v)
-        if vp(h - r, p) > 0:
-            hits.append(v)
-    return len(hits), hits
+    return _harm_window_hits(_harmonic_numbers(x + y), p, x, y, r)
 
 
 def check_harm_count(p: int, x: int, y: int, r: Fraction | int = 0) -> CheckReport:
@@ -497,9 +535,11 @@ def check_harm_count_suite(
     p: int, cases: int = 100, seed: int = 0, *, x_max: int = 400
 ) -> CheckReport:
     """Seeded batch of harmonic congruence windows for one prime."""
-    if cases < 0:
-        raise ArgumentError(f"cases must be nonnegative, got {cases}")
+    if cases < 1:
+        raise ArgumentError(f"cases must be positive, got {cases}")
     rng = random.Random(seed)
+    # every window [x, x+y] has x <= x_max and y <= p-1
+    harmonic = _harmonic_numbers(x_max + p - 1)
     worst = 0
     witness = None
     for _ in range(cases):
@@ -508,7 +548,7 @@ def check_harm_count_suite(
         r = Fraction(0) if rng.random() < 0.25 else Fraction(
             rng.randint(-p * p, p * p), rng.randint(1, 4 * p)
         )
-        count, hits = harm_hit_count(p, x, y, r)
+        count, hits = _harm_window_hits(harmonic, p, x, y, r)
         worst = max(worst, count)
         if not _lt_harm_bound(count, y):
             witness = {"x": x, "y": y, "r": str(r), "count": count, "hits": hits}
@@ -544,9 +584,9 @@ def check_cpicong(
     ceil(p/2), below 3((p-2)/2)^(2/3) + 2, and no two consecutive window
     lengths may both hit.
     """
-    if q_samples < 1 or a_samples < 0:
+    if q_samples < 1 or a_samples < 1:
         raise ArgumentError(
-            f"need q_samples >= 1 and a_samples >= 0, got {q_samples}, {a_samples}"
+            f"need q_samples >= 1 and a_samples >= 1, got {q_samples}, {a_samples}"
         )
     rng = random.Random(seed)
     qs = []
@@ -604,6 +644,8 @@ def check_p59_exponent(prime_bound: int = 1000, *, guard: float = 1e-6) -> Check
     Evaluated with mpmath at 80+ bits; any comparison landing inside the
     guard band escalates precision instead of deciding.
     """
+    import mpmath  # only this check needs it; kept out of package import time
+
     if prime_bound < 59:
         raise ArgumentError(f"prime_bound must be at least 59, got {prime_bound}")
     primes = _primes_upto(prime_bound)

@@ -177,10 +177,6 @@ class DigitString:
             acc = acc * self.p + d
         return acc
 
-    @property
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
     def prefix(self, length: int) -> "DigitString":
         if not 1 <= length <= len(self.digits):
             raise ArgumentError(f"prefix length {length} out of range")
@@ -210,8 +206,7 @@ def to_digits(n: int, p: int) -> DigitString:
     Rejects n = 0 (no digit string with nonzero leading digit exists).
     """
     _require_prime(p)
-    if n < 1:
-        raise ArgumentError(f"n must be positive, got {n}")
+    _require_positive(n)
     digits = []
     while n:
         n, d = divmod(n, p)
@@ -219,14 +214,35 @@ def to_digits(n: int, p: int) -> DigitString:
     return DigitString._trusted(p, tuple(reversed(digits)))
 
 
+def _require_positive(n: int) -> None:
+    if n < 1:
+        raise ArgumentError(f"n must be positive, got {n}")
+
+
+def _digit_sum(n: int, p: int) -> int:
+    total = 0
+    while n:
+        n, d = divmod(n, p)
+        total += d
+    return total
+
+
 def digit_sum(n: int, p: int) -> int:
     """Sum of base-p digits of n >= 1."""
-    return to_digits(n, p).digit_sum
+    _require_prime(p)
+    _require_positive(n)
+    return _digit_sum(n, p)
 
 
 def ilog(n: int, p: int) -> int:
     """floor(log_p n) for n >= 1."""
-    return len(to_digits(n, p)) - 1
+    _require_prime(p)
+    _require_positive(n)
+    s = 0
+    while n >= p:
+        n //= p
+        s += 1
+    return s
 
 
 def cp(i: int, p: int) -> int:
@@ -250,9 +266,12 @@ def vp_int(x: int, p: int) -> int:
 
     Strips p-power chunks of doubling size, so the divmod count stays
     logarithmic in the result even for residues divisible by p^100000.
+    For p = 2 the valuation is the index of the lowest set bit.
     """
     if x == 0:
         raise ValueError("valuation of zero is infinite; use vp")
+    if p == 2:
+        return (x & -x).bit_length() - 1
     x = abs(x)
     if x % p:
         return 0
@@ -300,9 +319,7 @@ def vp_factorial(n: int, p: int) -> int:
     _require_prime(p)
     if n < 0:
         raise ArgumentError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 0
-    return (n - digit_sum(n, p)) // (p - 1)
+    return (n - _digit_sum(n, p)) // (p - 1)
 
 
 def bp_count(d: DigitString) -> int:
@@ -325,8 +342,7 @@ def a_p_set(n: int, v: int, p: int) -> list[int]:
     passes through Python-level code.  The direct filter
     a_p_set_by_filter must give the same answer.
     """
-    d = to_digits(n, p)
-    s = len(d) - 1
+    s = ilog(n, p)
     if not 0 <= v <= s:
         raise ArgumentError(f"v must lie in [0, {s}], got {v}")
     scale = p ** (s - v)
@@ -342,8 +358,7 @@ def a_p_set_by_filter(n: int, v: int, p: int) -> list[int]:
     p^(s-v+1) does not divide, i.e. the definition of the slice read off
     m directly, without the digit prefix.
     """
-    d = to_digits(n, p)
-    s = len(d) - 1
+    s = ilog(n, p)
     if not 0 <= v <= s:
         raise ArgumentError(f"v must lie in [0, {s}], got {v}")
     pe = p ** (s - v)

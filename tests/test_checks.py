@@ -4,8 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padicharm.checks import (
+    _exact_H_valuations,
+    _harm_window_hits,
+    _harmonic_numbers,
     _le_3x_0835,
     _le_cpi_bound,
     _lt_harm_bound,
@@ -24,9 +28,10 @@ from padicharm.checks import (
     monitor_lower_bound,
 )
 from padicharm import checks
-from padicharm.core import a_p_set, a_p_set_by_filter, free_p, vp_int
+from padicharm.core import SizeCapError, a_p_set, a_p_set_by_filter, free_p, vp_int
 from padicharm.expansion import h_p_mod
-from padicharm.core import structure_constants, to_digits
+from padicharm.core import structure_constants, to_digits, vp
+from padicharm.valuation import exact_H_table
 
 
 def test_exact_threshold_helpers():
@@ -87,6 +92,32 @@ def test_structural_check_catches_a_wrong_filter_slice(monkeypatch, at):
     assert report.witness == {"identity": "valuation-slice-filter", "n": n, "v": v, "p": p}
 
 
+# (p, prefix digits, first n with that prefix and its slice v); every
+# prefix is shared by several n <= 40
+@pytest.mark.parametrize("p, digits, n, v", [
+    (2, (1, 0, 1), 5, 1),
+    (2, (1, 1, 0, 1), 13, 2),
+    (3, (1, 0, 1), 10, 1),
+], ids=str)
+def test_structural_check_catches_a_wrong_layer_sum(monkeypatch, p, digits, n, v):
+    # h_p_mod is computed once per prefix; a wrong value at one prefix must
+    # still fail at the first n that reads it
+    def patched(prefix, k, M):
+        real = h_p_mod(prefix, k, M)
+        return real + 1 if prefix.digits == digits else real
+
+    monkeypatch.setattr(checks, "h_p_mod", patched)
+    report = check_structural_identities(
+        **{**_SMALL_SUITE, "layer_n_max": 40}, layer_p_set=(p,), layer_k_set=(2,)
+    )
+    assert not report.passed
+    real = h_p_mod(to_digits(n, p).prefix(len(digits)), 2, 9)
+    assert report.witness == {
+        "identity": "valuation-layer-sum", "n": n, "k": 2, "p": p, "v": v,
+        "tuple_sum": real, "h_p": real + 1,
+    }
+
+
 def test_layer_sums_against_naive_enumeration():
     # the incremental enumerator must agree with a from-scratch tuple scan
     p, k, M = 2, 2, 8
@@ -135,6 +166,19 @@ def test_corollary_2adic_handpicked_cases():
     assert report.passed
 
 
+def test_corollary_integer_row_matches_exact_rationals():
+    # the corollary's exact cross reads integer Stirling rows; the reduced
+    # Fractions of exact_H_table stay the oracle
+    table = exact_H_table(1024, 2)
+    ns = set(range(2, 1025))
+    assert _exact_H_valuations(ns, 2, 2) == {n: vp(table[n][2], 2) for n in ns}
+
+
+def test_corollary_exact_cross_keeps_the_size_cap():
+    with pytest.raises(SizeCapError):
+        check_corollary_2adic(S=13, sample_count=1, seed=0, exact_cross_max=8192)
+
+
 @pytest.mark.parametrize("p, k, x", [(2, 2, 64), (3, 2, 243)])
 def test_ubound_exhaustive(p, k, x):
     report = check_ubound(p, k, x)
@@ -164,6 +208,24 @@ def test_harm_count_suite_seeded():
     for p in (5, 7):
         report = check_harm_count_suite(p, cases=40, seed=3)
         assert report.passed, report.witness
+
+
+@given(
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.integers(min_value=1, max_value=400),
+    st.data(),
+)
+def test_suite_window_counts_match_harm_hit_count(p, x, data):
+    # the suite reads every window from one shared table of H_0..H_(x_max+p-1)
+    y = data.draw(st.integers(min_value=1, max_value=p - 1))
+    r = Fraction(data.draw(st.integers(-p * p, p * p)), data.draw(st.integers(1, 4 * p)))
+    shared = _harm_window_hits(_harmonic_numbers(400 + p - 1), p, x, y, r)
+    assert shared == harm_hit_count(p, x, y, r)
+    from_scratch = [
+        v for v in range(x, x + y + 1)
+        if vp(sum((Fraction(1, i) for i in range(1, v + 1)), Fraction(0)) - r, p) > 0
+    ]
+    assert shared == (len(from_scratch), from_scratch)
 
 
 def test_cpicong_hit_examples():

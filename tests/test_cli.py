@@ -104,6 +104,24 @@ def test_verify_randomized_requires_seed(capsys):
     assert rc == 0
 
 
+# reports as the Fraction-sum and exact_H_table references printed them
+@pytest.mark.parametrize("argv, expected", [
+    (("harm-count", "--p", "11", "--seed", "7"),
+     '{"bound": "1.5 * y^(2/3) + 1", "claim_id": "harm-count", '
+     '"observed": {"worst_count": 3}, "parameters": {"cases": 500, "p": 11, '
+     '"x_max": 400}, "passed": true, "seed": 7, "witness": null}\n'),
+    (("corollary-2adic", "--seed", "7"),
+     '{"bound": "match: vp >= 1-s; mismatch at r: vp = r-2s", '
+     '"claim_id": "corollary-2adic", "observed": {"exact_crossed": 145, '
+     '"matched": 14, "mismatched": 500}, "parameters": {"S": 14, '
+     '"exact_cross_max": 4096, "sample_count": 500}, "passed": true, '
+     '"seed": 7, "witness": null}\n'),
+], ids=["harm-count", "corollary-2adic"])
+def test_verify_seeded_reports_are_pinned(capsys, argv, expected):
+    rc, out, _ = run(capsys, "verify", *argv)
+    assert rc == 0 and out == expected
+
+
 def test_verify_monitor(capsys):
     rc, out, _ = run(capsys, "verify", "lower-bound-monitor", "--p", "2", "--k", "2",
                      "--max-n", "64")
@@ -274,6 +292,8 @@ def test_expansion_method_reports_lower_bound_failure(capsys):
     ("verify", "corollary-2adic", "--seed", "1", "--terms", "0"),
     ("verify", "cpicong", "--seed", "1", "--q-samples", "0"),
     ("verify", "integral-scan", "--max-n", "0"),
+    ("verify", "harm-count", "--seed", "1", "--samples", "0"),
+    ("verify", "cpicong", "--seed", "1", "--a-samples", "0"),
 ])
 def test_argument_errors_exit_2(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -322,3 +342,15 @@ def test_internal_value_error_exits_1_with_a_traceback():
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr and "ValueError: internal fault" in proc.stderr
     assert "usage error" not in proc.stderr
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # only the p59-exponent check needs mpmath; it is imported there
+    import padicharm
+
+    src = os.path.dirname(os.path.dirname(padicharm.__file__))
+    script = "import sys, padicharm.cli\nprint('mpmath' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "False\n"

@@ -14,6 +14,7 @@ from padicharm.core import (
     cp,
     digit_sum,
     free_p,
+    ilog,
     is_prime,
     pi_p_mod,
     structure_constants,
@@ -139,6 +140,26 @@ def test_vp_int_huge_valuation():
     assert vp_int(3 ** 4321 * 5, 3) == 4321
 
 
+def _v2_by_halving(x):
+    v = 0
+    while x % 2 == 0:
+        x //= 2
+        v += 1
+    return v
+
+
+@given(
+    st.integers(min_value=0, max_value=6000),
+    st.one_of(st.just(1), st.integers(min_value=1, max_value=2 ** 3000)),
+    st.booleans(),
+)
+def test_vp_int_base_2_matches_halving(e, m, negative):
+    # the lowest-set-bit shortcut for p = 2, against repeated halving;
+    # m = 1 makes x an exact power of 2
+    x = (-1) ** negative * m * 2 ** e
+    assert vp_int(x, 2) == _v2_by_halving(x)
+
+
 @given(
     st.integers(min_value=-500, max_value=500).filter(bool),
     st.integers(min_value=1, max_value=500),
@@ -182,6 +203,30 @@ def test_vp_factorial_floor_sum(p):
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([2, 3, 5, 7]))
 def test_vp_factorial_floor_sum_random(n, p):
     assert vp_factorial(n, p) == _floor_sum(n, p)
+
+
+@given(st.integers(min_value=1, max_value=10 ** 30), st.sampled_from([2, 3, 5, 7, 11]))
+def test_digit_quantities_match_digit_string(n, p):
+    # ilog, digit_sum and vp_factorial divide n down directly; the digit
+    # string is the reference
+    d = to_digits(n, p)
+    assert ilog(n, p) == len(d) - 1
+    assert digit_sum(n, p) == sum(d.digits)
+    assert vp_factorial(n, p) == (n - sum(d.digits)) // (p - 1)
+
+
+@given(st.integers(min_value=-10 ** 6, max_value=0), st.sampled_from([4, 6, 9, 15, 1]))
+def test_digit_quantities_reject_bad_input(bad_n, not_prime):
+    for f in (ilog, digit_sum):
+        with pytest.raises(ValueError, match="positive"):
+            f(bad_n, 3)
+        with pytest.raises(ValueError, match="prime"):
+            f(10, not_prime)
+    if bad_n < 0:
+        with pytest.raises(ValueError, match="nonnegative"):
+            vp_factorial(bad_n, 3)
+    with pytest.raises(ValueError, match="prime"):
+        vp_factorial(10, not_prime)
 
 
 def test_bp_block_examples():
