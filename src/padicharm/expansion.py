@@ -293,8 +293,9 @@ class _WalkNode:
     child's sigma adds its h_p term, which reads the parent's h', and the
     child's table folds exactly one group, of B = value(parent)*(p-1) + b
     units, into the parent's.  The root's table is as wide as its budget
-    U; a child whose budget U + v would exceed its parent's width refolds
-    its digits at twice that width instead.  Once a node holds both it
+    U; the first child whose budget U + v would exceed its parent's width
+    refolds the parent's digits at twice that width, in place, and every
+    child folds its group onto that.  Once a node holds both it
     lets go of its parent, so a walk keeps only its frontier alive.
     """
 
@@ -357,14 +358,16 @@ class _WalkNode:
             if parent is None:
                 self._dp = _fold(self.digits, self.k, self.sc.U, self.M)
             else:
-                width = len(parent._table()[0]) - 1
-                if self.sc.U + self.depth <= width:
-                    self._dp = _add_group(
-                        parent._table(), self.value - parent.value,
-                        len(self.digits) - 1, self.k, self.digits.p, self.M,
-                    )
-                else:
-                    self._dp = _fold(self.digits, self.k, 2 * width, self.M)
+                table = parent._table()
+                width = len(table[0]) - 1
+                if self.sc.U + self.depth > width:
+                    # widen the parent once for all its children; entries
+                    # below any budget do not depend on the width
+                    table = parent._dp = _fold(parent.digits, self.k, 2 * width, self.M)
+                self._dp = _add_group(
+                    table, self.value - parent.value,
+                    len(self.digits) - 1, self.k, self.digits.p, self.M,
+                )
                 if self._sigma is not None:
                     self._parent = None
         return self._dp

@@ -15,8 +15,11 @@ and retries until the residue pins the valuation exactly.
 
 Scans over increasing n (vp_H_sweep here, tree membership in
 padicharm.tree) instead advance one running row with the p-part of n!
-divided out, so their modulus grows with log n rather than with vp(n!);
-see _ScaledHRow.
+divided out, so their modulus grows with log n rather than with vp(n!).
+That row packs its k + 1 residues mod p^A into one int, in slots of
+S = bits(p^A) + R*bits(2*n_max) + 1 bits: a step is two scalar products
+and a mask whatever k is, and reducing every slot once per R steps keeps
+any slot from carrying into the next; see _ScaledHRow.
 
 Exact rationals are fractions.Fraction values and stay normalized.
 """
@@ -209,6 +212,12 @@ def vp_H(n: int, k: int, p: int, policy: EscalationPolicy = DEFAULT_POLICY) -> i
     return vp_H_with_guard(n, k, p, policy)[0]
 
 
+# The packed row reduces its slots mod p^A once every this many steps.  On
+# the row of the T_3(3) tree, R = 8, 12 and 16 time alike for k = 3, 5, 7,
+# and R = 4 or R >= 24 is slower (CHANGES.md has the table).
+_REDUCE_EVERY = 16
+
+
 class _ScaledHRow:
     """Running row Z_j(n) = s(n+1, j+1) * p^(jL - vp(n!)) mod p^A, j = 0..k.
 
@@ -223,6 +232,22 @@ class _ScaledHRow:
     p^A.  The row therefore needs only A = k*L + v_max digits, not
     vp(n!), to decide vp(H(n, k)) >= t for any t <= v_max and to pin
     vp(H(n, k)) whenever it lies below v_max.  It only moves forward in n.
+
+    The k + 1 residues are packed into one int, P = sum_j Z_j * 2^(S*j),
+    so a step costs two scalar products whatever k is:
+
+        P = (u(n) * P + (p^(L - vp(n)) * P << S)) & MASK
+
+    MASK keeps slots 0..k.  Content only moves to higher slots, so what it
+    drops never reaches back down.  Every slot is reduced mod p^A once per
+    R = _REDUCE_EVERY steps, counted across advance calls.  A reduced slot
+    is below 2^bits(p^A), and a step multiplies the bound on every slot by
+    at most u(n) + p^(L - vp(n)) <= 2*n_max, so with
+
+        S = bits(p^A) + R * bits(2*n_max) + 1
+
+    no slot ever carries into the next one, and each residue, valuation
+    and threshold decision equals that of the per-coefficient recurrence.
     """
 
     def __init__(self, k: int, p: int, n_max: int, v_max: int) -> None:
@@ -232,8 +257,19 @@ class _ScaledHRow:
         self.A = self.kL + v_max
         self.mod = p ** max(self.A, 0)
         self.scale = [p ** (self.L - v) for v in range(self.L + 1)]
+        self.S = self.mod.bit_length() + _REDUCE_EVERY * (2 * n_max).bit_length() + 1
+        self.mask = (1 << self.S * (k + 1)) - 1
         self.n = 0
-        self.row = [1] + [0] * k
+        self.packed = 1
+        self.pending = 0  # steps since the slots were last reduced
+
+    def _reduced(self, packed: int) -> int:
+        S, mod = self.S, self.mod
+        slot = (1 << S) - 1
+        out = 0
+        for j in range(self.k, -1, -1):
+            out = out << S | (packed >> S * j & slot) % mod
+        return out
 
     def advance(self, n: int) -> int:
         """Step the row to n and return Z_k(n)."""
@@ -241,18 +277,20 @@ class _ScaledHRow:
             raise ValueError(
                 f"row at n={self.n} cannot move to {n} (n_max={self.n_max})"
             )
-        p, k, mod, row, scale = self.p, self.k, self.mod, self.row, self.scale
+        p, S, mask, scale = self.p, self.S, self.mask, self.scale
+        packed, pending = self.packed, self.pending
         for m in range(self.n + 1, n + 1):
             u, v = m, 0
             while u % p == 0:
                 u //= p
                 v += 1
-            pv = scale[v]
-            for j in range(k, 0, -1):
-                row[j] = (u * row[j] + pv * row[j - 1]) % mod
-            row[0] = u * row[0] % mod
-        self.n = n
-        return row[k]
+            packed = (u * packed + (scale[v] * packed << S)) & mask
+            pending += 1
+            if pending == _REDUCE_EVERY:
+                packed = self._reduced(packed)
+                pending = 0
+        self.packed, self.pending, self.n = packed, pending, n
+        return (packed >> S * self.k) % self.mod
 
     def vp_at_least(self, n: int, t: int) -> bool:
         """Whether vp(H(n, k)) >= t, for t <= max(v_max, -kL)."""

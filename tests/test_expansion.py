@@ -32,6 +32,7 @@ from padicharm.expansion import (
     recip_power_sum,
     vp_H_expansion,
 )
+from padicharm.tree import build_tree
 from padicharm.valuation import exact_H, vp_H
 
 
@@ -414,6 +415,31 @@ def test_walk_matches_from_scratch_dp(p, k, data):
         node = child
     assert node.h_prime == h_prime_mod(node.digits, k, M)
     assert len(node._table()[0]) - 1 >= 4 * sc.U
+
+
+def test_walk_widens_each_parent_once(monkeypatch):
+    # At a doubling depth the parent's table is refolded once, at twice its
+    # width, and all its children fold their groups onto that one table.
+    folds = []
+    real_fold = expansion._fold
+
+    def fold(prefix, k, width, M):
+        folds.append((prefix, width))
+        return real_fold(prefix, k, width, M)
+
+    monkeypatch.setattr(expansion, "_fold", fold)
+    for k in range(2, 9):
+        folds.clear()
+        tree = build_tree(3, k, engine="expansion")
+        sc = tree.constants
+        root, *refolds = folds
+        assert root == (sc.root_digits, sc.U)
+        assert refolds  # every one of these trees expands a depth-1 node
+        prefixes = [prefix for prefix, _ in refolds]
+        assert len(set(prefixes)) == len(prefixes)
+        for prefix, width in refolds:
+            # the parent is at full width; only its children need more
+            assert sc.U + len(prefix) - len(sc.root_digits) == width // 2
 
 
 # --- expansion verdicts -----------------------------------------------------

@@ -4,12 +4,13 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padicharm.core import INFINITE, PrecisionError, SizeCapError, to_digits, vp
 from padicharm.valuation import (
     DEFAULT_POLICY,
     EscalationPolicy,
+    _REDUCE_EVERY,
     _ScaledHRow,
     exact_H,
     exact_H_table,
@@ -256,3 +257,81 @@ def test_scaled_row_matches_vp_H(p, k, n, extra, v_max):
     assert row.vp(n) == (want if want < v_max else None)
     assert row.vp_at_least(n, v_max) == (want >= v_max)
     assert row.vp_at_least(n, -row.kL) is True
+
+
+class _PerCoefficientRow:
+    """The scaled row stepped one coefficient at a time, reduced every step.
+
+    The oracle of the packed row: the same recurrence and modulus, with
+    each Z_j held in its own int.
+    """
+
+    def __init__(self, k, p, n_max, v_max):
+        self.k, self.p = k, p
+        L = len(to_digits(n_max, p)) - 1
+        self.mod = p ** max(k * L + v_max, 0)
+        self.scale = [p ** (L - v) for v in range(L + 1)]
+        self.n = 0
+        self.row = [1] + [0] * k
+
+    def advance(self, n):
+        p, k, mod, row, scale = self.p, self.k, self.mod, self.row, self.scale
+        for m in range(self.n + 1, n + 1):
+            u, v = m, 0
+            while u % p == 0:
+                u //= p
+                v += 1
+            pv = scale[v]
+            for j in range(k, 0, -1):
+                row[j] = (u * row[j] + pv * row[j - 1]) % mod
+            row[0] = u * row[0] % mod
+        self.n = n
+        return row[k]
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.integers(min_value=1, max_value=8),
+    st.one_of(
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=1, max_value=10 ** 6),
+    ),
+    st.integers(min_value=-4, max_value=12),
+    st.lists(st.integers(min_value=0, max_value=3 * _REDUCE_EVERY), max_size=60),
+)
+@settings(deadline=None)
+def test_packed_row_matches_per_coefficient_steps(p, k, n_max, v_max, gaps):
+    # gaps of 0 re-read the row, and most stops fall inside a reduction block
+    row = _ScaledHRow(k, p, n_max, v_max)
+    oracle = _PerCoefficientRow(k, p, n_max, v_max)
+    n = 0
+    assert row.advance(0) == oracle.advance(0)
+    for gap in gaps:
+        n = min(n + gap, n_max)
+        assert row.advance(n) == oracle.advance(n), n
+
+
+def test_packed_row_on_a_tree_dual_run():
+    # the T_3(3) row: n_max = 10^6 and the level-one threshold -1 as v_max,
+    # stepped far past the 53 312 integers that tree checks
+    rng = random.Random(60000)
+    row = _ScaledHRow(3, 3, 10 ** 6, -1)
+    oracle = _PerCoefficientRow(3, 3, 10 ** 6, -1)
+    n = 0
+    while n < 60000:
+        n = min(n + rng.randrange(1500), 60000)
+        assert row.advance(n) == oracle.advance(n), n
+        assert row.vp_at_least(n, -1) == (oracle.row[3] == 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_packed_row_where_its_slots_fill_up(k):
+    # p = 2^7 - 1 and n_max = p^2 = 16129: near n_max nearly every step
+    # multiplies each slot by u + p^2, just below 2^15 = 2^bits(2 n_max),
+    # so the slots come within a few bits of the width S allows for
+    p = 127
+    n_max = p * p
+    row = _ScaledHRow(k, p, n_max, 6)
+    oracle = _PerCoefficientRow(k, p, n_max, 6)
+    for n in range(n_max - 40 * _REDUCE_EVERY, n_max + 1, 7):
+        assert row.advance(n) == oracle.advance(n), n
