@@ -10,12 +10,15 @@ expansion._DIRECT_LIMIT:
   psum  recip_power_sum(B, r, p, M) for r = 1..m: the per-unit scan
         against the closed form.
 
-The caches keyed by B are cleared before every timed call; the first run
-of each cell also builds the B-independent weights, which real walks
-reuse, and is dropped.  It prints the direct/closed time ratio of every
-row (above 1: the closed form wins), the smallest grid B of each cell
-from which the closed form wins everywhere, and the largest B at which a
-direct scan still wins somewhere.
+Each measurement starts with all four block stores empty (symmetric
+sums, power sums, weights, falling-factorial terms), so nothing is served
+from an entry built at a larger precision.  An untimed first run builds
+the B-independent weights, which real walks reuse; the stores keyed by B
+are emptied again before every timed call, so no timed call is a store
+hit.  It prints the direct/closed time ratio of every row (above 1: the
+closed form wins), the smallest grid B of each cell from which the
+closed form wins everywhere, and the largest B at which a direct scan
+still wins somewhere.
 
 Example:
     PYTHONPATH=src python3 scripts/crossover.py --repeats 7
@@ -30,19 +33,25 @@ from padicharm import expansion
 GRID_B = (2, 4, 8, 12, 16, 20, 24, 28, 32, 48, 64, 128, 256, 1024, 4096)
 
 
-def _clear() -> None:
-    expansion.recip_power_sum.cache_clear()
-    expansion._index_power_sums.cache_clear()
+BLOCK_STORES = (expansion.recip_esym, expansion.recip_power_sum, expansion._index_power_sums)
+ALL_STORES = BLOCK_STORES + (expansion._closed_weights,)
+
+
+def _clear(stores) -> None:
+    for fn in stores:
+        fn.cache_clear()
 
 
 def _median_seconds(fn, repeats: int) -> float:
+    _clear(ALL_STORES)
+    fn()
     times = []
-    for _ in range(repeats + 1):
-        _clear()
+    for _ in range(repeats):
+        _clear(BLOCK_STORES)
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times[1:])
+    return statistics.median(times)
 
 
 def _routes(B: int, m: int, p: int, M: int):

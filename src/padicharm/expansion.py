@@ -29,19 +29,29 @@ leaving power sums of the block index q, which are polynomial in Q.
 Written in falling factorials they become sum_i w_i f_i(Q), with
 f_i(Q) = Q(Q-1)...(Q-i)/(i+1) and weights w_i that depend on r, p and
 the precision M but not on Q.  The weights are built once, in O(M^2),
-and every block count then costs O(M) products: polynomial in the
-precision even when the prefix length is astronomically large, which is
-what makes tree levels beyond Stirling feasibility reachable at all.
-Elementary symmetric sums follow from the power sums by Newton's
-identities.  Below a few dozen units the direct per-unit scans are
-cheaper, and they stay as the oracles of the closed forms.
+and every block count then costs O(M) products of O(M)-bit operands:
+polynomial in the precision even when the prefix length is
+astronomically large, which is what makes tree levels beyond Stirling
+feasibility reachable at all.  Elementary symmetric sums follow from the
+power sums by Newton's identities.  Below a few dozen units the direct
+per-unit scans are cheaper, and they stay as the oracles of the closed
+forms.
+
+Walks ask for the same block at many precisions (each vp_H_expansion
+call picks its own M, Newton's identities pad it, a refolded parent asks
+again for a larger degree), so each block quantity has one _Store entry
+per block key, built at the largest M and degree m asked for so far; a
+smaller request reduces the stored residues mod p^M and keeps the terms
+it asked for.  recip_esym, recip_power_sum, _closed_weights and
+_index_power_sums each expose their store as cache_info/cache_clear.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     ArgumentError,
@@ -72,16 +82,62 @@ __all__ = [
 # 2-core x86 VM with Python 3.11; CHANGES.md has the table.
 _DIRECT_LIMIT = 32
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-@lru_cache(maxsize=256)
-def _closed_weights(r: int, p: int, M: int) -> tuple[int, ...]:
-    """w_i = sum_{i<=j<M} (-1)^j C(r+j-1, j) T(r+j) p^j S2(j, i) mod p^M.
 
-    T(u) is the sum of m^(-u) over the units m = 1..p-1 and S2 the Stirling
-    numbers of the second kind, whose rows are built mod p^M on the way.
-    The weights do not depend on the block count, so one build, O(M^2),
-    serves every B.
+class _Store:
+    """A bounded LRU map from a block key to the block's value at the
+    largest grades asked for so far: the precision M and, for symmetric
+    sums, the degree m.
+
+    A request whose grades the entry covers is served from it; the caller
+    reduces the value mod p^M and cuts it to the terms it asked for.  A
+    request above the entry rebuilds it at the larger of each grade, so an
+    entry only grows and requests that alternate between a high M and a
+    high m cannot keep rebuilding it.  Each stored function documents why
+    its reduction is exact.
     """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self.entries: dict = {}
+        self.hits = self.misses = 0
+
+    def fetch(self, key: tuple, grades: tuple, build) -> tuple:
+        """(grades, value) of key's entry, built by build(*key, *grades)
+        unless the stored grades cover the requested ones."""
+        entries = self.entries
+        entry = entries.pop(key, None)  # re-inserted last: most recently used
+        if entry is not None and all(map(operator.le, grades, entry[0])):
+            self.hits += 1
+        else:
+            self.misses += 1
+            if entry is not None:
+                grades = tuple(map(max, grades, entry[0]))
+            elif len(entries) >= self.maxsize:
+                del entries[next(iter(entries))]
+            entry = (grades, build(*key, *grades))
+        entries[key] = entry
+        return entry
+
+    def serves(self, fn):
+        """Give fn an lru_cache's cache_info() and cache_clear() over this store."""
+        fn.cache_info = lambda: _CacheInfo(self.hits, self.misses, self.maxsize, len(self.entries))
+        fn.cache_clear = self.clear
+        return fn
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.hits = self.misses = 0
+
+
+_WEIGHTS = _Store(256)
+_INDEX_SUMS = _Store(512)
+_POWER_SUMS = _Store(65536)
+_ESYMS = _Store(4096)
+
+
+def _build_weights(r: int, p: int, M: int) -> tuple[int, ...]:
     mod = p ** M
     inverses = [pow(m, -1, mod) for m in range(1, p)]
     unit_powers = [pow(x, r, mod) for x in inverses]
@@ -103,20 +159,58 @@ def _closed_weights(r: int, p: int, M: int) -> tuple[int, ...]:
     return tuple(w % mod for w in weights)
 
 
-@lru_cache(maxsize=512)
+@_WEIGHTS.serves
+def _closed_weights(r: int, p: int, M: int) -> tuple[int, ...]:
+    """w_i = sum_{i<=j<M} (-1)^j C(r+j-1, j) T(r+j) p^j S2(j, i) mod p^M.
+
+    T(u) is the sum of m^(-u) over the units m = 1..p-1 and S2 the Stirling
+    numbers of the second kind, whose rows are built mod p^M on the way.
+    The weights do not depend on the block count, so one build, O(M^2),
+    serves every B.  One entry per (r, p) holds them at the largest M
+    asked for: term j carries p^j, so the terms j >= M that a larger M'
+    adds vanish mod p^M, and w_i(M') mod p^M = w_i(M) for i < M.
+    """
+    (top,), weights = _WEIGHTS.fetch((r, p), (M,), _build_weights)
+    if top == M:
+        return weights
+    mod = p ** M
+    return tuple(w % mod for w in weights[:M])
+
+
+def _build_index_sums(Q: int, p: int, M: int) -> tuple[int, ...]:
+    mod = p ** M
+    n = min(Q, M)
+    big = math.lcm(*range(1, n + 1)) * mod
+    q = Q % big
+    falling = []
+    product = q
+    for i in range(n):
+        falling.append(product // (i + 1) % mod)
+        product = product * (q - i - 1) % big
+    return tuple(falling)
+
+
+@_INDEX_SUMS.serves
 def _index_power_sums(Q: int, p: int, M: int) -> tuple[int, ...]:
     """The terms f_i = i! * C(Q, i+1) = Q(Q-1)...(Q-i) / (i+1) mod p^M.
 
     sum_{q<Q} q^j = sum_i S2(j, i) f_i, which _closed_weights has folded in.
-    f_i vanishes from i = Q on, so at most min(Q, M) terms are returned.
+    f_i vanishes from i = Q on, so at most n = min(Q, M) terms are returned.
+
+    The running product is kept mod N = lcm(1..n) * p^M, never exactly:
+    i + 1 <= n divides both N and the true product, so the reduced
+    product is still a multiple of i + 1, and it differs from the true one
+    by a multiple of N, whose quotient by i + 1 is a multiple of p^M.  So
+    each f_i is exact mod p^M from operands of O(M) bits, however many
+    bits Q has, and no inverse is taken.  One entry per (Q, p) holds the
+    terms at the largest M asked for; each f_i is an integer, so a smaller
+    M takes the first min(Q, M) of them mod p^M.
     """
+    (top,), terms = _INDEX_SUMS.fetch((Q, p), (M,), _build_index_sums)
+    if top == M:
+        return terms
     mod = p ** M
-    falling = []
-    product = Q
-    for i in range(min(Q, M)):
-        falling.append(product // (i + 1) % mod)
-        product *= Q - i - 1
-    return tuple(falling)
+    return tuple(f % mod for f in terms[:min(Q, M)])
 
 
 # The scans below inline cp(i, p) = i + (i - 1) // (p - 1): the public
@@ -149,18 +243,27 @@ def _recip_power_sum_closed(B: int, r: int, p: int, M: int) -> int:
     return total % mod
 
 
-@lru_cache(maxsize=65536)
+def _build_power_sum(B: int, r: int, p: int, M: int) -> int:
+    if B <= _DIRECT_LIMIT:
+        return _recip_power_sum_direct(B, r, p, M)
+    return _recip_power_sum_closed(B, r, p, M)
+
+
+@_POWER_SUMS.serves
 def recip_power_sum(B: int, r: int, p: int, M: int) -> int:
-    """sum_{i=1}^{B} cp(i)^(-r) mod p^M, for any block count B >= 0."""
+    """sum_{i=1}^{B} cp(i)^(-r) mod p^M, for any block count B >= 0.
+
+    One entry per (B, r, p) holds the sum at the largest M asked for; the
+    sum is a p-adic integer, so its residue mod p^M' reduces to the one
+    mod p^M for every M <= M'.
+    """
     if B < 0:
         raise ArgumentError(f"B must be nonnegative, got {B}")
     if r < 1 or M < 1:
         raise ArgumentError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
     if not is_prime(p):
         raise ArgumentError(f"p must be prime, got {p}")
-    if B <= _DIRECT_LIMIT:
-        return _recip_power_sum_direct(B, r, p, M)
-    return _recip_power_sum_closed(B, r, p, M)
+    return _POWER_SUMS.fetch((B, r, p), (M,), _build_power_sum)[1] % p ** M
 
 
 def _recip_esym_direct(B: int, m_max: int, p: int, M: int) -> list[int]:
@@ -206,8 +309,21 @@ def _recip_esym_newton(B: int, m_max: int, p: int, M: int) -> list[int]:
     return [x % mod for x in e]
 
 
+def _build_esym(B: int, p: int, m_max: int, M: int) -> list[int]:
+    if B <= _DIRECT_LIMIT:
+        return _recip_esym_direct(B, m_max, p, M)
+    return _recip_esym_newton(B, m_max, p, M)
+
+
+@_ESYMS.serves
 def recip_esym(B: int, m_max: int, p: int, M: int) -> list[int]:
-    """e_0..e_{m_max} of the reciprocals 1/cp(1), ..., 1/cp(B), mod p^M."""
+    """e_0..e_{m_max} of the reciprocals 1/cp(1), ..., 1/cp(B), mod p^M.
+
+    One entry per (B, p) holds e_0..e_m at the largest M and the largest
+    degree m asked for.  Each e_j is a p-adic integer that does not depend
+    on how many degrees are computed (Newton's pad only absorbs its
+    divisions), so a request takes the first m_max + 1 sums mod p^M.
+    """
     if m_max < 0:
         raise ArgumentError(f"m_max must be nonnegative, got {m_max}")
     if not is_prime(p):
@@ -215,9 +331,8 @@ def recip_esym(B: int, m_max: int, p: int, M: int) -> list[int]:
     m_max = min(m_max, B)
     if m_max == 0:
         return [1]
-    if B <= _DIRECT_LIMIT:
-        return _recip_esym_direct(B, m_max, p, M)
-    return _recip_esym_newton(B, m_max, p, M)
+    mod = p ** M
+    return [x % mod for x in _ESYMS.fetch((B, p), (m_max, M), _build_esym)[1][:m_max + 1]]
 
 
 def _require_extension(prefix: DigitString, k: int) -> StructureConstants:
@@ -342,7 +457,7 @@ class _WalkNode:
             p = self.digits.p
             mod = p ** self.M
             base = parent.value * (p - 1)
-            # siblings share the base block sum through recip_power_sum's cache
+            # siblings share the base block sum through recip_power_sum's store
             block = recip_power_sum(base, 1, p, self.M)
             for i in range(base + 1, base + self.digits.digits[-1] + 1):
                 block += pow(i + (i - 1) // (p - 1), -1, mod)

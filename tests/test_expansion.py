@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicharm.core import (
     DigitString,
@@ -112,6 +112,14 @@ def ref_sigma(prefix, k):
 
 # --- reciprocal power sums and symmetric sums ------------------------------
 
+STORED = (recip_esym, recip_power_sum, _closed_weights, _index_power_sums)
+
+
+def clear_stores():
+    for fn in STORED:
+        fn.cache_clear()
+
+
 @pytest.mark.parametrize(
     "B, r, p, M",
     [(5, 1, 3, 2), (3, 2, 3, 2), (1000, 3, 5, 8), (777, 1, 2, 20), (123, 4, 7, 5), (0, 1, 3, 4)],
@@ -153,6 +161,21 @@ def test_power_sum_closed_first_blocks_every_tail(p, Q):
                 assert _recip_power_sum_closed(B, r, p, M) == _recip_power_sum_direct(B, r, p, M)
 
 
+def exact_falling_terms(Q, M):
+    """f_i = Q(Q-1)...(Q-i) / (i+1) for i < M from the exact running product."""
+    falling, product = [], Q
+    for i in range(M):
+        falling.append(product // (i + 1))
+        product *= Q - i - 1
+    return falling
+
+
+def index_power_sums_exact(Q, p, M):
+    """_index_power_sums from exact products: the first min(Q, M) terms mod p^M."""
+    mod = p ** M
+    return tuple(f % mod for f in exact_falling_terms(Q, min(Q, M)))
+
+
 def full_blocks_by_index_powers(Q, r, p, M):
     """The Q full blocks in the closed form's ungrouped shape, mod p^M:
     sum_j (-1)^j C(r+j-1, j) T(r+j) p^j F_j, with T(u) the sum of m^(-u)
@@ -163,10 +186,7 @@ def full_blocks_by_index_powers(Q, r, p, M):
     for j in range(1, M):
         prev = s2[-1] + [0]
         s2.append([0] + [prev[i - 1] + i * prev[i] for i in range(1, j + 1)])
-    falling, product = [], Q
-    for i in range(M):
-        falling.append(product // (i + 1))
-        product *= Q - i - 1
+    falling = exact_falling_terms(Q, M)
     total = 0
     for j in range(M):
         F = sum(c * f for c, f in zip(s2[j], falling))
@@ -197,6 +217,85 @@ def test_closed_weights_regroup_the_index_power_form(Q, r, p, M):
     assert regrouped == full_blocks_by_index_powers(Q, r, p, M)
 
 
+@st.composite
+def _index_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    M = draw(st.integers(min_value=1, max_value=300))
+    Q = draw(st.one_of(
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=M - 1),  # every term kept
+        st.integers(min_value=0, max_value=2 ** 400 // p).map(lambda q: q * p),
+        st.integers(min_value=0, max_value=2 ** 400),
+    ))
+    return Q, p, M
+
+
+@given(_index_cases())
+@example((2 ** 400 + 12345, 2, 64))  # M a prime power: lcm(1..64) needs 2^6
+@example((3 ** 200 - 1, 3, 61))
+@example((5 ** 150, 5, 300))
+@example((29, 7, 30))
+@settings(max_examples=60, deadline=None)
+def test_index_power_sums_match_the_exact_products(case):
+    Q, p, M = case
+    assert _index_power_sums(Q, p, M) == index_power_sums_exact(Q, p, M)
+
+
+def warm_and_cold(call, requests):
+    """The answers to requests made in turn on shared stores, and the same
+    calls each made on empty stores."""
+    clear_stores()
+    warm = [call(*request) for request in requests]
+    cold = []
+    for request in requests:
+        clear_stores()
+        cold.append(call(*request))
+    return warm, cold
+
+
+_BLOCK_COUNTS = st.one_of(st.integers(min_value=0, max_value=400),
+                          st.integers(min_value=401, max_value=2 ** 80))
+_PRECISIONS = st.lists(st.integers(min_value=1, max_value=80), min_size=2, max_size=6)
+
+
+@given(_BLOCK_COUNTS, st.integers(min_value=1, max_value=6), st.sampled_from([2, 3, 5, 7]),
+       _PRECISIONS)
+@settings(max_examples=50, deadline=None)
+def test_power_sum_store_answers_as_if_cold(B, r, p, precisions):
+    warm, cold = warm_and_cold(lambda M: recip_power_sum(B, r, p, M), [(M,) for M in precisions])
+    assert warm == cold
+    if B <= 400:
+        assert warm == [_recip_power_sum_direct(B, r, p, M) for M in precisions]
+
+
+@given(_BLOCK_COUNTS, st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=9),
+                          st.integers(min_value=1, max_value=60)), min_size=2, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_esym_store_answers_as_if_cold(B, p, requests):
+    warm, cold = warm_and_cold(lambda m, M: recip_esym(B, m, p, M), requests)
+    assert warm == cold
+    if B <= 400:
+        assert warm == [_recip_esym_direct(B, min(m, B), p, M) for m, M in requests]
+
+
+@given(st.integers(min_value=1, max_value=10), st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.integers(min_value=1, max_value=100), min_size=2, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_weight_store_answers_as_if_cold(r, p, precisions):
+    warm, cold = warm_and_cold(lambda M: _closed_weights(r, p, M), [(M,) for M in precisions])
+    assert warm == cold
+
+
+@given(_BLOCK_COUNTS, st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.integers(min_value=1, max_value=120), min_size=2, max_size=6))
+@settings(max_examples=50, deadline=None)
+def test_index_store_answers_as_if_cold(Q, p, precisions):
+    warm, cold = warm_and_cold(lambda M: _index_power_sums(Q, p, M), [(M,) for M in precisions])
+    assert warm == cold
+    assert warm == [index_power_sums_exact(Q, p, M) for M in precisions]
+
+
 def test_dispatch_agrees_with_the_direct_scans_at_the_crossover(monkeypatch):
     routes = []
     for name in ("_recip_power_sum_direct", "_recip_power_sum_closed",
@@ -208,13 +307,14 @@ def test_dispatch_agrees_with_the_direct_scans_at_the_crossover(monkeypatch):
     for p in (2, 3, 5, 7):
         for M in (12, 72):
             for B in (_DIRECT_LIMIT, _DIRECT_LIMIT + 1):
-                recip_power_sum.cache_clear()
                 for r in (1, 2, 5):
+                    clear_stores()
                     del routes[:]
                     assert recip_power_sum(B, r, p, M) == _recip_power_sum_direct(B, r, p, M)
                     assert routes[0] == ("_recip_power_sum_direct" if B <= _DIRECT_LIMIT
                                          else "_recip_power_sum_closed")
                 for m in (1, 2, 8):
+                    clear_stores()
                     del routes[:]
                     assert recip_esym(B, m, p, M) == _recip_esym_direct(B, m, p, M)
                     assert routes[0] == ("_recip_esym_direct" if B <= _DIRECT_LIMIT

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -114,6 +115,14 @@ def test_f_sequence_matches_tree_levels():
     assert [len(level) for level in tree.levels] == [1] * 11
     for u, level in enumerate(tree.levels):
         assert level[0].digits == f.bits[: u + 1]
+
+
+def test_f_sequence_deep_bits_are_pinned():
+    # f_0..f_300 as the exact-product falling factorials gave them: the
+    # block-sum stores and the reduced products must not move a bit
+    bits = str(f_sequence(300))
+    assert hashlib.sha256(bits.encode()).hexdigest() == (
+        "43e1ee9d4c18517f662c6a0308433539b7d95d6eb143c8c4720c07020762da01")
 
 
 @pytest.mark.parametrize("broken", ["two nodes", "no node"])
