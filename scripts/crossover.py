@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Measure where the closed-form reciprocal sums overtake the direct scans.
 
-For every (p, m, M, B) of the grid this times, as the median of repeated
-perf_counter runs, the two routes behind each dispatch on
+For every (p, m, M, B) of the grid this times, as the quartiles of
+repeated perf_counter runs, the two routes behind each dispatch on
 expansion._DIRECT_LIMIT:
 
   esym  recip_esym(B, m, p, M): the per-unit scan against Newton's
@@ -15,10 +15,12 @@ sums, power sums, weights, falling-factorial terms), so nothing is served
 from an entry built at a larger precision.  An untimed first run builds
 the B-independent weights, which real walks reuse; the stores keyed by B
 are emptied again before every timed call, so no timed call is a store
-hit.  It prints the direct/closed time ratio of every row (above 1: the
-closed form wins), the smallest grid B of each cell from which the
-closed form wins everywhere, and the largest B at which a direct scan
-still wins somewhere.
+hit.  It prints each route's quartiles (q1 median q3, in ms) for every
+row and a verdict: "closed" or "direct" when one route's interquartile
+range lies wholly below the other's, else "unresolved".  Only resolved
+rows count: it prints the smallest grid B of each cell from which the
+closed form wins every resolved row, and the largest B at which a direct
+scan still wins somewhere; an unresolved row moves neither.
 
 Example:
     PYTHONPATH=src python3 scripts/crossover.py --repeats 7
@@ -42,7 +44,8 @@ def _clear(stores) -> None:
         fn.cache_clear()
 
 
-def _median_seconds(fn, repeats: int) -> float:
+def _quartile_seconds(fn, repeats: int) -> tuple[float, float, float]:
+    """(q1, median, q3) of the timed runs."""
     _clear(ALL_STORES)
     fn()
     times = []
@@ -51,7 +54,21 @@ def _median_seconds(fn, repeats: int) -> float:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    q1, med, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def _verdict(direct, closed) -> str:
+    """The route whose interquartile range lies below the other's."""
+    if closed[2] < direct[0]:
+        return "closed"
+    if direct[2] < closed[0]:
+        return "direct"
+    return "unresolved"
+
+
+def _ms(q) -> str:
+    return " ".join(f"{1e3 * t:8.3f}" for t in q)
 
 
 def _routes(B: int, m: int, p: int, M: int):
@@ -77,11 +94,14 @@ def main() -> None:
     parser.add_argument("--B", type=int, nargs="+", default=list(GRID_B))
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2 to give quartiles")
 
     limit = expansion._DIRECT_LIMIT
     # Newton's power sums must take the closed form at every B of the grid.
     expansion._DIRECT_LIMIT = -1
-    print(f"{'p':>3} {'m':>3} {'M':>4} {'B':>6} {'esym':>8} {'psum':>8}")
+    print(f"{'p':>3} {'m':>3} {'M':>4} {'B':>6} {'op':>5} {'direct q1 med q3 (ms)':>26} "
+          f"{'closed q1 med q3 (ms)':>26}  verdict")
     crossings = {}
     for p in args.p:
         for m in args.m:
@@ -90,15 +110,15 @@ def main() -> None:
                 for B in sorted(args.B):
                     if B < m:
                         continue
-                    ratios = {}
                     for op, (direct, closed) in _routes(B, m, p, M).items():
                         assert direct() == closed(), (op, p, m, M, B)
-                        ratio = _median_seconds(direct, args.repeats) / _median_seconds(
-                            closed, args.repeats)
-                        ratios[op] = ratio
-                        wins[op].append((B, ratio > 1))
-                    print(f"{p:>3} {m:>3} {M:>4} {B:>6} {ratios['esym']:>8.2f} "
-                          f"{ratios['psum']:>8.2f}", flush=True)
+                        d = _quartile_seconds(direct, args.repeats)
+                        c = _quartile_seconds(closed, args.repeats)
+                        verdict = _verdict(d, c)
+                        if verdict != "unresolved":
+                            wins[op].append((B, verdict == "closed"))
+                        print(f"{p:>3} {m:>3} {M:>4} {B:>6} {op:>5} {_ms(d):>26} "
+                              f"{_ms(c):>26}  {verdict}", flush=True)
                 for op, row in wins.items():
                     losses = [B for B, won in row if not won]
                     later = [B for B, _ in row if not losses or B > losses[-1]]

@@ -44,8 +44,6 @@ from .tree import (
     validate_ptree,
 )
 from .valuation import (
-    DEFAULT_POLICY,
-    EscalationPolicy,
     exact_H,
     exact_H_table,
     stirling,

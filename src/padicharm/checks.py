@@ -35,8 +35,6 @@ from .report import CheckReport
 from .tree import build_tree, f_sequence
 from .valuation import (
     DEFAULT_EXACT_CAP,
-    DEFAULT_POLICY,
-    EscalationPolicy,
     exact_H_table,
     stirling,
     vp_H,
@@ -288,7 +286,7 @@ def _exact_H_valuations(ns: set[int], k: int, p: int) -> dict[int, int]:
     return out
 
 
-def check_lengyel_identity(m_max: int = 12, policy: EscalationPolicy = DEFAULT_POLICY) -> CheckReport:
+def check_lengyel_identity(m_max: int = 12) -> CheckReport:
     """v2(H(2^m - 1, 2)) = 4 - 2m for m = 2..m_max (Lengyel's identity)."""
     if m_max < 2:
         raise ArgumentError(f"m_max must be at least 2, got {m_max}")
@@ -296,7 +294,7 @@ def check_lengyel_identity(m_max: int = 12, policy: EscalationPolicy = DEFAULT_P
     witness = None
     passed = True
     for m in range(2, m_max + 1):
-        val = vp_H(2 ** m - 1, 2, 2, policy)
+        val = vp_H(2 ** m - 1, 2, 2)
         observed[str(m)] = val
         if val != 4 - 2 * m:
             passed = False
@@ -430,7 +428,7 @@ def _ubound_holds(n: int, k: int, p: int, nu: int) -> bool:
     return lhs < rhs
 
 
-def check_ubound(p: int, k: int, x: int, policy: EscalationPolicy = DEFAULT_POLICY) -> CheckReport:
+def check_ubound(p: int, k: int, x: int) -> CheckReport:
     """Upper-bound mechanism on [(k-1)p, x]: leaf exits force the strict
     inequality, violators stay inside the tree, and the violator count is
     at most 3 x^0.835."""
@@ -440,7 +438,7 @@ def check_ubound(p: int, k: int, x: int, policy: EscalationPolicy = DEFAULT_POLI
     depth = ilog(x, p) - sc.t + 1
     tree = build_tree(p, k, max_depth=depth)
     nodes = tree.node_values()
-    vals = vp_H_sweep(x, k, p, policy)
+    vals = vp_H_sweep(x, k, p)
     root = sc.root_digits
     exceptions = []
     leaf_exits = 0
@@ -682,15 +680,13 @@ def check_p59_exponent(prime_bound: int = 1000, *, guard: float = 1e-6) -> Check
     )
 
 
-def monitor_lower_bound(
-    p: int, k: int, n_max: int, policy: EscalationPolicy = DEFAULT_POLICY
-) -> CheckReport:
+def monitor_lower_bound(p: int, k: int, n_max: int) -> CheckReport:
     """Informational: min over n <= n_max of vp(H(n,k)) + k log_p n.
 
     The additive constant in the known lower bound is unspecified, so this
     reports the observed minimum and never fails.
     """
-    vals = vp_H_sweep(n_max, k, p, policy)
+    vals = vp_H_sweep(n_max, k, p)
     best = None
     arg = None
     for n, nu in vals.items():

@@ -9,40 +9,30 @@ Two independent routes are provided:
     numbers of the first kind, using
     vp(H(n, k)) = vp(s(n+1, k+1)) - vp(n!).
 
-The modular route never trusts its precision guess: a zero residue only
-says the valuation is at least the working precision, so it escalates
-and retries until the residue pins the valuation exactly.
+The modular route advances one running row of s(n+1, j+1), j <= k, with
+the p-part of n! divided out (_ScaledHRow), so its modulus has
+kL + v_max digits, L = ilog_p(n), and grows with log n rather than with
+vp(n!).  Single values (vp_H), scans over increasing n (vp_H_sweep) and
+tree membership (padicharm.tree) all run that row.  A zero residue only
+says the valuation is at least v_max, so vp_H doubles v_max and retries
+until the residue pins the valuation exactly.
 
-Scans over increasing n (vp_H_sweep here, tree membership in
-padicharm.tree) instead advance one running row with the p-part of n!
-divided out, so their modulus grows with log n rather than with vp(n!).
-That row packs its k + 1 residues mod p^A into one int, in slots of
+The row packs its k + 1 residues mod p^A into one int, in slots of
 S = bits(p^A) + R*bits(2*n_max) + 1 bits: a step is two scalar products
 and a mask whatever k is, and reducing every slot once per R steps keeps
-any slot from carrying into the next; see _ScaledHRow.
+any slot from carrying into the next; see _ScaledHRow.  stirling and
+stirling_mod run the plain row and serve as independent oracles.
 
 Exact rationals are fractions.Fraction values and stay normalized.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    ArgumentError,
-    PrecisionError,
-    SizeCapError,
-    ilog,
-    is_prime,
-    vp_factorial,
-    vp_int,
-)
+from .core import ArgumentError, SizeCapError, ilog, is_prime, vp_int
 
 __all__ = [
-    "EscalationPolicy",
-    "DEFAULT_POLICY",
     "DEFAULT_EXACT_CAP",
     "exact_H",
     "exact_H_table",
@@ -54,26 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_EXACT_CAP = 4096
-
-
-@dataclass(frozen=True)
-class EscalationPolicy:
-    """Controls how the modular route grows its working precision."""
-
-    initial_guard: int = 8
-    growth_factor: int = 2
-    max_modulus_bits: int = 1 << 24
-
-    def __post_init__(self) -> None:
-        if self.initial_guard < 1:
-            raise ArgumentError("initial_guard must be positive")
-        if self.growth_factor < 2:
-            raise ArgumentError("growth_factor must be at least 2")
-        if self.max_modulus_bits < 8:
-            raise ArgumentError("max_modulus_bits too small to be useful")
-
-
-DEFAULT_POLICY = EscalationPolicy()
 
 
 def _check_range(n: int, k: int) -> None:
@@ -151,13 +121,7 @@ def stirling(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> int:
     return _stirling_row(n, k)[k]
 
 
-def stirling_mod(
-    n: int,
-    k: int,
-    p: int,
-    M: int,
-    max_modulus_bits: int = DEFAULT_POLICY.max_modulus_bits,
-) -> int:
+def stirling_mod(n: int, k: int, p: int, M: int) -> int:
     """s(n, k) mod p^M by the same single-row sweep, scalar ops only."""
     if n < 1:
         raise ArgumentError(f"n must be positive, got {n}")
@@ -167,49 +131,7 @@ def stirling_mod(
         raise ArgumentError(f"M must be positive, got {M}")
     if not is_prime(p):
         raise ArgumentError(f"modulus base must be prime, got {p}")
-    if M * math.log2(p) > max_modulus_bits:
-        raise PrecisionError(
-            f"modulus p^M = {p}^{M} exceeds the {max_modulus_bits}-bit cap"
-        )
     return _stirling_row(n, k, mod=p ** M)[k]
-
-
-def _initial_guard(n: int, k: int, p: int, policy: EscalationPolicy) -> int:
-    # Heuristic start only; correctness never depends on it because a zero
-    # residue forces escalation.
-    return (k + 1) * (ilog(n, p) + 1) + policy.initial_guard
-
-
-def vp_H_with_guard(
-    n: int, k: int, p: int, policy: EscalationPolicy = DEFAULT_POLICY
-) -> tuple[int, int]:
-    """vp(H(n, k)) plus the guard that finally pinned it.
-
-    Working precision is vp(n!) + guard; a residue of zero mod p^M only
-    bounds the valuation from below, so the guard grows geometrically
-    until the residue is nonzero.  H(n, k) > 0 guarantees termination
-    short of the modulus-bit cap.
-    """
-    if k < 1:
-        raise ArgumentError(f"k must be positive, got {k}")
-    _check_range(n, k)
-    if not is_prime(p):
-        raise ArgumentError(f"p must be prime, got {p}")
-    F = vp_factorial(n, p)
-    guard = _initial_guard(n, k, p, policy)
-    while True:
-        M = F + guard
-        residue = stirling_mod(
-            n + 1, k + 1, p, M, max_modulus_bits=policy.max_modulus_bits
-        )
-        if residue:
-            return vp_int(residue, p) - F, guard
-        guard *= policy.growth_factor
-
-
-def vp_H(n: int, k: int, p: int, policy: EscalationPolicy = DEFAULT_POLICY) -> int:
-    """Exact finite vp(H(n, k)) via the modular Stirling route."""
-    return vp_H_with_guard(n, k, p, policy)[0]
 
 
 # The packed row reduces its slots mod p^A once every this many steps.  On
@@ -308,9 +230,38 @@ class _ScaledHRow:
         return vp_int(residue, self.p) - self.kL if residue else None
 
 
-def vp_H_sweep(
-    n_max: int, k: int, p: int, policy: EscalationPolicy = DEFAULT_POLICY
-) -> dict[int, int]:
+def _initial_guard(n: int, k: int, p: int) -> int:
+    # Heuristic start only; correctness never depends on it because a zero
+    # residue forces escalation.
+    return (k + 1) * (ilog(n, p) + 1) + 8
+
+
+def vp_H_with_guard(n: int, k: int, p: int) -> tuple[int, int]:
+    """vp(H(n, k)) plus the v_max of the scaled row that pinned it.
+
+    A row with v_max pins vp(H(n, k)) whenever it lies below v_max; a zero
+    residue only bounds it from below, so v_max doubles until the residue
+    is nonzero.  H(n, k) > 0 guarantees termination.
+    """
+    if k < 1:
+        raise ArgumentError(f"k must be positive, got {k}")
+    _check_range(n, k)
+    if not is_prime(p):
+        raise ArgumentError(f"p must be prime, got {p}")
+    v_max = _initial_guard(n, k, p)
+    while True:
+        val = _ScaledHRow(k, p, n, v_max).vp(n)
+        if val is not None:
+            return val, v_max
+        v_max *= 2
+
+
+def vp_H(n: int, k: int, p: int) -> int:
+    """Exact finite vp(H(n, k)) via the scaled Stirling row."""
+    return vp_H_with_guard(n, k, p)[0]
+
+
+def vp_H_sweep(n_max: int, k: int, p: int) -> dict[int, int]:
     """vp(H(n, k)) for every n in [k, n_max] from one shared row sweep.
 
     Advances one scaled row (_ScaledHRow) with the vp_H starting guard
@@ -323,9 +274,9 @@ def vp_H_sweep(
         raise ArgumentError(f"n_max must be at least k, got {n_max}")
     if not is_prime(p):
         raise ArgumentError(f"p must be prime, got {p}")
-    row = _ScaledHRow(k, p, n_max, _initial_guard(n_max, k, p, policy))
+    row = _ScaledHRow(k, p, n_max, _initial_guard(n_max, k, p))
     out: dict[int, int] = {}
     for n in range(k, n_max + 1):
         val = row.vp(n)
-        out[n] = val if val is not None else vp_H(n, k, p, policy)
+        out[n] = val if val is not None else vp_H(n, k, p)
     return out

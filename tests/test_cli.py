@@ -261,6 +261,18 @@ def test_cache_file_round_trip(records):
         assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
 
 
+def test_val_writes_the_pinning_v_max_as_guard(tmp_path, capsys):
+    # guard is the v_max of the Stirling row that pinned the value:
+    # (k + 1)(ilog_2(7) + 1) + 8 = 17, as every release has written it
+    cache = tmp_path / "vals.jsonl"
+    rc, _, _ = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
+                   "--cache", str(cache))
+    assert rc == 0
+    assert cache.read_text() == (
+        '{"engine": "both", "guard": 17, "k": 2, "n": 7, "p": 2, "valuation": -2}\n'
+    )
+
+
 def test_cache_line_with_guard_field_still_loads(tmp_path, capsys):
     # the record layout written since the first release, guard field included
     cache = tmp_path / "vals.jsonl"

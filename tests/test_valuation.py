@@ -6,10 +6,9 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicharm.core import INFINITE, PrecisionError, SizeCapError, to_digits, vp
+from padicharm import valuation
+from padicharm.core import INFINITE, SizeCapError, to_digits, vp, vp_factorial, vp_int
 from padicharm.valuation import (
-    DEFAULT_POLICY,
-    EscalationPolicy,
     _REDUCE_EVERY,
     _ScaledHRow,
     exact_H,
@@ -18,6 +17,7 @@ from padicharm.valuation import (
     stirling_mod,
     vp_H,
     vp_H_sweep,
+    vp_H_with_guard,
 )
 
 
@@ -43,6 +43,11 @@ def cycle_count(perm):
 
 def brute_stirling(n, k):
     return sum(1 for perm in permutations(range(n)) if cycle_count(perm) == k)
+
+
+def exact_vp_H(n, k, p):
+    """vp(H(n, k)) from the exact Stirling number, n < 4096 (the exact cap)."""
+    return vp_int(stirling(n + 1, k + 1), p) - vp_factorial(n, p)
 
 
 @pytest.mark.parametrize(
@@ -134,14 +139,18 @@ def test_stirling_mod_matches_exact(n, k, p, M):
         assert stirling_mod(n, k, p, M) == stirling(n, k) % p ** M
 
 
-def test_stirling_mod_modulus_cap():
-    with pytest.raises(PrecisionError):
-        stirling_mod(10, 3, 2, 100, max_modulus_bits=64)
-
-
 @pytest.mark.parametrize(
     "n, k, p, expected",
-    [(7, 2, 2, -2), (3, 2, 2, 0), (5, 2, 2, -3), (4, 1, 5, 2)],
+    [
+        (7, 2, 2, -2),
+        (3, 2, 2, 0),
+        (5, 2, 2, -3),
+        (4, 1, 5, 2),
+        # beyond the exact cap; values from a full Stirling row mod p^(vp(n!) + guard)
+        (60000, 7, 3, -59),
+        (200000, 3, 3, -31),
+        (50000, 2, 2, -27),
+    ],
 )
 def test_vp_H_examples(n, k, p, expected):
     assert vp_H(n, k, p) == expected
@@ -157,25 +166,16 @@ def test_vp_H_matches_exact_rationals(p):
             assert vp_H(n, k, p) == expected
 
 
-def test_vp_H_escalation_is_sound():
-    rng = random.Random(20240817)
-    for _ in range(200):
-        n = rng.randint(2, 400)
-        k = rng.randint(1, min(n, 6))
-        p = rng.choice([2, 3, 5, 7])
-        base = vp_H(n, k, p)
-        doubled = EscalationPolicy(
-            initial_guard=2 * DEFAULT_POLICY.initial_guard,
-            growth_factor=DEFAULT_POLICY.growth_factor,
-            max_modulus_bits=DEFAULT_POLICY.max_modulus_bits,
-        )
-        assert vp_H(n, k, p, doubled) == base
-
-
-def test_vp_H_precision_cap_is_loud():
-    tight = EscalationPolicy(initial_guard=1, growth_factor=2, max_modulus_bits=64)
-    with pytest.raises(PrecisionError):
-        vp_H(500, 3, 2, tight)
+def test_vp_H_escalates_from_a_small_start(monkeypatch):
+    # start every row at v_max = 1, so each nonnegative valuation escalates
+    # and each sweep value at or above 1 falls back to vp_H
+    monkeypatch.setattr(valuation, "_initial_guard", lambda n, k, p: 1)
+    # vp_5(H(4, 1)) = vp_5(25/12) = 2: v_max 1 and 2 leave a zero residue
+    assert vp_H_with_guard(4, 1, 5) == (2, 4)
+    for p, k in [(2, 1), (3, 2), (5, 1), (7, 3)]:
+        sweep = vp_H_sweep(120, k, p)
+        for n in range(k, 121):
+            assert sweep[n] == vp_H(n, k, p) == exact_vp_H(n, k, p)
 
 
 def test_vp_H_rejections():
@@ -192,7 +192,7 @@ def test_vp_H_sweep_matches_single_calls(p, k):
     sweep = vp_H_sweep(80, k, p)
     assert set(sweep) == set(range(k, 81))
     for n in range(k, 81):
-        assert sweep[n] == vp_H(n, k, p)
+        assert sweep[n] == vp_H(n, k, p) == exact_vp_H(n, k, p)
 
 
 def _p_free_factorials(n_max, p):
@@ -207,8 +207,8 @@ def _p_free_factorials(n_max, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_scaled_row_matches_oracles(p):
-    # every residue, valuation and threshold decision of the running row
-    # against the Fraction table, and every valuation against vp_H
+    # every residue, valuation and threshold decision of the running row,
+    # and every vp_H value, against the Fraction table
     n_max, v_max = 300, 3
     table = exact_H_table(n_max, 6)
     units = _p_free_factorials(n_max, p)
@@ -240,7 +240,7 @@ def test_scaled_row_refuses_what_it_cannot_decide():
         row.advance(101)  # past n_max, vp(n) <= L is no longer guaranteed
     with pytest.raises(ValueError):
         row.vp_at_least(60, 5)  # above v_max the modulus is too small
-    assert row.vp_at_least(60, 4) == (vp_H(60, 2, 3) >= 4)
+    assert row.vp_at_least(60, 4) == (exact_vp_H(60, 2, 3) >= 4)
 
 
 @given(
@@ -251,9 +251,12 @@ def test_scaled_row_refuses_what_it_cannot_decide():
     st.integers(min_value=-4, max_value=12),
 )
 def test_scaled_row_matches_vp_H(p, k, n, extra, v_max):
+    # a row of any v_max and n_max agrees with vp_H, which starts at its own
+    # v_max, and both with the exact value
     n = max(n, k)
     row = _ScaledHRow(k, p, n + extra, v_max)
-    want = vp_H(n, k, p)
+    want = exact_vp_H(n, k, p)
+    assert vp_H(n, k, p) == want
     assert row.vp(n) == (want if want < v_max else None)
     assert row.vp_at_least(n, v_max) == (want >= v_max)
     assert row.vp_at_least(n, -row.kL) is True
