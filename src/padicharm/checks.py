@@ -7,13 +7,19 @@ rational exponents (x^0.835 = x^(167/200), y^(2/3)) are compared by exact
 integer powers, and the one genuinely transcendental comparison (the
 exponent maximum over primes) runs at 60+ bits with a guard band that
 escalates precision instead of guessing.
+
+CHECKS names every check that `padicharm verify` runs, in order, with the
+command-line flags each one reads; the command line derives its names,
+seeding and dispatch from that table alone.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
     ArgumentError,
@@ -42,18 +48,18 @@ from .valuation import (
 )
 
 __all__ = [
+    "CHECKS",
+    "Check",
     "check_structural_identities",
     "check_lengyel_identity",
     "check_integral_scan",
     "check_corollary_2adic",
     "check_ubound",
-    "check_harm_count",
     "check_harm_count_suite",
     "check_cpicong",
     "check_p59_exponent",
     "monitor_lower_bound",
     "cpicong_hit_count",
-    "harm_hit_count",
 ]
 
 
@@ -500,33 +506,10 @@ def _harmonic_numbers(n_max: int) -> list[Fraction]:
 def _harm_window_hits(
     harmonic: list[Fraction], p: int, x: int, y: int, r: Fraction
 ) -> tuple[int, list[int]]:
-    """Hits of harm_hit_count read from a table of H_0..H_(x+y) or longer."""
+    """The v in [x, x+y] with vp(H_v - r) > 0, and how many there are,
+    read from a table of H_0..H_(x+y) or longer."""
     hits = [v for v in range(x, x + y + 1) if vp(harmonic[v] - r, p) > 0]
     return len(hits), hits
-
-
-def harm_hit_count(p: int, x: int, y: int, r: Fraction) -> tuple[int, list[int]]:
-    """Count v in [x, x+y] with vp(H_v - r) > 0, plus the hits."""
-    return _harm_window_hits(_harmonic_numbers(x + y), p, x, y, r)
-
-
-def check_harm_count(p: int, x: int, y: int, r: Fraction | int = 0) -> CheckReport:
-    """Harmonic congruence hits on a window shorter than p stay below
-    1.5 y^(2/3) + 1."""
-    if not 1 <= y < p:
-        raise ArgumentError(f"need 1 <= y < p, got y={y}, p={p}")
-    if x < 1:
-        raise ArgumentError(f"x must be positive, got {x}")
-    count, hits = harm_hit_count(p, x, y, Fraction(r))
-    passed = _lt_harm_bound(count, y)
-    return CheckReport(
-        claim_id="harm-count",
-        parameters={"p": p, "x": x, "y": y, "r": str(Fraction(r))},
-        observed={"count": count, "hits": hits},
-        bound="1.5 * y^(2/3) + 1",
-        passed=passed,
-        witness=None if passed else {"count": count, "hits": hits},
-    )
 
 
 def check_harm_count_suite(
@@ -700,3 +683,42 @@ def monitor_lower_bound(p: int, k: int, n_max: int) -> CheckReport:
         bound=None,
         passed=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# the checks `padicharm verify` runs
+
+@dataclass(frozen=True)
+class Check:
+    """One `verify` check: its function, the flags it reads, and whether
+    it draws random samples.
+
+    flags maps each keyword argument of run to the `verify` flag (its
+    argparse dest) that supplies it.  A seeded check also gets seed=, and
+    `verify` refuses to run it without an explicit --seed.
+    """
+
+    run: Callable[..., CheckReport]
+    flags: dict[str, str] = field(default_factory=dict)
+    seeded: bool = False
+
+
+CHECKS: dict[str, Check] = {
+    "structural": Check(check_structural_identities),
+    "lengyel": Check(check_lengyel_identity, {"m_max": "m_max"}),
+    "integral-scan": Check(check_integral_scan, {"n_max": "max_n"}),
+    "corollary-2adic": Check(
+        check_corollary_2adic, {"S": "terms", "sample_count": "samples"}, seeded=True
+    ),
+    "ubound": Check(check_ubound, {"p": "p", "k": "k", "x": "x"}),
+    "harm-count": Check(
+        check_harm_count_suite, {"p": "p", "cases": "samples"}, seeded=True
+    ),
+    "cpicong": Check(
+        check_cpicong,
+        {"p": "p", "q_samples": "q_samples", "a_samples": "a_samples"},
+        seeded=True,
+    ),
+    "p59-exponent": Check(check_p59_exponent, {"prime_bound": "prime_bound"}),
+    "lower-bound-monitor": Check(monitor_lower_bound, {"p": "p", "k": "k", "n_max": "max_n"}),
+}

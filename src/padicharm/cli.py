@@ -1,7 +1,11 @@
 """Command-line surface: valuations, trees, branch bits, checks, scans.
 
 This is the only module that does I/O.  Machine paths emit line-delimited
-JSON (or DOT for trees); randomized checks require an explicit seed.
+JSON (or DOT for trees).  `verify` runs a row of checks.CHECKS: the
+table gives the valid names, the flags each check reads and which checks
+require an explicit --seed, so a new check is one row there and nothing
+here.  `val` with method stirling or both runs the Stirling row, which
+refuses n above valuation.ROW_CAP; the expansion engine has no such cap.
 Exit codes: 0 success, 1 check failure / engine discrepancy / precision
 failure, 2 usage error: a parse error, an ArgumentError (SizeCapError
 included).  Any other exception is a fault and propagates with its
@@ -19,17 +23,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .checks import (
-    check_corollary_2adic,
-    check_cpicong,
-    check_harm_count_suite,
-    check_integral_scan,
-    check_lengyel_identity,
-    check_p59_exponent,
-    check_structural_identities,
-    check_ubound,
-    monitor_lower_bound,
-)
+from .checks import CHECKS
 from .core import ArgumentError, EngineDisagreement, PrecisionError, vp
 from .expansion import vp_H_expansion
 from .tree import PTree, build_tree, f_sequence
@@ -260,59 +254,21 @@ def cmd_scan(args) -> int:
     return 0
 
 
-_RANDOMIZED = {"corollary-2adic", "cpicong", "harm-count"}
-
-
-def _run_verify(args):
-    name = args.check
-    seed = args.seed if args.seed is not None else 0
-    if name == "structural":
-        return check_structural_identities()
-    if name == "lengyel":
-        return check_lengyel_identity(m_max=args.m_max)
-    if name == "integral-scan":
-        return check_integral_scan(n_max=args.max_n)
-    if name == "corollary-2adic":
-        return check_corollary_2adic(S=args.terms, sample_count=args.samples, seed=seed)
-    if name == "ubound":
-        return check_ubound(args.p, args.k, args.x)
-    if name == "harm-count":
-        return check_harm_count_suite(args.p, cases=args.samples, seed=seed)
-    if name == "cpicong":
-        return check_cpicong(
-            args.p, q_samples=args.q_samples, a_samples=args.a_samples, seed=seed
-        )
-    if name == "p59-exponent":
-        return check_p59_exponent(prime_bound=args.prime_bound)
-    if name == "lower-bound-monitor":
-        return monitor_lower_bound(args.p, args.k, args.max_n)
-    raise KeyError(name)
-
-
-CHECK_NAMES = [
-    "structural",
-    "lengyel",
-    "integral-scan",
-    "corollary-2adic",
-    "ubound",
-    "harm-count",
-    "cpicong",
-    "p59-exponent",
-    "lower-bound-monitor",
-]
-
-
 def cmd_verify(args) -> int:
-    if args.check not in CHECK_NAMES:
+    check = CHECKS.get(args.check)
+    if check is None:
         print(
-            f"unknown check {args.check!r}; valid names: {', '.join(CHECK_NAMES)}",
+            f"unknown check {args.check!r}; valid names: {', '.join(CHECKS)}",
             file=sys.stderr,
         )
         return 2
-    if args.check in _RANDOMIZED and args.seed is None:
-        print(f"check {args.check!r} requires an explicit --seed", file=sys.stderr)
-        return 2
-    report = _run_verify(args)
+    kwargs = {kw: getattr(args, flag) for kw, flag in check.flags.items()}
+    if check.seeded:
+        if args.seed is None:
+            print(f"check {args.check!r} requires an explicit --seed", file=sys.stderr)
+            return 2
+        kwargs["seed"] = args.seed
+    report = check.run(**kwargs)
     print(report.to_json())
     return 0 if report.passed else 1
 

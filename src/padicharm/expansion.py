@@ -19,7 +19,10 @@ groups, and _add_group is its only step: it folds one group.  h_prime_mod
 folds a whole prefix from scratch and is the reference; _WalkNode walks
 down the digits and folds one group per digit, carrying the DP table and
 sigma from parent to child.  build_tree, f_sequence and vp_H_expansion all
-walk _WalkNode.
+walk _WalkNode.  Only sigma needs the walk's full precision p^M: the h_p
+term of a child of a depth-d node enters it times p^d, so that node folds
+its table, and its children's block sums, mod p^(M - d) (at least p^1),
+and the precision a walk carries shrinks as it goes deeper.
 
 Reciprocal power sums over the coprime sequence c_p are the workhorse.
 The sequence is periodic in blocks of p - 1 consecutive units, so a
@@ -48,6 +51,7 @@ _index_power_sums each expose their store as cache_info/cache_clear.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -177,10 +181,15 @@ def _closed_weights(r: int, p: int, M: int) -> tuple[int, ...]:
     return tuple(w % mod for w in weights[:M])
 
 
+@functools.lru_cache(maxsize=256)
+def _lcm_upto(n: int) -> int:
+    return math.lcm(*range(1, n + 1))
+
+
 def _build_index_sums(Q: int, p: int, M: int) -> tuple[int, ...]:
     mod = p ** M
     n = min(Q, M)
-    big = math.lcm(*range(1, n + 1)) * mod
+    big = _lcm_upto(n) * mod
     q = Q % big
     falling = []
     product = q
@@ -412,37 +421,48 @@ class _WalkNode:
     refolds the parent's digits at twice that width, in place, and every
     child folds its group onto that.  Once a node holds both it
     lets go of its parent, so a walk keeps only its frontier alive.
+
+    sigma is kept mod p^top, top the root's precision.  The h_p term of a
+    child of a depth-d node enters sigma times p^d, so only its residue
+    mod p^(top - d) matters: a node at depth d keeps its table, and its
+    children's block sums, mod p^M with M = max(top - d, 1), and every
+    sigma residue is the one a walk at precision top throughout computes.
+    Table entries a fold does not touch keep their parent's larger
+    modulus, so h_prime is exact mod p^M but not always reduced.
     """
 
-    __slots__ = ("k", "sc", "M", "pi", "digits", "value", "depth", "_parent", "_sigma", "_dp")
+    __slots__ = (
+        "k", "sc", "top", "M", "pi", "digits", "value", "depth", "_parent", "_sigma", "_dp",
+    )
 
     def __init__(
         self,
         k: int,
         sc: StructureConstants,
-        M: int,
+        top: int,
         pi: int,
         digits: DigitString,
         value: int,
         parent: "_WalkNode | None",
     ) -> None:
-        self.k, self.sc, self.M, self.pi = k, sc, M, pi
+        self.k, self.sc, self.top, self.pi = k, sc, top, pi
         self.digits = digits
         self.value = value
         self.depth = len(digits) - len(sc.root_digits)
+        self.M = max(top - self.depth, 1)
         self._parent = parent
         self._sigma = 0 if parent is None else None
         self._dp = None
 
     @classmethod
     def root(cls, k: int, p: int, M: int) -> "_WalkNode":
-        """The root digits of k - 1, with residues mod p^M."""
+        """The root digits of k - 1; sigma is kept mod p^M."""
         sc = structure_constants(k, p)
         return cls(k, sc, M, pi_p_mod(k, p, M), sc.root_digits, sc.root_digits.value, None)
 
     def child(self, b: int) -> "_WalkNode":
         return _WalkNode(
-            self.k, self.sc, self.M, self.pi, self.digits.child(b),
+            self.k, self.sc, self.top, self.pi, self.digits.child(b),
             self.value * self.digits.p + b, self,
         )
 
@@ -455,14 +475,15 @@ class _WalkNode:
         if self._sigma is None:
             parent = self._parent
             p = self.digits.p
-            mod = p ** self.M
+            mod = p ** parent.M
             base = parent.value * (p - 1)
             # siblings share the base block sum through recip_power_sum's store
-            block = recip_power_sum(base, 1, p, self.M)
+            block = recip_power_sum(base, 1, p, parent.M)
             for i in range(base + 1, base + self.digits.digits[-1] + 1):
                 block += pow(i + (i - 1) // (p - 1), -1, mod)
             h_p = parent.h_prime + self.pi * block
-            self._sigma = (parent.sigma + h_p * pow(p, parent.depth, mod)) % mod
+            top = p ** self.top
+            self._sigma = (parent.sigma + h_p * pow(p, parent.depth, top)) % top
             if self._dp is not None:
                 self._parent = None
         return self._sigma
@@ -478,7 +499,7 @@ class _WalkNode:
                 if self.sc.U + self.depth > width:
                     # widen the parent once for all its children; entries
                     # below any budget do not depend on the width
-                    table = parent._dp = _fold(parent.digits, self.k, 2 * width, self.M)
+                    table = parent._dp = _fold(parent.digits, self.k, 2 * width, parent.M)
                 self._dp = _add_group(
                     table, self.value - parent.value,
                     len(self.digits) - 1, self.k, self.digits.p, self.M,

@@ -16,7 +16,6 @@ from padicharm.checks import (
     _lt_p_0835,
     check_corollary_2adic,
     check_cpicong,
-    check_harm_count,
     check_harm_count_suite,
     check_integral_scan,
     check_lengyel_identity,
@@ -24,7 +23,6 @@ from padicharm.checks import (
     check_structural_identities,
     check_ubound,
     cpicong_hit_count,
-    harm_hit_count,
     monitor_lower_bound,
 )
 from padicharm import checks
@@ -192,16 +190,21 @@ def test_ubound_rejects_small_x():
         check_ubound(3, 4, 5)
 
 
+def harm_hits_by_fraction_scan(p, x, y, r):
+    """Hits of vp(H_v - r) > 0 for v in [x, x+y], each H_v summed afresh."""
+    hits = [
+        v for v in range(x, x + y + 1)
+        if vp(sum((Fraction(1, i) for i in range(1, v + 1)), Fraction(0)) - r, p) > 0
+    ]
+    return len(hits), hits
+
+
 def test_harm_count_examples():
-    report = check_harm_count(5, 1, 4, 0)
-    assert report.passed and report.observed == {"count": 1, "hits": [4]}
-    report = check_harm_count(7, 1, 5, 0)
-    assert report.passed and report.observed["count"] == 1
-    report = check_harm_count(3, 1, 1, 0)
-    assert report.passed and report.observed["count"] == 1
-    assert harm_hit_count(5, 1, 4, Fraction(0)) == (1, [4])
-    with pytest.raises(ValueError):
-        check_harm_count(5, 1, 5, 0)
+    # H_4 = 25/12, H_6 = 49/20, H_2 = 3/2
+    for p, x, y, expected in ((5, 1, 4, (1, [4])), (7, 1, 5, (1, [6])), (3, 1, 1, (1, [2]))):
+        hits = _harm_window_hits(_harmonic_numbers(x + y), p, x, y, Fraction(0))
+        assert hits == expected == harm_hits_by_fraction_scan(p, x, y, Fraction(0))
+        assert _lt_harm_bound(hits[0], y)
 
 
 def test_harm_count_suite_seeded():
@@ -215,17 +218,12 @@ def test_harm_count_suite_seeded():
     st.integers(min_value=1, max_value=400),
     st.data(),
 )
-def test_suite_window_counts_match_harm_hit_count(p, x, data):
+def test_suite_window_counts_match_a_fraction_scan(p, x, data):
     # the suite reads every window from one shared table of H_0..H_(x_max+p-1)
     y = data.draw(st.integers(min_value=1, max_value=p - 1))
     r = Fraction(data.draw(st.integers(-p * p, p * p)), data.draw(st.integers(1, 4 * p)))
     shared = _harm_window_hits(_harmonic_numbers(400 + p - 1), p, x, y, r)
-    assert shared == harm_hit_count(p, x, y, r)
-    from_scratch = [
-        v for v in range(x, x + y + 1)
-        if vp(sum((Fraction(1, i) for i in range(1, v + 1)), Fraction(0)) - r, p) > 0
-    ]
-    assert shared == (len(from_scratch), from_scratch)
+    assert shared == harm_hits_by_fraction_scan(p, x, y, r)
 
 
 def test_cpicong_hit_examples():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -7,7 +8,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padicharm import checks
 from padicharm.cli import CacheRecord, ValCache, CacheIntegrityError, main
+from padicharm.report import CheckReport
 
 
 def run(capsys, *argv):
@@ -94,6 +97,41 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     rc, _, err = run(capsys, "verify", "bogus")
     assert rc == 2
     assert "valid names" in err
+
+
+def test_verify_runs_a_row_added_only_to_the_check_table(capsys, monkeypatch):
+    # the CLI keeps no list of its own: names, seeding and the flags a check
+    # reads all come from checks.CHECKS
+    calls = []
+
+    def dummy(n_max, seed):
+        calls.append((n_max, seed))
+        return CheckReport(claim_id="dummy", parameters={"n_max": n_max}, observed={},
+                           bound=None, passed=seed != 13, seed=seed)
+
+    monkeypatch.setitem(checks.CHECKS, "dummy", checks.Check(dummy, {"n_max": "max_n"}, seeded=True))
+    rc, _, err = run(capsys, "verify", "dummy")
+    assert rc == 2 and "--seed" in err and calls == []
+    rc, out, _ = run(capsys, "verify", "dummy", "--seed", "5", "--max-n", "7")
+    assert rc == 0 and calls == [(7, 5)]
+    assert json.loads(out) == {"bound": None, "claim_id": "dummy", "observed": {},
+                               "parameters": {"n_max": 7}, "passed": True, "seed": 5,
+                               "witness": None}
+    rc, _, _ = run(capsys, "verify", "dummy", "--seed", "13")
+    assert rc == 1 and calls[-1] == (40, 13)  # --max-n keeps its default
+    rc, _, err = run(capsys, "verify", "bogus")
+    assert rc == 2 and err.rstrip().endswith("lower-bound-monitor, dummy")
+
+
+def test_readme_lists_the_check_table():
+    import padicharm
+
+    readme = os.path.join(os.path.dirname(padicharm.__file__), "..", "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("Check names for `verify`:") + len("Check names for `verify`:")
+    sentence = text[start:text.index(".", start)]
+    assert re.findall(r"`([a-z0-9-]+)`", sentence) == list(checks.CHECKS)
 
 
 def test_verify_randomized_requires_seed(capsys):
@@ -319,6 +357,20 @@ def test_argument_errors_exit_2(capsys, argv):
 def test_size_cap_exits_2(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == 2 and "exceeds exact-arithmetic cap" in err
+
+
+@pytest.mark.parametrize("method", ["both", "stirling"])
+def test_row_cap_exits_2(capsys, method):
+    # the Stirling row would step through every integer below 10^30
+    rc, out, err = run(capsys, "val", "--p", "3", "--n", str(10 ** 30), "--k", "3",
+                       "--method", method)
+    assert rc == 2 and out == "" and "--method expansion" in err
+
+
+def test_expansion_method_has_no_row_cap(capsys):
+    rc, out, _ = run(capsys, "val", "--p", "3", "--n", str(10 ** 30), "--k", "3",
+                     "--method", "expansion")
+    assert rc == 0 and json.loads(out)["valuation"] == -185
 
 
 def test_parser_errors_exit_2(capsys):

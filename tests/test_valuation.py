@@ -187,6 +187,17 @@ def test_vp_H_rejections():
         vp_H(3, 2, 4)
 
 
+def test_row_entry_points_refuse_n_above_the_cap(monkeypatch):
+    # a small cap, so that an entry point missing the check returns a value
+    # instead of stepping a row to 10^30
+    monkeypatch.setattr(valuation, "ROW_CAP", 50)
+    assert vp_H(50, 2, 3) == exact_vp_H(50, 2, 3)
+    assert vp_H_sweep(50, 2, 3)[50] == exact_vp_H(50, 2, 3)
+    for call in (vp_H, vp_H_with_guard, vp_H_sweep):
+        with pytest.raises(SizeCapError, match="expansion"):
+            call(51, 2, 3)
+
+
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (5, 3), (7, 1)])
 def test_vp_H_sweep_matches_single_calls(p, k):
     sweep = vp_H_sweep(80, k, p)
