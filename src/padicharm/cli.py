@@ -5,7 +5,8 @@ JSON (or DOT for trees).  `verify` runs a row of checks.CHECKS: the
 table gives the valid names, the flags each check reads and which checks
 require an explicit --seed, so a new check is one row there and nothing
 here.  `val` with method stirling or both runs the Stirling row, which
-refuses n above valuation.ROW_CAP; the expansion engine has no such cap.
+jumps aligned blocks of integers, so it takes any n; only the sweeps of
+`verify` refuse n above valuation.ROW_CAP.
 Exit codes: 0 success, 1 check failure / engine discrepancy / precision
 failure, 2 usage error: a parse error, an ArgumentError (SizeCapError
 included).  Any other exception is a fault and propagates with its

@@ -41,9 +41,10 @@ __all__ = [
     "validate_ptree",
 ]
 
-# The running Stirling row steps through every integer up to the largest
-# checked child, so dual checking costs O(k * DUAL_VALUE_CAP) small-modulus
-# steps per tree at most.
+# The running Stirling row reaches each checked child from the one before
+# by aligned block products and short runs of steps (valuation._ScaledHRow):
+# O(p * log_p DUAL_VALUE_CAP) products and O(p^2) small-modulus steps per
+# child, not one step per integer below it.
 DUAL_VALUE_CAP = 1_000_000
 
 
@@ -116,8 +117,7 @@ def build_tree(
     engine "expansion" tests membership through the weighted h_p sums,
     "stirling" through the running Stirling row, "both" runs the two and
     aborts on mismatch.  In dual mode the Stirling side covers every child
-    value up to dual_value_cap, since the row must step through every
-    integer below the child; the expansion side always runs.  Children are
+    value up to dual_value_cap; the expansion side always runs.  Children are
     evaluated in increasing value order, so one row serves the whole build.
     """
     if engine not in ("stirling", "expansion", "both"):

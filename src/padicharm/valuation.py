@@ -15,14 +15,20 @@ kL + v_max digits, L = ilog_p(n), and grows with log n rather than with
 vp(n!).  Single values (vp_H), scans over increasing n (vp_H_sweep) and
 tree membership (padicharm.tree) all run that row.  A zero residue only
 says the valuation is at least v_max, so vp_H doubles v_max and retries
-until the residue pins the valuation exactly.  The row costs O(n) steps,
-so vp_H, vp_H_with_guard and vp_H_sweep refuse n above ROW_CAP.
+until the residue pins the valuation exactly.
 
 The row packs its k + 1 residues mod p^A into one int, in slots of
-S = bits(p^A) + R*bits(2*n_max) + 1 bits: a step is two scalar products
+S >= bits(p^A) + R*bits(2*n_max) + 1 bits: a step is two scalar products
 and a mask whatever k is, and reducing every slot once per R steps keeps
-any slot from carrying into the next; see _ScaledHRow.  stirling and
-stirling_mod run the plain row and serve as independent oracles.
+any slot from carrying into the next.  A run of integers a + 1, ...,
+a + p^e - 1 with p^e | a and e >= 2 is crossed by one product with a
+polynomial that depends only on p, e and the modulus, so reaching n takes
+O(p * log_p n) such products and short runs of steps (a row too short to
+repay building those polynomials steps all the way), and vp_H and
+vp_H_with_guard take any n; see _ScaledHRow.  vp_H_sweep reads every n
+in turn, so it still steps through every integer and refuses n_max above
+ROW_CAP.  stirling and stirling_mod run the plain row and serve as
+independent oracles.
 
 Exact rationals are fractions.Fraction values and stay normalized.
 """
@@ -30,6 +36,8 @@ Exact rationals are fractions.Fraction values and stay normalized.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from operator import mul
 
 from .core import ArgumentError, SizeCapError, ilog, is_prime, vp_int
 
@@ -47,11 +55,9 @@ __all__ = [
 
 DEFAULT_EXACT_CAP = 4096
 
-# The Stirling row steps through every integer up to n, so vp_H,
-# vp_H_with_guard and vp_H_sweep refuse n above this cap instead of
-# running for hours; the expansion engine has no such cap.  At the cap,
-# vp_H(10^7, k, 3) takes 5.8 s for k = 3 and 12 s for k = 7 (2-core x86
-# VM, Python 3.11).
+# vp_H_sweep reads the row at every n up to n_max, one step each, so it
+# refuses n_max above this cap instead of running for hours.  Single
+# values jump aligned blocks and take no cap.
 ROW_CAP = 10 ** 7
 
 
@@ -149,6 +155,55 @@ def stirling_mod(n: int, k: int, p: int, M: int) -> int:
 _REDUCE_EVERY = 16
 
 
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum_i coeffs[i] * 2^(8*width*i), for 0 <= coeffs[i] < 2^(8*width)."""
+    return int.from_bytes(
+        b"".join(c.to_bytes(width, "little") for c in coeffs), "little"
+    )
+
+
+def _unpack(packed: int, width: int, count: int, mod: int) -> list[int]:
+    """The low count slots of packed, each mod `mod`, trailing zeros dropped."""
+    packed &= (1 << 8 * width * count) - 1
+    data = packed.to_bytes(width * count, "little")
+    out = [
+        int.from_bytes(data[i : i + width], "little") % mod
+        for i in range(0, width * count, width)
+    ]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_mul(f: list[int], g: list[int], mod: int, cap: int) -> list[int]:
+    """f * g mod (mod, Z^cap) for coefficient lists of residues mod `mod`."""
+    if not f or not g:
+        return []
+    # each product coefficient is a sum of min(len) terms below mod^2
+    width = (2 * mod.bit_length() + min(len(f), len(g)).bit_length() + 7) // 8
+    return _unpack(
+        _pack(f, width) * _pack(g, width), width, min(len(f) + len(g) - 1, cap), mod
+    )
+
+
+def _poly_shift(f: list[int], p: int, r: int, mod: int) -> list[int]:
+    """f(p*Z + r) mod `mod`, by Horner's rule on W-bit slots.
+
+    Each step multiplies the packed accumulator by p*Z + r, a scalar
+    product, a shift and an add.  The exact coefficients stay below
+    len(f) * mod * (p + r)^len(f), so no slot carries into the next.
+    """
+    if not f:
+        return []
+    bits = mod.bit_length() + len(f) * (p + r).bit_length() + len(f).bit_length()
+    width = (bits + 7) // 8
+    shift = 8 * width
+    acc = 0
+    for c in reversed(f):
+        acc = r * acc + (p * acc << shift) + c
+    return _unpack(acc, width, len(f), mod)
+
+
 class _ScaledHRow:
     """Running row Z_j(n) = s(n+1, j+1) * p^(jL - vp(n!)) mod p^A, j = 0..k.
 
@@ -175,10 +230,38 @@ class _ScaledHRow:
     is below 2^bits(p^A), and a step multiplies the bound on every slot by
     at most u(n) + p^(L - vp(n)) <= 2*n_max, so with
 
-        S = bits(p^A) + R * bits(2*n_max) + 1
+        S >= bits(p^A) + R * bits(2*n_max) + 1
 
     no slot ever carries into the next one, and each residue, valuation
     and threshold decision equals that of the per-coefficient recurrence.
+
+    Block jumps.  In y, the row is the polynomial prod_{m<=n} (u(m) +
+    p^(L - vp(m)) * y) mod (y^(k+1), p^A).  Take an aligned block, the
+    integers a + i, 0 < i < p^e, with p^e | a and 2 <= e <= L.  There
+    vp(a + i) = vp(i), so with c = a / p^e and v = vp(i) the factor of
+    a + i is p^(e-v) * (c + p^(L-e) * y) + i / p^v, and the whole block is
+
+        H_e(c + p^(L-e) * y),   H_e(Z) = prod_{0<i<p^e} (p^(e-vp(i)) * Z + i/p^vp(i)).
+
+    H_e has integer coefficients, and every factor's Z coefficient is
+    divisible by p, so its Z^j coefficient h_j is divisible by p^j:
+    mod p^A, H_e has degree below A.  Splitting i by its top base-p digit
+    gives H_1(Z) = prod_{0<r<p} (p*Z + r) and
+
+        H_{e+1}(Z) = H_1(Z) * prod_{0<=r<p} H_e(p*Z + r),
+
+    so H_e is built mod (p^A, Z^A) from H_{e-1}, once per row.  The y^j
+    coefficient of the block is p^(j(L-e)) * sum_i h_i * C(i, j) * c^(i-j),
+    one dot product of a table row with the powers of c.  advance crosses
+    the largest aligned block that fits while n - self.n >= p^2: it
+    reduces the slots, multiplies P by the packed block polynomial (the
+    slot width also holds the k + 1 products below (p^A)^2 that make a
+    slot of that product, S >= 2*bits(p^A) + bits(k+1) + 1), reduces
+    again, and takes a + p^e as one ordinary step.  Everything else, and
+    every advance by less than p^2 (so all of vp_H_sweep), runs the
+    per-step loop, and so does a whole row with n_max <= p*L*A, which
+    would spend more on building H_1..H_L than the steps cost.  Each
+    residue is the same integer mod p^A either way.
     """
 
     def __init__(self, k: int, p: int, n_max: int, v_max: int) -> None:
@@ -188,11 +271,21 @@ class _ScaledHRow:
         self.A = self.kL + v_max
         self.mod = p ** max(self.A, 0)
         self.scale = [p ** (self.L - v) for v in range(self.L + 1)]
-        self.S = self.mod.bit_length() + _REDUCE_EVERY * (2 * n_max).bit_length() + 1
+        bits = self.mod.bit_length()
+        self.S = max(
+            bits + _REDUCE_EVERY * (2 * n_max).bit_length() + 1,
+            2 * bits + (k + 1).bit_length() + 1,
+        )
         self.mask = (1 << self.S * (k + 1)) - 1
         self.n = 0
         self.packed = 1
         self.pending = 0  # steps since the slots were last reduced
+        # Building H_1..H_L costs about p*L*A slot operations and each of
+        # them about as much as a step, so a row that cannot travel further
+        # than that steps all the way.
+        self.jumps = n_max > p * self.L * max(self.A, 1)
+        self._block_polys: list[list[int]] = []  # [e - 1]: H_e mod (p^A, Z^A)
+        self._tables: dict[int, list[list[int]]] = {}
 
     def _reduced(self, packed: int) -> int:
         S, mod = self.S, self.mod
@@ -208,6 +301,23 @@ class _ScaledHRow:
             raise ValueError(
                 f"row at n={self.n} cannot move to {n} (n_max={self.n_max})"
             )
+        p = self.p
+        pp = p * p
+        while self.jumps and n - self.n >= pp:
+            a = self.n
+            if a % pp:
+                self._step(a + pp - a % pp)
+                continue
+            e, q = 2, pp
+            while a % (q * p) == 0 and a + q * p <= n:
+                e, q = e + 1, q * p
+            self._block(e, a // q)
+            self._step(a + q)
+        self._step(n)
+        return (self.packed >> self.S * self.k) % self.mod
+
+    def _step(self, n: int) -> None:
+        """Multiply in the factors of self.n + 1, ..., n one at a time."""
         p, S, mask, scale = self.p, self.S, self.mask, self.scale
         packed, pending = self.packed, self.pending
         for m in range(self.n + 1, n + 1):
@@ -221,7 +331,54 @@ class _ScaledHRow:
                 packed = self._reduced(packed)
                 pending = 0
         self.packed, self.pending, self.n = packed, pending, n
-        return (packed >> S * self.k) % self.mod
+
+    def _block(self, e: int, c: int) -> None:
+        """Multiply in the factors of c*p^e + i, 0 < i < p^e, as one product."""
+        mod = self.mod
+        rows = self._block_table(e)
+        c %= mod
+        powers = [1]  # row 0 is the longest, one entry per term of H_e
+        for _ in range(1, len(rows[0])):
+            powers.append(powers[-1] * c % mod)
+        factor = 0
+        for row in reversed(rows):
+            factor = factor << self.S | sum(map(mul, row, powers)) % mod
+        packed = self._reduced(self.packed) if self.pending else self.packed
+        self.packed = self._reduced(packed * factor & self.mask)
+        self.pending = 0
+        self.n += self.p ** e - 1
+
+    def _block_table(self, e: int) -> list[list[int]]:
+        """Rows p^(j(L-e)) * h_i * C(i, j) mod p^A, i >= j, of H_e, j = 0..k."""
+        rows = self._tables.get(e)
+        if rows is None:
+            h, mod, p = self._block_poly(e), self.mod, self.p
+            rows = []
+            for j in range(self.k + 1):
+                lift = p ** (j * (self.L - e)) % mod
+                row = [h[i] * comb(i, j) * lift % mod for i in range(j, len(h))]
+                while row and not row[-1]:
+                    row.pop()
+                rows.append(row)
+            self._tables[e] = rows
+        return rows
+
+    def _block_poly(self, e: int) -> list[int]:
+        """H_e mod (p^A, Z^A), built from H_1 up on first use."""
+        H, p, mod = self._block_polys, self.p, self.mod
+        cap = max(self.A, 0)
+        if not H:
+            h1 = [1 % mod]
+            for r in range(1, p):
+                h1 = _poly_mul(h1, [r % mod, p % mod], mod, cap)
+            H.append(h1)
+        while len(H) < e:
+            prev = H[-1]
+            h = H[0]
+            for r in range(p):
+                h = _poly_mul(h, _poly_shift(prev, p, r, mod), mod, cap)
+            H.append(h)
+        return H[e - 1]
 
     def vp_at_least(self, n: int, t: int) -> bool:
         """Whether vp(H(n, k)) >= t, for t <= max(v_max, -kL)."""
@@ -237,14 +394,6 @@ class _ScaledHRow:
         """vp(H(n, k)) if it lies below v_max, else None."""
         residue = self.advance(n)
         return vp_int(residue, self.p) - self.kL if residue else None
-
-
-def _check_row_cap(n: int) -> None:
-    if n > ROW_CAP:
-        raise SizeCapError(
-            f"n={n} exceeds the Stirling row cap {ROW_CAP}; "
-            "the expansion engine (val --method expansion) has no cap"
-        )
 
 
 def _initial_guard(n: int, k: int, p: int) -> int:
@@ -265,7 +414,6 @@ def vp_H_with_guard(n: int, k: int, p: int) -> tuple[int, int]:
     _check_range(n, k)
     if not is_prime(p):
         raise ArgumentError(f"p must be prime, got {p}")
-    _check_row_cap(n)
     v_max = _initial_guard(n, k, p)
     while True:
         val = _ScaledHRow(k, p, n, v_max).vp(n)
@@ -275,7 +423,7 @@ def vp_H_with_guard(n: int, k: int, p: int) -> tuple[int, int]:
 
 
 def vp_H(n: int, k: int, p: int) -> int:
-    """Exact finite vp(H(n, k)) via the scaled Stirling row, n <= ROW_CAP."""
+    """Exact finite vp(H(n, k)) via the scaled Stirling row."""
     return vp_H_with_guard(n, k, p)[0]
 
 
@@ -292,7 +440,11 @@ def vp_H_sweep(n_max: int, k: int, p: int) -> dict[int, int]:
         raise ArgumentError(f"n_max must be at least k, got {n_max}")
     if not is_prime(p):
         raise ArgumentError(f"p must be prime, got {p}")
-    _check_row_cap(n_max)
+    if n_max > ROW_CAP:
+        raise SizeCapError(
+            f"n_max={n_max} exceeds the Stirling sweep cap {ROW_CAP}; "
+            "a sweep steps through every integer up to n_max"
+        )
     row = _ScaledHRow(k, p, n_max, _initial_guard(n_max, k, p))
     out: dict[int, int] = {}
     for n in range(k, n_max + 1):

@@ -360,11 +360,12 @@ def test_size_cap_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("method", ["both", "stirling"])
-def test_row_cap_exits_2(capsys, method):
-    # the Stirling row would step through every integer below 10^30
-    rc, out, err = run(capsys, "val", "--p", "3", "--n", str(10 ** 30), "--k", "3",
-                       "--method", method)
-    assert rc == 2 and out == "" and "--method expansion" in err
+def test_val_single_values_take_no_row_cap(capsys, method):
+    # n = 10^20 + 12345 lies far past the sweep cap; the row jumps aligned
+    # blocks instead of stepping through every integer below n
+    rc, out, err = run(capsys, "val", "--p", "3", "--n", "100000000000000012345",
+                       "--k", "3", "--method", method)
+    assert rc == 0 and err == "" and json.loads(out)["valuation"] == -120
 
 
 def test_expansion_method_has_no_row_cap(capsys):

@@ -7,7 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicharm import valuation
-from padicharm.core import INFINITE, SizeCapError, to_digits, vp, vp_factorial, vp_int
+from padicharm.core import (
+    DigitString,
+    INFINITE,
+    SizeCapError,
+    ilog,
+    structure_constants,
+    to_digits,
+    vp,
+    vp_factorial,
+    vp_int,
+)
+from padicharm.expansion import vp_H_expansion
 from padicharm.valuation import (
     _REDUCE_EVERY,
     _ScaledHRow,
@@ -188,14 +199,15 @@ def test_vp_H_rejections():
 
 
 def test_row_entry_points_refuse_n_above_the_cap(monkeypatch):
-    # a small cap, so that an entry point missing the check returns a value
-    # instead of stepping a row to 10^30
+    # a small cap, so that a sweep missing the check returns a value instead
+    # of stepping through every integer up to 10^30; single values jump
+    # aligned blocks, so they take no cap
     monkeypatch.setattr(valuation, "ROW_CAP", 50)
-    assert vp_H(50, 2, 3) == exact_vp_H(50, 2, 3)
     assert vp_H_sweep(50, 2, 3)[50] == exact_vp_H(50, 2, 3)
-    for call in (vp_H, vp_H_with_guard, vp_H_sweep):
-        with pytest.raises(SizeCapError, match="expansion"):
-            call(51, 2, 3)
+    with pytest.raises(SizeCapError, match="sweep"):
+        vp_H_sweep(51, 2, 3)
+    for n in (51, 3000):
+        assert vp_H(n, 2, 3) == vp_H_with_guard(n, 2, 3)[0] == exact_vp_H(n, 2, 3)
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (5, 3), (7, 1)])
@@ -349,3 +361,101 @@ def test_packed_row_where_its_slots_fill_up(k):
     oracle = _PerCoefficientRow(k, p, n_max, 6)
     for n in range(n_max - 40 * _REDUCE_EVERY, n_max + 1, 7):
         assert row.advance(n) == oracle.advance(n), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=10 ** 6),
+    st.integers(min_value=-4, max_value=40),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=48),
+            st.integers(min_value=0, max_value=10 ** 5),
+        ),
+        max_size=8,
+    ),
+)
+@settings(deadline=None, max_examples=20)
+def test_block_jumps_match_per_coefficient_steps(p, k, n_max, v_max, gaps):
+    # gaps of p^2 or more cross aligned p^e blocks in one product each;
+    # shorter ones, and the ends of long ones, run the per-step loop
+    row = _ScaledHRow(k, p, n_max, v_max)
+    oracle = _PerCoefficientRow(k, p, n_max, v_max)
+    n = 0
+    for gap in gaps:
+        n = min(n + gap, n_max)
+        assert row.advance(n) == oracle.advance(n), n
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 8), (3, 5)])
+def test_block_products_where_the_modulus_sets_the_slot_width(p, k):
+    # v_max = 400 makes 2*bits(p^A) exceed bits(p^A) + R*bits(2 n_max): the
+    # slots must hold the k + 1 products of two residues that a block makes
+    row = _ScaledHRow(k, p, 40000, 400)
+    assert row.jumps
+    assert row.S == 2 * row.mod.bit_length() + (k + 1).bit_length() + 1
+    oracle = _PerCoefficientRow(k, p, 40000, 400)
+    for n in (7, 100, 1000, 1024, 3333, 40000):
+        assert row.advance(n) == oracle.advance(n), n
+
+
+def test_sweep_steps_every_integer(monkeypatch):
+    # a sweep reads the row at every n, so it never crosses a block
+    def no_block(self, e, c):
+        raise AssertionError(f"block e={e} taken in a sweep")
+
+    monkeypatch.setattr(_ScaledHRow, "_block", no_block)
+    sweep = vp_H_sweep(3000, 3, 3)
+    assert all(sweep[n] == exact_vp_H(n, 3, 3) for n in (3, 81, 729, 2187, 3000))
+
+
+def _direct_block_poly(p, e, A):
+    """prod_{0<i<p^e} (p^(e-vp(i)) Z + i/p^vp(i)) mod (p^A, Z^A), factor by factor."""
+    if A <= 0:
+        return []
+    mod = p ** A
+    poly = [1]
+    for i in range(1, p ** e):
+        v = vp_int(i, p)
+        slope, const = p ** (e - v), i // p ** v
+        out = [0] * min(len(poly) + 1, A)
+        for d, c in enumerate(poly):
+            out[d] = (out[d] + const * c) % mod
+            if d + 1 < A:
+                out[d + 1] = (out[d + 1] + slope * c) % mod
+        poly = out
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("v_max", [-30, 1, 12])
+def test_block_polynomials_match_the_direct_product(p, v_max):
+    # every H_e with p^e <= 3000, built by the top-digit recurrence, against
+    # the product of its p^e - 1 linear factors; v_max = -30 leaves A <= 0
+    row = _ScaledHRow(3, p, 3000, v_max)
+    for e in range(1, ilog(3000, p) + 1):
+        assert row._block_poly(e) == _direct_block_poly(p, e, max(row.A, 0)), e
+
+
+def test_vp_H_matches_exact_expansion_verdicts_past_the_sweep_cap():
+    # 8- to 20-digit n extending the root digits of (p, k): the row jumps
+    # aligned blocks, the expansion engine walks the digits, and every exact
+    # verdict must equal vp_H
+    rng = random.Random(20)
+    exact_count = 0
+    for p, k in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)]:
+        sc = structure_constants(k, p)
+        for _ in range(3):
+            target = 10 ** rng.randint(7, 19)
+            digits = sc.root_digits.digits
+            while DigitString(p, digits).value < target:
+                digits = digits + (rng.randrange(p),)
+            n = DigitString(p, digits).value
+            verdict = vp_H_expansion(n, k, p)
+            if verdict.is_exact:
+                exact_count += 1
+                assert vp_H(n, k, p) == verdict.value, (n, k, p)
+    assert exact_count >= 12
