@@ -4,11 +4,9 @@ trees that organize them, and a verifier for the claims they satisfy."""
 __version__ = "0.1.0"
 
 from .core import (
-    INFINITE,
     ArgumentError,
     DigitString,
     EngineDisagreement,
-    InfiniteValuation,
     PrecisionError,
     SizeCapError,
     StructureConstants,

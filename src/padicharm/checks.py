@@ -23,16 +23,14 @@ from typing import Callable
 
 from .core import (
     ArgumentError,
-    SizeCapError,
     a_p_set,
     a_p_set_by_filter,
     bp_count,
-    cp,
     free_p,
     ilog,
+    is_prime,
     structure_constants,
     to_digits,
-    vp,
     vp_factorial,
     vp_int,
 )
@@ -338,18 +336,14 @@ def check_integral_scan(n_max: int = 40) -> CheckReport:
 
 
 def check_corollary_2adic(
-    S: int = 14,
-    sample_count: int = 500,
-    seed: int = 0,
-    *,
-    exact_cross_max: int = 4096,
+    S: int = 14, sample_count: int = 500, seed: int = 0
 ) -> CheckReport:
     """Branch-bit description of v2(H(n, 2)) on seeded random n <= 2^S.
 
     Digits matching the branch bits through position s force the valuation
     to at least 1 - s; a first mismatch at position r pins it to r - 2s.
-    Samples below exact_cross_max are also cross-checked against exact
-    rationals.
+    Samples up to min(DEFAULT_EXACT_CAP, 2^S) are also cross-checked
+    against exact Stirling numbers.
     """
     if S < 1 or sample_count < 0:
         raise ArgumentError(
@@ -363,16 +357,8 @@ def check_corollary_2adic(
         int("".join(map(str, bits[: s + 1])), 2) for s in range(1, S + 1)
     ]
     samples = [rng.randint(2, 2 ** S) for _ in range(sample_count)] + prefix_values
-    exact_vals: dict[int, int] = {}
-    if exact_cross_max:
-        cross_max = min(exact_cross_max, 2 ** S)
-        if cross_max < 0:
-            raise ArgumentError(f"exact_cross_max must be nonnegative, got {exact_cross_max}")
-        if cross_max > DEFAULT_EXACT_CAP:
-            raise SizeCapError(
-                f"n_max={cross_max} exceeds exact-arithmetic cap {DEFAULT_EXACT_CAP}"
-            )
-        exact_vals = _exact_H_valuations({n for n in samples if n <= cross_max}, 2, 2)
+    cross_max = min(DEFAULT_EXACT_CAP, 2 ** S)
+    exact_vals = _exact_H_valuations({n for n in samples if n <= cross_max}, 2, 2)
     matched = mismatched = crossed = 0
     witness = None
 
@@ -406,7 +392,7 @@ def check_corollary_2adic(
             break
     return CheckReport(
         claim_id="corollary-2adic",
-        parameters={"S": S, "sample_count": sample_count, "exact_cross_max": exact_cross_max},
+        parameters={"S": S, "sample_count": sample_count, "exact_cross_max": DEFAULT_EXACT_CAP},
         observed={"matched": matched, "mismatched": mismatched, "exact_crossed": crossed},
         bound="match: vp >= 1-s; mismatch at r: vp = r-2s",
         passed=witness is None,
@@ -507,24 +493,27 @@ def _harm_window_hits(
     harmonic: list[Fraction], p: int, x: int, y: int, r: Fraction
 ) -> tuple[int, list[int]]:
     """The v in [x, x+y] with vp(H_v - r) > 0, and how many there are,
-    read from a table of H_0..H_(x+y) or longer."""
-    hits = [v for v in range(x, x + y + 1) if vp(harmonic[v] - r, p) > 0]
+    read from a table of H_0..H_(x+y) or longer.  A reduced fraction has
+    vp > 0 (or is 0) exactly when p divides its numerator."""
+    hits = [v for v in range(x, x + y + 1) if (harmonic[v] - r).numerator % p == 0]
     return len(hits), hits
 
 
-def check_harm_count_suite(
-    p: int, cases: int = 100, seed: int = 0, *, x_max: int = 400
-) -> CheckReport:
+# harm-count windows [x, x + y] start at x <= this
+_HARM_X_MAX = 400
+
+
+def check_harm_count_suite(p: int, cases: int = 100, seed: int = 0) -> CheckReport:
     """Seeded batch of harmonic congruence windows for one prime."""
     if cases < 1:
         raise ArgumentError(f"cases must be positive, got {cases}")
     rng = random.Random(seed)
-    # every window [x, x+y] has x <= x_max and y <= p-1
-    harmonic = _harmonic_numbers(x_max + p - 1)
+    # every window [x, x+y] has x <= _HARM_X_MAX and y <= p-1
+    harmonic = _harmonic_numbers(_HARM_X_MAX + p - 1)
     worst = 0
     witness = None
     for _ in range(cases):
-        x = rng.randint(1, x_max)
+        x = rng.randint(1, _HARM_X_MAX)
         y = rng.randint(1, p - 1)
         r = Fraction(0) if rng.random() < 0.25 else Fraction(
             rng.randint(-p * p, p * p), rng.randint(1, 4 * p)
@@ -536,7 +525,7 @@ def check_harm_count_suite(
             break
     return CheckReport(
         claim_id="harm-count",
-        parameters={"p": p, "cases": cases, "x_max": x_max},
+        parameters={"p": p, "cases": cases, "x_max": _HARM_X_MAX},
         observed={"worst_count": worst},
         bound="1.5 * y^(2/3) + 1",
         passed=witness is None,
@@ -547,12 +536,16 @@ def check_harm_count_suite(
 
 def cpicong_hit_count(p: int, q: Fraction, a: int) -> tuple[int, list[int]]:
     """d in [0, p-1] with sum_{i=a}^{a+d} 1/cp(i) congruent to q mod p."""
+    if not is_prime(p):
+        raise ArgumentError(f"modulus must be prime, got {p}")
+    if a < 1:
+        raise ArgumentError(f"index must be positive, got {a}")
     hits = []
     total = Fraction(0)
-    for d in range(p):
-        total += Fraction(1, cp(a + d, p))
-        if vp(total - q, p) > 0:
-            hits.append(d)
+    for i in range(a, a + p):
+        total += Fraction(1, i + (i - 1) // (p - 1))  # cp(i, p)
+        if (total - q).numerator % p == 0:  # vp(total - q) > 0, or total == q
+            hits.append(i - a)
     return len(hits), hits
 
 
@@ -618,7 +611,11 @@ def _primes_upto(n: int) -> list[int]:
     return [i for i in range(n + 1) if sieve[i]]
 
 
-def check_p59_exponent(prime_bound: int = 1000, *, guard: float = 1e-6) -> CheckReport:
+# p59-exponent escalates precision while a comparison lies this close to a tie
+_P59_GUARD = 1e-6
+
+
+def check_p59_exponent(prime_bound: int = 1000) -> CheckReport:
     """The per-prime exponent log_p(min(3((p-2)/2)^(2/3)+2, ceil(p/2)))
     peaks at p = 59 and stays below 0.835.
 
@@ -646,7 +643,9 @@ def check_p59_exponent(prime_bound: int = 1000, *, guard: float = 1e-6) -> Check
         vals = g_values(prec)
         ranked = sorted(vals, key=lambda t: (-t[0], t[1]))
         (g_top, p_top), (g_second, _) = ranked[0], ranked[1]
-        margin_ok = float(g_top - g_second) > guard and abs(float(g_top) - 0.835) > guard
+        margin_ok = (
+            float(g_top - g_second) > _P59_GUARD and abs(float(g_top) - 0.835) > _P59_GUARD
+        )
         if margin_ok:
             break
         prec *= 2

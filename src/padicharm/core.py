@@ -9,16 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 __all__ = [
     "ArgumentError",
     "SizeCapError",
     "PrecisionError",
     "EngineDisagreement",
-    "InfiniteValuation",
-    "INFINITE",
-    "Valuation",
     "DigitString",
     "StructureConstants",
     "is_prime",
@@ -87,50 +84,6 @@ def is_prime(n: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ArgumentError(f"modulus must be prime, got {p}")
-
-
-class InfiniteValuation:
-    """Valuation of zero.  Compares above every integer; no arithmetic."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "oo"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InfiniteValuation)
-
-    def __hash__(self) -> int:
-        return hash("InfiniteValuation")
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, InfiniteValuation):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (InfiniteValuation, int)):
-            return True
-        return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (InfiniteValuation, int)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, InfiniteValuation):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-
-INFINITE = InfiniteValuation()
-
-Valuation = Union[int, InfiniteValuation]
 
 
 @dataclass(frozen=True)
@@ -269,7 +222,7 @@ def vp_int(x: int, p: int) -> int:
     For p = 2 the valuation is the index of the lowest set bit.
     """
     if x == 0:
-        raise ValueError("valuation of zero is infinite; use vp")
+        raise ValueError("valuation of zero is infinite")
     if p == 2:
         return (x & -x).bit_length() - 1
     x = abs(x)
@@ -290,17 +243,9 @@ def vp_int(x: int, p: int) -> int:
     return v
 
 
-def vp(q: Union[int, Fraction], p: int, denominator: int | None = None) -> Valuation:
-    """p-adic valuation of a rational; INFINITE exactly for q = 0.
-
-    Accepts an int, a Fraction, or a (numerator, denominator) pair via the
-    optional third argument.
-    """
+def vp(q: int | Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero int or Fraction; refuses 0 as vp_int does."""
     _require_prime(p)
-    if denominator is not None:
-        q = Fraction(q, denominator)
-    if q == 0:
-        return INFINITE
     if isinstance(q, int):
         return vp_int(q, p)
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
@@ -400,11 +345,11 @@ def pi_p_mod(k: int, p: int, M: int) -> int:
     """
     if M < 1:
         raise ArgumentError(f"M must be positive, got {M}")
-    sc = structure_constants(k, p)
+    sc = structure_constants(k, p)  # validates p
     mod = p ** M
     prod = 1
     for v in range(sc.t + 1):
         count = bp_count(sc.root_digits.prefix(v + 1))
         for i in range(1, count + 1):
-            prod = prod * cp(i, p) % mod
+            prod = prod * (i + (i - 1) // (p - 1)) % mod  # cp(i, p)
     return pow(prod, -1, mod)

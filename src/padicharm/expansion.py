@@ -24,6 +24,13 @@ term of a child of a depth-d node enters it times p^d, so that node folds
 its table, and its children's block sums, mod p^(M - d) (at least p^1),
 and the precision a walk carries shrinks as it goes deeper.
 
+M is derived from the decisions a walk makes, with no guard digits.  A tree
+build reads sigma mod p^(u+1) at depth u + 1 <= max_depth, so it carries
+M = max(max_depth, 1); vp_H_expansion reads whether vp(sigma) <= v at
+depth v + 1 <= s - t, so it carries M = s - t.  A residue that keeps those
+digits decides each test exactly, and the tests pin the rule: either walk
+one digit short changes tree levels and valuations.
+
 Reciprocal power sums over the coprime sequence c_p are the workhorse.
 The sequence is periodic in blocks of p - 1 consecutive units, so a
 prefix sum splits into Q full blocks plus a short tail; the full blocks
@@ -554,7 +561,7 @@ class ExpansionVerdict:
         return v
 
 
-def vp_H_expansion(n: int, k: int, p: int, guard: int = 4) -> ExpansionVerdict:
+def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     """vp(H(n, k)) from the digit-local expansion.
 
     Walks one node down the digits of n, so each digit group is folded
@@ -562,7 +569,9 @@ def vp_H_expansion(n: int, k: int, p: int, guard: int = 4) -> ExpansionVerdict:
     the first index v where its valuation is exactly v; later terms carry
     at least v + 1 powers of p and cannot disturb it, so the valuation
     U + v - k*s is exact.  If the whole scan stays above its index, only
-    the tail bound remains.
+    the tail bound remains.  The scan reads vp(sigma) <= v for v < s - t,
+    so the walk carries sigma mod p^(s - t): a residue below that modulus
+    has its true valuation, and a zero one clears every index.
     """
     d = to_digits(n, p)
     sc = structure_constants(k, p)
@@ -573,7 +582,7 @@ def vp_H_expansion(n: int, k: int, p: int, guard: int = 4) -> ExpansionVerdict:
     s = len(d) - 1
     if s < sc.t + 1:
         raise ArgumentError(f"n={n} needs at least {sc.t + 2} digits in base {p}")
-    node = _WalkNode.root(k, p, (s - sc.t) + max(guard, 1))
+    node = _WalkNode.root(k, p, s - sc.t)
     for v, b in enumerate(d.digits[sc.t + 1:]):
         node = node.child(b)
         acc = node.sigma

@@ -79,7 +79,6 @@ class PTree:
     status: str
     max_depth: int
     engine: str
-    guard: int
     dual_checks: int = 0
     stats: ChildStats | None = None
 
@@ -103,29 +102,25 @@ def _membership_threshold(sc: StructureConstants, k: int, child_len: int) -> int
     return sc.W - (k - 1) * s + 1
 
 
-def build_tree(
-    p: int,
-    k: int,
-    max_depth: int = 32,
-    engine: str = "both",
-    *,
-    guard: int = 4,
-    dual_value_cap: int = DUAL_VALUE_CAP,
-) -> PTree:
+def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTree:
     """Build the digit tree of (p, k) down to max_depth levels.
 
     engine "expansion" tests membership through the weighted h_p sums,
     "stirling" through the running Stirling row, "both" runs the two and
     aborts on mismatch.  In dual mode the Stirling side covers every child
-    value up to dual_value_cap; the expansion side always runs.  Children are
+    value up to DUAL_VALUE_CAP; the expansion side always runs.  Children are
     evaluated in increasing value order, so one row serves the whole build.
+
+    A child at level u + 1 is a member when its sigma vanishes mod p^(u+1),
+    and u < max_depth, so the walk carries sigma mod p^max(max_depth, 1):
+    exactly the digits the deepest test reads, and no more.
     """
     if engine not in ("stirling", "expansion", "both"):
         raise ArgumentError(f"unknown engine {engine!r}")
     if max_depth < 0:
         raise ArgumentError(f"max_depth must be nonnegative, got {max_depth}")
     use_exp = engine in ("expansion", "both")
-    root = _WalkNode.root(k, p, max_depth + 1 + max(guard, 2))
+    root = _WalkNode.root(k, p, max(max_depth, 1))
     sc = root.sc
     levels: list[list[DigitString]] = [[root.digits]]
     frontier = [root]
@@ -140,7 +135,7 @@ def build_tree(
     if engine != "expansion":
         st_cap = p ** (len(root.digits) + max_depth) - 1
         if engine == "both":
-            st_cap = min(st_cap, dual_value_cap)
+            st_cap = min(st_cap, DUAL_VALUE_CAP)
         row = _ScaledHRow(
             k, p, max(st_cap, 1), _membership_threshold(sc, k, len(root.digits) + 1)
         )
@@ -185,7 +180,6 @@ def build_tree(
         status=status,
         max_depth=max_depth,
         engine=engine,
-        guard=guard,
         dual_checks=dual_checks,
     )
     tree.stats = child_stats(tree)
@@ -227,18 +221,19 @@ class FSequence:
         return len(self.bits)
 
 
-def f_sequence(S: int, *, guard: int = 4) -> FSequence:
+def f_sequence(S: int) -> FSequence:
     """Bits f_0..f_S for p = 2, k = 2.
 
     f_s is the digit b that keeps the membership inequality
     vp(H(<f_0..f_{s-1},b>, 2)) >= 1 - s, i.e. the last digit of the single
     node at level s of the (2, 2) tree, built here by the expansion engine.
     That tree branches exactly once per level; a level of any other size
-    raises EngineDisagreement.
+    raises EngineDisagreement.  The walk carries sigma mod p^max(S, 1), the
+    precision build_tree derives for depth S.
     """
     if S < 0:
         raise ArgumentError(f"S must be nonnegative, got {S}")
-    tree = build_tree(2, 2, S, engine="expansion", guard=guard)
+    tree = build_tree(2, 2, S, engine="expansion")
     sizes = [len(level) for level in tree.levels]
     if sizes != [1] * (S + 1):
         raise EngineDisagreement(

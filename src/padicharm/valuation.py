@@ -68,15 +68,15 @@ def _check_range(n: int, k: int) -> None:
         raise ArgumentError(f"k must not exceed n, got n={n}, k={k}")
 
 
-def exact_H(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
+def exact_H(n: int, k: int) -> Fraction:
     """Exact H(n, k) as a reduced Fraction; H(n, 0) = 1.
 
-    n is soft-capped (default 4096) because the denominators grow like
-    lcm(1..n)^k; raise the cap explicitly for bigger sweeps.
+    n is capped at DEFAULT_EXACT_CAP because the denominators grow like
+    lcm(1..n)^k.
     """
     _check_range(n, k)
-    if n > cap:
-        raise SizeCapError(f"n={n} exceeds exact-arithmetic cap {cap}")
+    if n > DEFAULT_EXACT_CAP:
+        raise SizeCapError(f"n={n} exceeds exact-arithmetic cap {DEFAULT_EXACT_CAP}")
     row = [Fraction(1)] + [Fraction(0)] * k
     for m in range(1, n + 1):
         for j in range(min(k, m), 0, -1):
@@ -84,13 +84,13 @@ def exact_H(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> Fraction:
     return row[k]
 
 
-def exact_H_table(
-    n_max: int, k_max: int, cap: int = DEFAULT_EXACT_CAP
-) -> list[list[Fraction]]:
+def exact_H_table(n_max: int, k_max: int) -> list[list[Fraction]]:
     """Rows H(n, 0..min(n, k_max)) for n = 0..n_max, one shared sweep."""
     _check_range(n_max, 0)
-    if n_max > cap:
-        raise SizeCapError(f"n_max={n_max} exceeds exact-arithmetic cap {cap}")
+    if n_max > DEFAULT_EXACT_CAP:
+        raise SizeCapError(
+            f"n_max={n_max} exceeds exact-arithmetic cap {DEFAULT_EXACT_CAP}"
+        )
     row = [Fraction(1)] + [Fraction(0)] * k_max
     out = [row[:1]]
     for m in range(1, n_max + 1):
@@ -121,7 +121,7 @@ def _stirling_row(n: int, k: int, mod: int | None = None) -> list[int]:
     return row
 
 
-def stirling(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> int:
+def stirling(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind s(n, k), exactly.
 
     Counts permutations of n elements with exactly k cycles; k = 0 gives 0
@@ -131,8 +131,8 @@ def stirling(n: int, k: int, cap: int = DEFAULT_EXACT_CAP) -> int:
         raise ArgumentError(f"n must be positive, got {n}")
     if not 0 <= k <= n:
         raise ArgumentError(f"k must lie in [0, {n}], got {k}")
-    if n > cap:
-        raise SizeCapError(f"n={n} exceeds exact-arithmetic cap {cap}")
+    if n > DEFAULT_EXACT_CAP:
+        raise SizeCapError(f"n={n} exceeds exact-arithmetic cap {DEFAULT_EXACT_CAP}")
     return _stirling_row(n, k)[k]
 
 

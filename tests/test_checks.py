@@ -26,7 +26,7 @@ from padicharm.checks import (
     monitor_lower_bound,
 )
 from padicharm import checks
-from padicharm.core import SizeCapError, a_p_set, a_p_set_by_filter, free_p, vp_int
+from padicharm.core import a_p_set, a_p_set_by_filter, free_p, vp_int
 from padicharm.expansion import h_p_mod
 from padicharm.core import structure_constants, to_digits, vp
 from padicharm.valuation import exact_H_table
@@ -151,7 +151,7 @@ def test_integral_scan(n_max, expected):
 
 
 def test_corollary_2adic_seeded():
-    report = check_corollary_2adic(S=10, sample_count=150, seed=11, exact_cross_max=512)
+    report = check_corollary_2adic(S=10, sample_count=150, seed=11)
     assert report.passed, report.witness
     assert report.observed["matched"] >= 10  # prefix cases are always included
     assert report.observed["mismatched"] > 100
@@ -160,7 +160,7 @@ def test_corollary_2adic_seeded():
 
 def test_corollary_2adic_handpicked_cases():
     # n = 4 mismatches at r = 1 with s = 2, n = 6 matches through s = 2
-    report = check_corollary_2adic(S=2, sample_count=0, seed=0, exact_cross_max=8)
+    report = check_corollary_2adic(S=2, sample_count=0, seed=0)
     assert report.passed
 
 
@@ -170,11 +170,6 @@ def test_corollary_integer_row_matches_exact_rationals():
     table = exact_H_table(1024, 2)
     ns = set(range(2, 1025))
     assert _exact_H_valuations(ns, 2, 2) == {n: vp(table[n][2], 2) for n in ns}
-
-
-def test_corollary_exact_cross_keeps_the_size_cap():
-    with pytest.raises(SizeCapError):
-        check_corollary_2adic(S=13, sample_count=1, seed=0, exact_cross_max=8192)
 
 
 @pytest.mark.parametrize("p, k, x", [(2, 2, 64), (3, 2, 243)])
@@ -192,10 +187,9 @@ def test_ubound_rejects_small_x():
 
 def harm_hits_by_fraction_scan(p, x, y, r):
     """Hits of vp(H_v - r) > 0 for v in [x, x+y], each H_v summed afresh."""
-    hits = [
-        v for v in range(x, x + y + 1)
-        if vp(sum((Fraction(1, i) for i in range(1, v + 1)), Fraction(0)) - r, p) > 0
-    ]
+    diffs = {v: sum((Fraction(1, i) for i in range(1, v + 1)), Fraction(0)) - r
+             for v in range(x, x + y + 1)}
+    hits = [v for v, d in diffs.items() if d == 0 or vp(d, p) > 0]
     return len(hits), hits
 
 
@@ -219,7 +213,7 @@ def test_harm_count_suite_seeded():
     st.data(),
 )
 def test_suite_window_counts_match_a_fraction_scan(p, x, data):
-    # the suite reads every window from one shared table of H_0..H_(x_max+p-1)
+    # the suite reads every window from one shared table of H_0..H_(_HARM_X_MAX+p-1)
     y = data.draw(st.integers(min_value=1, max_value=p - 1))
     r = Fraction(data.draw(st.integers(-p * p, p * p)), data.draw(st.integers(1, 4 * p)))
     shared = _harm_window_hits(_harmonic_numbers(400 + p - 1), p, x, y, r)

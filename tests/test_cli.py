@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -123,15 +124,40 @@ def test_verify_runs_a_row_added_only_to_the_check_table(capsys, monkeypatch):
     assert rc == 2 and err.rstrip().endswith("lower-bound-monitor, dummy")
 
 
-def test_readme_lists_the_check_table():
+def readme_text():
     import padicharm
 
     readme = os.path.join(os.path.dirname(padicharm.__file__), "..", "..", "README.md")
     with open(readme, encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def test_readme_lists_the_check_table():
+    text = readme_text()
     start = text.index("Check names for `verify`:") + len("Check names for `verify`:")
     sentence = text[start:text.index(".", start)]
     assert re.findall(r"`([a-z0-9-]+)`", sentence) == list(checks.CHECKS)
+
+
+def test_readme_cli_examples_run(capsys):
+    # every `padicharm ...` line of the README's CLI block, comments dropped
+    block = readme_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("padicharm ")
+    ]
+    assert len(examples) == 8
+    first_out = {}
+    for argv in examples:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, (argv, err)
+        first_out.setdefault(argv[0], out)
+    # the results the block annotates
+    assert json.loads(first_out["val"])["valuation"] == -2
+    assert json.loads(first_out["fseq"]).startswith("110")
+    pairs = [(row["n"], row["k"]) for row in map(json.loads, first_out["scan"].splitlines())]
+    assert pairs == [(1, 1), (3, 2)]
 
 
 def test_verify_randomized_requires_seed(capsys):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicharm.core import (
-    INFINITE,
     DigitString,
     a_p_set,
     a_p_set_by_filter,
@@ -131,9 +130,13 @@ def test_cp_strictly_increasing_and_coprime(i, p):
 def test_vp_examples():
     assert vp(Fraction(25, 12), 5) == 2
     assert vp(Fraction(11, 6), 2) == -1
-    assert vp(0, 7) is INFINITE
-    assert vp(9, 3, denominator=4) == 2
     assert free_p(24, 2) == 3
+
+
+def test_vp_refuses_zero():
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            vp(zero, 7)
 
 
 def test_vp_int_huge_valuation():
@@ -170,13 +173,6 @@ def test_vp_int_base_2_matches_halving(e, m, negative):
 def test_vp_multiplicative(a, b, c, d, p):
     x, y = Fraction(a, b), Fraction(c, d)
     assert vp(x * y, p) == vp(x, p) + vp(y, p)
-
-
-def test_infinite_valuation_ordering():
-    assert INFINITE > 10 ** 9
-    assert not INFINITE < -5
-    assert INFINITE >= INFINITE
-    assert INFINITE == INFINITE
 
 
 @pytest.mark.parametrize(

@@ -463,7 +463,7 @@ def test_h_p_matches_fraction_oracle_and_is_integral(p, k):
         if prefix.value > 260:
             continue
         value = ref_h_p(prefix, k)
-        assert vp(value, p) >= 0
+        assert value == 0 or vp(value, p) >= 0
         for M in (1, 3, 5):
             assert h_p_mod(prefix, k, M) == frac_mod(value, p, M)
 
@@ -544,6 +544,34 @@ def test_walk_widens_each_parent_once(monkeypatch):
         for prefix, width in refolds:
             # the parent is at full width; only its children need more
             assert sc.U + len(prefix) - len(sc.root_digits) == width // 2
+
+
+def test_derived_walk_precision_needs_no_extra_digits(monkeypatch):
+    # Tree builds and vp_H_expansion carry exactly the digits their tests
+    # read; walks that carry 8 more must decide everything the same way.
+    trees = [(3, 7, 32), (2, 2, 64), (3, 14, 40)]
+    rng = random.Random(2024)
+    inputs = []
+    while len(inputs) < 200:
+        p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 8)
+        n = k - 1
+        for _ in range(len(to_digits(k - 1, p).digits) + rng.randint(1, 30)):
+            n = n * p + rng.randrange(p)
+        inputs.append((n, k, p))
+
+    def run():
+        shapes = [
+            (tree.levels, tree.leaves)
+            for tree in (build_tree(p, k, depth, engine="expansion") for p, k, depth in trees)
+        ]
+        return shapes, [vp_H_expansion(n, k, p) for n, k, p in inputs]
+
+    derived = run()
+    root = _WalkNode.root.__func__
+    monkeypatch.setattr(
+        _WalkNode, "root", classmethod(lambda cls, k, p, M: root(cls, k, p, M + 8))
+    )
+    assert run() == derived
 
 
 # --- expansion verdicts -----------------------------------------------------

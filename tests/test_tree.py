@@ -67,8 +67,9 @@ def test_engine_modes_agree():
 
 @pytest.mark.parametrize("p, k, depth", [(2, 2, 8), (2, 5, 8), (3, 3, 5), (3, 5, 5), (3, 7, 5)])
 def test_membership_equivalence_exhaustive(p, k, depth):
-    # dual mode with an unreachable cap checks every membership both ways
-    tree = build_tree(p, k, depth, engine="both", dual_value_cap=10 ** 9)
+    # every child of these trees lies below DUAL_VALUE_CAP, so dual mode
+    # checks every membership both ways
+    tree = build_tree(p, k, depth, engine="both")
     expanded = sum(len(level) for level in tree.levels[:-1])
     assert tree.dual_checks == p * expanded
 
