@@ -7,6 +7,9 @@ require an explicit --seed, so a new check is one row there and nothing
 here.  `val` with method stirling or both runs the Stirling row, which
 jumps aligned blocks of integers, so it takes any n; only the sweeps of
 `verify` refuse n above valuation.ROW_CAP.
+The argparse parser is built once per process, on the first `main` call,
+and `main` looks up the `cmd_*` function of each parsed command at call
+time, so a rebound `cli.cmd_*` takes effect on the next call.
 Exit codes: 0 success, 1 check failure / engine discrepancy / precision
 failure, 2 usage error: a parse error, an ArgumentError (SizeCapError
 included).  Any other exception is a fault and propagates with its
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -178,7 +182,8 @@ def _cache_path(args) -> str | None:
 
 def cmd_val(args) -> int:
     p, n, k, method = args.p, args.n, args.k, args.method
-    cache = ValCache(_cache_path(args)) if _cache_path(args) else None
+    path = _cache_path(args)
+    cache = ValCache(path) if path else None
     if cache is not None:
         hit = cache.get(p, n, k)
         if hit is not None:
@@ -273,6 +278,7 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicharm",
@@ -291,7 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="both",
     )
     p_val.add_argument("--cache", help=f"JSONL cache path ({CACHE_ENV} overrides)")
-    p_val.set_defaults(func=cmd_val)
 
     p_tree = sub.add_parser("tree", help="build and serialize a digit tree")
     p_tree.add_argument("--p", type=int, required=True)
@@ -302,11 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_tree.add_argument("--format", choices=["json", "dot"], default="json")
     p_tree.add_argument("--stamp", action="store_true", help="embed a build timestamp")
-    p_tree.set_defaults(func=cmd_tree)
 
     p_fseq = sub.add_parser("fseq", help="branch bits of the 2-adic tree")
     p_fseq.add_argument("--terms", type=int, required=True)
-    p_fseq.set_defaults(func=cmd_fseq)
 
     p_verify = sub.add_parser("verify", help="run one named check")
     p_verify.add_argument("check")
@@ -321,23 +324,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--q-samples", type=int, default=20)
     p_verify.add_argument("--a-samples", type=int, default=10)
     p_verify.add_argument("--prime-bound", type=int, default=1000)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="integral values of H(n, k)")
     p_scan.add_argument("--max-n", type=int, required=True)
-    p_scan.set_defaults(func=cmd_scan)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (EngineDisagreement, PrecisionError, CacheIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,10 @@ expansion test keeps one expansion._WalkNode per frontier entry, so each
 child folds one digit group into its parent's h' table.  The valuation
 test runs on one forward-only scaled Stirling row per build
 (valuation._ScaledHRow), which children reach in increasing value order.
+In "stirling" mode that row decides membership during the walk; in dual
+mode the walk records each checked child's value, threshold and
+expansion verdict, and the row, sized for the largest recorded value,
+re-decides them after the walk.
 The branch bits f_sequence are the levels of the (2, 2) tree, which has
 exactly one node per level.
 
@@ -41,10 +45,12 @@ __all__ = [
     "validate_ptree",
 ]
 
-# The running Stirling row reaches each checked child from the one before
-# by aligned block products and short runs of steps (valuation._ScaledHRow):
-# O(p * log_p DUAL_VALUE_CAP) products and O(p^2) small-modulus steps per
-# child, not one step per integer below it.
+# Dual mode re-decides every child value up to this cap on the Stirling
+# row.  The row is sized for the largest child actually recorded, not for
+# the cap, and reaches each child from the one before by aligned block
+# products and short runs of steps (valuation._ScaledHRow): O(p * log_p n)
+# products and O(p^2) small-modulus steps per child, not one step per
+# integer below it.
 DUAL_VALUE_CAP = 1_000_000
 
 
@@ -107,9 +113,13 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
 
     engine "expansion" tests membership through the weighted h_p sums,
     "stirling" through the running Stirling row, "both" runs the two and
-    aborts on mismatch.  In dual mode the Stirling side covers every child
-    value up to DUAL_VALUE_CAP; the expansion side always runs.  Children are
-    evaluated in increasing value order, so one row serves the whole build.
+    aborts on mismatch.  Children are evaluated in increasing value order,
+    so one forward-only row serves the whole build.  In "stirling" mode the
+    row decides each child as the walk reaches it.  In dual mode the
+    expansion verdict drives the walk, which records (value, digits,
+    threshold, verdict) for every child up to DUAL_VALUE_CAP; afterwards
+    one row sized for the last recorded value re-decides them in order,
+    and the first mismatch raises EngineDisagreement.
 
     A child at level u + 1 is a member when its sigma vanishes mod p^(u+1),
     and u < max_depth, so the walk carries sigma mod p^max(max_depth, 1):
@@ -119,26 +129,22 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
         raise ArgumentError(f"unknown engine {engine!r}")
     if max_depth < 0:
         raise ArgumentError(f"max_depth must be nonnegative, got {max_depth}")
-    use_exp = engine in ("expansion", "both")
     root = _WalkNode.root(k, p, max(max_depth, 1))
     sc = root.sc
     levels: list[list[DigitString]] = [[root.digits]]
     frontier = [root]
     leaves: list[DigitString] = []
     status = "truncated"
-    dual_checks = 0
+    # (value, digits, threshold, expansion verdict) of each dual-checked child
+    checked: list[tuple[int, DigitString, int, bool]] = []
 
     # Child values rise across a level and from level to level, and the
-    # threshold falls with depth, so one row sized for the first level's
-    # threshold and the largest checked value decides every Stirling test.
-    st_cap = 0
-    if engine != "expansion":
-        st_cap = p ** (len(root.digits) + max_depth) - 1
-        if engine == "both":
-            st_cap = min(st_cap, DUAL_VALUE_CAP)
-        row = _ScaledHRow(
-            k, p, max(st_cap, 1), _membership_threshold(sc, k, len(root.digits) + 1)
-        )
+    # threshold falls with depth, so one row with the first level's
+    # threshold as v_max decides every Stirling test.  In "stirling" mode
+    # it must reach any child of max_depth levels.
+    top_threshold = _membership_threshold(sc, k, len(root.digits) + 1)
+    if engine == "stirling":
+        row = _ScaledHRow(k, p, p ** (len(root.digits) + max_depth) - 1, top_threshold)
 
     for u in range(max_depth):
         if not frontier:
@@ -148,19 +154,12 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
         for node in frontier:
             for b in range(p):
                 child = node.child(b)
-                member_exp = member_st = None
-                if use_exp:
-                    member_exp = child.sigma % p ** (u + 1) == 0
-                if child.value <= st_cap:
-                    member_st = row.vp_at_least(child.value, threshold)
-                if member_exp is not None and member_st is not None:
-                    dual_checks += 1
-                    if member_exp != member_st:
-                        raise EngineDisagreement(
-                            f"engines disagree on {child.digits}: "
-                            f"expansion={member_exp}, stirling={member_st}"
-                        )
-                member = member_exp if member_exp is not None else member_st
+                if engine == "stirling":
+                    member = row.vp_at_least(child.value, threshold)
+                else:
+                    member = child.sigma % p ** (u + 1) == 0
+                    if engine == "both" and child.value <= DUAL_VALUE_CAP:
+                        checked.append((child.value, child.digits, threshold, member))
                 if member:
                     next_frontier.append(child)
                 else:
@@ -171,6 +170,16 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
             status = "complete"
             break
 
+    if checked:
+        row = _ScaledHRow(k, p, checked[-1][0], top_threshold)
+        for value, digits, threshold, member_exp in checked:
+            member_st = row.vp_at_least(value, threshold)
+            if member_exp != member_st:
+                raise EngineDisagreement(
+                    f"engines disagree on {digits}: "
+                    f"expansion={member_exp}, stirling={member_st}"
+                )
+
     tree = PTree(
         p=p,
         k=k,
@@ -180,7 +189,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
         status=status,
         max_depth=max_depth,
         engine=engine,
-        dual_checks=dual_checks,
+        dual_checks=len(checked),
     )
     tree.stats = child_stats(tree)
     return tree

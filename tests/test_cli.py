@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicharm import checks
+from padicharm import checks, cli
 from padicharm.cli import CacheRecord, ValCache, CacheIntegrityError, main
 from padicharm.report import CheckReport
 
@@ -405,6 +405,63 @@ def test_parser_errors_exit_2(capsys):
     assert rc == 2 and "--k" in err
     rc, _, _ = run(capsys, "tree", "--p", "3", "--k", "2", "--engine", "bogus")
     assert rc == 2
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "tree", "--p", "3", "--k", "2")[0] == 0
+    assert run(capsys, "val", "--p", "2", "--n", "7", "--k", "2")[0] == 0
+    assert run(capsys, "tree", "--p", "3")[0] == 2
+    assert run(capsys, "fseq", "--terms", "3")[0] == 0
+    info = cli._build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 3
+
+
+def fresh_parser_output(capsys, argv):
+    """Exit code and output of a parser built for this call alone."""
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser.__wrapped__().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["tree", "--p", "3"], ["bogus"], ["--help"],
+                                  ["verify", "--help"]])
+def test_reused_parser_reports_like_a_fresh_one(capsys, argv):
+    assert run(capsys, "tree", "--p", "3", "--k", "2")[0] == 0
+    assert run(capsys, "val", "--p", "4", "--n", "3", "--k", "2")[0] == 2
+    assert run(capsys, *argv) == fresh_parser_output(capsys, argv)
+    assert run(capsys, *argv) == fresh_parser_output(capsys, argv)
+
+
+def test_commands_are_looked_up_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "tree", "--p", "3", "--k", "2")[0] == 0
+    seen = []
+
+    def traced(args):
+        seen.append((args.p, args.k))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_tree", traced)
+    assert run(capsys, "tree", "--p", "3", "--k", "4") == (7, "", "")
+    assert seen == [(3, 4)]
+
+
+def test_val_reads_the_cache_path_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PADIC_CACHE", raising=False)
+    calls = []
+    real = cli._cache_path
+
+    def counted(args):
+        calls.append(args)
+        return real(args)
+
+    monkeypatch.setattr(cli, "_cache_path", counted)
+    path = str(tmp_path / "c.jsonl")
+    assert run(capsys, "val", "--p", "3", "--n", "10", "--k", "2", "--cache", path)[0] == 0
+    assert len(calls) == 1
+    assert run(capsys, "val", "--p", "3", "--n", "10", "--k", "2")[0] == 0
+    assert len(calls) == 2
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -74,6 +74,62 @@ def test_membership_equivalence_exhaustive(p, k, depth):
     assert tree.dual_checks == p * expanded
 
 
+def _recording_rows(monkeypatch, flip=()):
+    """Patch tree's _ScaledHRow to record its arguments and to flip its
+    verdict at the child values in flip."""
+    rows = []
+
+    class Row(tree_module._ScaledHRow):
+        def __init__(self, k, p, n_max, v_max):
+            super().__init__(k, p, n_max, v_max)
+            rows.append((n_max, v_max))
+
+        def vp_at_least(self, n, t):
+            return super().vp_at_least(n, t) != (n in flip)
+
+    monkeypatch.setattr(tree_module, "_ScaledHRow", Row)
+    return rows
+
+
+@pytest.mark.parametrize("k, largest", [(2, 410), (3, 53_312), (4, 6_575), (5, 1_202)])
+def test_dual_row_is_sized_for_the_children_it_checks(monkeypatch, k, largest):
+    # one row per dual build, reaching exactly the largest checked child,
+    # with the level-one threshold as v_max
+    rows = _recording_rows(monkeypatch)
+    tree = build_tree(3, k)
+    sc = tree.constants
+    top = tree_module._membership_threshold(sc, k, len(sc.root_digits) + 1)
+    assert rows == [(largest, top)]
+    checked = [ds.value for level in tree.levels[1:] for ds in level]
+    checked += [ds.value for ds in tree.leaves]
+    assert max(checked) == largest and tree.dual_checks == len(checked)
+    # the stirling engine still sizes its row for any child of max_depth levels
+    rows.clear()
+    build_tree(3, k, engine="stirling")
+    assert rows == [(3 ** (len(sc.root_digits) + 32) - 1, top)]
+
+
+def test_dual_pass_names_the_first_disagreeing_child(monkeypatch):
+    ref = build_tree(3, 3, engine="expansion")
+    leaf = ref.leaves[len(ref.leaves) // 2]
+    node = ref.levels[-2][-1]
+    assert leaf.value < node.value
+    _recording_rows(monkeypatch, flip={leaf.value, node.value})
+    with pytest.raises(EngineDisagreement) as exc:
+        build_tree(3, 3)
+    assert str(exc.value) == (
+        f"engines disagree on {leaf}: expansion=False, stirling=True")
+
+
+def test_dual_pass_builds_no_row_when_no_child_is_under_the_cap(monkeypatch):
+    rows = _recording_rows(monkeypatch)
+    monkeypatch.setattr(tree_module, "DUAL_VALUE_CAP", 0)
+    tree = build_tree(3, 3)
+    ref = build_tree(3, 3, engine="expansion")
+    assert rows == [] and tree.dual_checks == 0
+    assert tree.levels == ref.levels and tree.leaves == ref.leaves
+
+
 def test_validate_rejects_missing_parent(t32):
     broken = build_tree(3, 2, 32)
     broken.levels[2] = [ds for ds in broken.levels[2] if ds != broken.levels[2][0]]

@@ -334,8 +334,9 @@ def test_packed_row_matches_per_coefficient_steps(p, k, n_max, v_max, gaps):
 
 
 def test_packed_row_on_a_tree_dual_run():
-    # the T_3(3) row: n_max = 10^6 and the level-one threshold -1 as v_max,
-    # stepped far past the 53 312 integers that tree checks
+    # T_3(3)'s level-one threshold -1 as v_max, on a row sized for
+    # n_max = 10^6 (L = 12, A = 35) rather than for the 53 312 that tree's
+    # dual row is sized for, stepped past that largest checked child
     rng = random.Random(60000)
     row = _ScaledHRow(3, 3, 10 ** 6, -1)
     oracle = _PerCoefficientRow(3, 3, 10 ** 6, -1)
