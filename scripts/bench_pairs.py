@@ -7,7 +7,8 @@ both alike.  Two kinds of pair:
 
   perfbench  python3 perfbench/run.py --workload W --seed S --seconds T
              --trace 0, run in each checkout's own directory with its own
-             perfbench/; one pair per seed.
+             perfbench/, T being run_seconds of that checkout's
+             BENCHMARK.json; one pair per seed.
   ops        one fresh interpreter per side and pair imports padicharm
              from the checkout's src/ and times each cli.main call of the
              tree-dual workload (tree --p 3 --k 2..5) in turn, in process;
@@ -16,12 +17,15 @@ both alike.  Two kinds of pair:
 
 For every metric it writes the median and quartiles of each side, the
 change/parent ratio of each pair and of the medians, and the number of
-pairs in which the change was lower (faster).  The schema is that of
-BENCH_row-blocks.json plus the per-pair ratios.
+pairs in which the change was lower (faster), to BENCH_<label>.json in
+the change checkout.  The schema is that of BENCH_row-blocks.json plus
+the per-pair ratios.  A run that exits non-zero or prints no JSON result
+is recorded as it is (its exit code and an empty result) and the pairs go
+on; it shows up as all_operations_correct / all_exit_0 false.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --label tree-fixed-costs --out BENCH_tree-fixed-costs.json \\
+        --label tree-fixed-costs \\
         --perfbench tree-dual:1501-1512 deep-expansion:1501-1505 \\
         --ops-pairs 10
 """
@@ -73,21 +77,42 @@ def order(pair: int) -> tuple[str, str]:
     return SIDES if pair % 2 else SIDES[::-1]
 
 
-def run_perfbench(root: str, workload: str, seed: int, seconds: float) -> tuple[int, dict]:
+def run_seconds(root: str) -> float:
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)["run_seconds"]
+
+
+def last_json(stdout: str):
+    """The JSON value on the last line of stdout, or None if there is none."""
+    lines = stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
+
+
+def run_perfbench(root: str, workload: str, seed: int) -> tuple[int, dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(run_seconds(root)), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    return proc.returncode, json.loads(lines[-1]) if lines else {}
+    result = last_json(proc.stdout)
+    return proc.returncode, result if isinstance(result, dict) else {}
 
 
 def run_ops(root: str) -> list[dict]:
+    """One record per TREE_DUAL call; if the child fails, each carries its
+    exit code and no timing or hash."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     env.pop("PADIC_CACHE", None)
     proc = subprocess.run([sys.executable, "-c", OPS_CHILD, json.dumps(TREE_DUAL)],
-                          env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+                          env=env, capture_output=True, text=True)
+    result = last_json(proc.stdout)
+    if proc.returncode == 0 and isinstance(result, list) and len(result) == len(TREE_DUAL):
+        return result
+    print(f"# ops child in {root} failed: exit {proc.returncode}", file=sys.stderr, flush=True)
+    return [{"rc": proc.returncode or 1, "seconds": None, "stdout_sha256": None}
+            for _ in TREE_DUAL]
 
 
 def compare(parent: list, change: list, unit: str = "", won: str = "pairs_change_lower") -> dict:
@@ -113,13 +138,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--out", required=True, help="BENCH_<label>.json to write")
-    ap.add_argument("--label", required=True)
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json in --change")
     ap.add_argument("--note", default="", help="what the change does")
     ap.add_argument("--claim", default="", help="the gain the change claims, if any")
     ap.add_argument("--perfbench", nargs="*", type=seeds_of, default=[],
                     metavar="WORKLOAD:SEEDS", help="one pair per seed, e.g. tree-dual:1501-1510")
-    ap.add_argument("--seconds", type=float, default=35.0, help="perfbench run length")
     ap.add_argument("--ops-pairs", type=int, default=0, help="pairs of in-process tree-dual timings")
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -138,7 +161,7 @@ def main(argv=None) -> int:
         for pair, seed in enumerate(seeds, 1):
             first = order(pair)[0]
             for side in order(pair):
-                rc, result = run_perfbench(roots[side], workload, seed, args.seconds)
+                rc, result = run_perfbench(roots[side], workload, seed)
                 perfbench_runs.append({"side": side, "first": first, "workload": workload,
                                        "seed": seed, "exit": rc, "result": result})
                 wall = result.get("metrics", {}).get("wall_ref", {}).get("value")
@@ -177,8 +200,10 @@ def main(argv=None) -> int:
                    + ", ".join(" ".join(a) for a in TREE_DUAL)
                    + " in turn; seconds are the in-process wall time of each main() call, "
                    "after import",
-            "perfbench": f"python3 perfbench/run.py --workload W --seed S --seconds "
-                         f"{args.seconds:g} --trace 0, run in each side's own checkout",
+            "perfbench": "python3 perfbench/run.py --workload W --seed S --seconds T "
+                         "--trace 0, run in each side's own checkout, T being run_seconds of "
+                         "its BENCHMARK.json: "
+                         + ", ".join(f"{s} {run_seconds(roots[s]):g}" for s in SIDES),
         },
         "order": "pairs alternate which side runs first (the parent in odd pairs); "
                  f"ops pairs 1-{args.ops_pairs}; perfbench seeds "
@@ -188,7 +213,8 @@ def main(argv=None) -> int:
         "ops_runs": ops_runs,
         "perfbench_runs": perfbench_runs,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(os.path.join(roots["change"], f"BENCH_{args.label}.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     return 0
