@@ -10,10 +10,13 @@ both alike.  Two kinds of pair:
              perfbench/, T being run_seconds of that checkout's
              BENCHMARK.json; one pair per seed.
   ops        one fresh interpreter per side and pair imports padicharm
-             from the checkout's src/ and times each cli.main call of the
-             tree-dual workload (tree --p 3 --k 2..5) in turn, in process;
-             the first call of each interpreter is cold.  Each call's
-             stdout is hashed so both sides can be compared byte for byte.
+             from the checkout's src/ and times each cli.main call of a
+             perfbench workload in turn, in process: tree-dual
+             (tree --p 3 --k 2..5) or verify-suite (the nine verify checks
+             and two sweeps, seeded ones at seed 1, verify structural
+             first); the first call of each interpreter is cold.  Each
+             call's stdout is hashed so both sides can be compared byte
+             for byte.
 
 For every metric it writes the median and quartiles of each side, the
 change/parent ratio of each pair and of the medians, and the number of
@@ -27,7 +30,9 @@ Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --label tree-fixed-costs \\
         --perfbench tree-dual:1501-1512 deep-expansion:1501-1505 \\
-        --ops-pairs 10
+        --ops tree-dual:10 verify-suite:8
+
+The ops commands are those of perfbench/workloads.py beside this script.
 """
 
 from __future__ import annotations
@@ -40,7 +45,12 @@ import statistics
 import subprocess
 import sys
 
-TREE_DUAL = [["tree", "--p", "3", "--k", str(k)] for k in (2, 3, 4, 5)]
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+import workloads  # noqa: E402
+
+# perfbench workloads whose operations are all command lines
+OPS_GROUPS = ("tree-dual", "verify-suite")
+OPS_SEED = 1  # the seed that verify-suite's seeded checks take
 
 # Run in a fresh interpreter: time each cli.main call after the import.
 OPS_CHILD = r"""
@@ -59,6 +69,19 @@ print(json.dumps(out))
 """
 
 SIDES = ("parent", "change")
+
+
+def ops_commands(group: str) -> list[list[str]]:
+    return [op["argv"] for op in workloads.make_ops(group, OPS_SEED, None)]
+
+
+def ops_pairs_of(spec: str) -> tuple[str, int]:
+    """'verify-suite:8' -> ('verify-suite', 8)."""
+    group, _, pairs = spec.partition(":")
+    if group not in OPS_GROUPS or not pairs.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected GROUP:PAIRS with GROUP one of {', '.join(OPS_GROUPS)}, got {spec!r}")
+    return group, int(pairs)
 
 
 def seeds_of(spec: str) -> tuple[str, list[int]]:
@@ -100,19 +123,19 @@ def run_perfbench(root: str, workload: str, seed: int) -> tuple[int, dict]:
     return proc.returncode, result if isinstance(result, dict) else {}
 
 
-def run_ops(root: str) -> list[dict]:
-    """One record per TREE_DUAL call; if the child fails, each carries its
-    exit code and no timing or hash."""
+def run_ops(root: str, commands: list[list[str]]) -> list[dict]:
+    """One record per command; if the child fails, each carries its exit
+    code and no timing or hash."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     env.pop("PADIC_CACHE", None)
-    proc = subprocess.run([sys.executable, "-c", OPS_CHILD, json.dumps(TREE_DUAL)],
+    proc = subprocess.run([sys.executable, "-c", OPS_CHILD, json.dumps(commands)],
                           env=env, capture_output=True, text=True)
     result = last_json(proc.stdout)
-    if proc.returncode == 0 and isinstance(result, list) and len(result) == len(TREE_DUAL):
+    if proc.returncode == 0 and isinstance(result, list) and len(result) == len(commands):
         return result
     print(f"# ops child in {root} failed: exit {proc.returncode}", file=sys.stderr, flush=True)
     return [{"rc": proc.returncode or 1, "seconds": None, "stdout_sha256": None}
-            for _ in TREE_DUAL]
+            for _ in commands]
 
 
 def compare(parent: list, change: list, unit: str = "", won: str = "pairs_change_lower") -> dict:
@@ -143,18 +166,22 @@ def main(argv=None) -> int:
     ap.add_argument("--claim", default="", help="the gain the change claims, if any")
     ap.add_argument("--perfbench", nargs="*", type=seeds_of, default=[],
                     metavar="WORKLOAD:SEEDS", help="one pair per seed, e.g. tree-dual:1501-1510")
-    ap.add_argument("--ops-pairs", type=int, default=0, help="pairs of in-process tree-dual timings")
+    ap.add_argument("--ops", nargs="*", type=ops_pairs_of, default=[], metavar="GROUP:PAIRS",
+                    help="pairs of in-process timings of a workload's commands, "
+                         "e.g. verify-suite:8")
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     ops_runs = []
-    for pair in range(1, args.ops_pairs + 1):
-        first = order(pair)[0]
-        for side in order(pair):
-            for argv_, res in zip(TREE_DUAL, run_ops(roots[side])):
-                ops_runs.append({"pair": pair, "side": side, "first": first,
-                                 "group": "tree-dual", "argv": " ".join(argv_), **res})
-        print(f"# ops pair {pair} done", file=sys.stderr, flush=True)
+    for group, pairs in args.ops:
+        commands = ops_commands(group)
+        for pair in range(1, pairs + 1):
+            first = order(pair)[0]
+            for side in order(pair):
+                for argv_, res in zip(commands, run_ops(roots[side], commands)):
+                    ops_runs.append({"pair": pair, "side": side, "first": first,
+                                     "group": group, "argv": " ".join(argv_), **res})
+            print(f"# ops {group} pair {pair} done", file=sys.stderr, flush=True)
 
     perfbench_runs = []
     for workload, seeds in args.perfbench:
@@ -169,14 +196,15 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
 
     summary: dict = {"ops": {}, "perfbench": {}}
-    for argv_ in dict.fromkeys(r["argv"] for r in ops_runs):
-        runs = {s: [r for r in ops_runs if r["argv"] == argv_ and r["side"] == s] for s in SIDES}
+    for group, argv_ in dict.fromkeys((r["group"], r["argv"]) for r in ops_runs):
+        runs = {s: [r for r in ops_runs if (r["group"], r["argv"]) == (group, argv_)
+                    and r["side"] == s] for s in SIDES}
         entry = compare(*([r["seconds"] for r in runs[s]] for s in SIDES),
                         unit="_s", won="pairs_change_faster")
         entry["stdout_sha256_all_equal"] = len(
             {r["stdout_sha256"] for s in SIDES for r in runs[s]}) == 1
         entry["all_exit_0"] = all(r["rc"] == 0 for s in SIDES for r in runs[s])
-        summary["ops"][argv_] = entry
+        summary["ops"].setdefault(group, {})[argv_] = entry
     for workload, _ in args.perfbench:
         runs = {s: [r for r in perfbench_runs if r["workload"] == workload and r["side"] == s]
                 for s in SIDES}
@@ -196,17 +224,18 @@ def main(argv=None) -> int:
         "host": {"cores": len(os.sched_getaffinity(0)), "python": platform.python_version()},
         "commands": {
             "ops": "python3 -c OPS_CHILD (scripts/bench_pairs.py) with PYTHONPATH=SIDE/src: "
-                   "one fresh interpreter per side and pair runs padicharm.cli.main on "
-                   + ", ".join(" ".join(a) for a in TREE_DUAL)
-                   + " in turn; seconds are the in-process wall time of each main() call, "
-                   "after import",
+                   "one fresh interpreter per side, group and pair runs padicharm.cli.main on "
+                   "the group's commands in turn; seconds are the in-process wall time of "
+                   "each main() call, after import: "
+                   + "; ".join(f"{group}: " + ", ".join(" ".join(a) for a in ops_commands(group))
+                               for group, _ in args.ops),
             "perfbench": "python3 perfbench/run.py --workload W --seed S --seconds T "
                          "--trace 0, run in each side's own checkout, T being run_seconds of "
                          "its BENCHMARK.json: "
                          + ", ".join(f"{s} {run_seconds(roots[s]):g}" for s in SIDES),
         },
         "order": "pairs alternate which side runs first (the parent in odd pairs); "
-                 f"ops pairs 1-{args.ops_pairs}; perfbench seeds "
+                 + "".join(f"{g} ops pairs 1-{n}; " for g, n in args.ops) + "perfbench seeds "
                  + "; ".join(f"{w} {s[0]}-{s[-1]}" for w, s in args.perfbench),
         "claim": args.claim,
         "summary": summary,

@@ -15,8 +15,12 @@ seeding and dispatch from that table alone.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
+import os
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -117,9 +121,221 @@ def _jp_layer_sums(n_max: int, k: int, p: int, M: int):
         yield m, sums[k], occupied[k]
 
 
+# Each section of the suite returns (comparisons made, witness of its
+# first failure or None); check_structural_identities merges them in
+# report order.
+
+def _ratio_section(n_max: int) -> tuple[int, dict | None]:
+    """H(n, k) * n! = s(n+1, k+1)."""
+    checked = 0
+    table = exact_H_table(n_max, n_max)
+    for n in range(1, n_max + 1):
+        nf = math.factorial(n)
+        for k in range(1, n + 1):
+            if table[n][k] * nf != stirling(n + 1, k + 1):
+                return checked, {"identity": "harmonic-stirling-ratio", "n": n, "k": k}
+            checked += 1
+    return checked, None
+
+
+def _legendre_section(p_set: tuple[int, ...], n_max: int) -> tuple[int, dict | None]:
+    """Legendre's digit formula vs the floor sum."""
+    checked = 0
+    for p in p_set:
+        for n in range(n_max + 1):
+            floor_sum, q = 0, p
+            while q <= n:
+                floor_sum += n // q
+                q *= p
+            if vp_factorial(n, p) != floor_sum:
+                return checked, {"identity": "legendre-factorial", "n": n, "p": p}
+            checked += 1
+    return checked, None
+
+
+def _slice_section(p: int, n_max: int) -> tuple[int, dict | None]:
+    """Fixed-valuation slices of one prime: block formula vs direct filter.
+
+    The reference is [1, n] bucketed by vp_int; the buckets grow by one
+    integer per n, so each m is bucketed once, before the comparisons for
+    every n >= m.
+    """
+    checked = 0
+    buckets: dict[int, list[int]] = {}
+    for n in range(1, n_max + 1):
+        buckets.setdefault(vp_int(n, p), []).append(n)
+        s = ilog(n, p)
+        for v in range(s + 1):
+            if a_p_set(n, v, p) != buckets.get(s - v, []):
+                return checked, {"identity": "valuation-slice", "n": n, "v": v, "p": p}
+            checked += 1
+        # spot-check the standalone filter on the top slice
+        if a_p_set_by_filter(n, s, p) != buckets.get(0, []):
+            return checked, {"identity": "valuation-slice-filter", "n": n, "v": s, "p": p}
+    return checked, None
+
+
+def _telescoping_section(p_set: tuple[int, ...], k_max: int) -> tuple[int, dict | None]:
+    """Block telescoping to k - 1, and the top-slice count k - 1."""
+    checked = 0
+    for p in p_set:
+        for k in range(2, k_max + 1):
+            sc = structure_constants(k, p)
+            total = sum(
+                bp_count(sc.root_digits.prefix(v + 1)) for v in range(sc.t + 1)
+            )
+            if total != k - 1:
+                return checked, {"identity": "block-telescoping", "k": k, "p": p}
+            checked += 1
+            # top-slice count on digit extensions of the root
+            for extra in (sc.root_digits.value * p, sc.root_digits.value * p * p + 1):
+                union: set[int] = set()
+                for v in range(sc.t + 1):
+                    union.update(a_p_set(extra, v, p))
+                if len(union) != k - 1:
+                    return checked, {"identity": "top-slice-count", "k": k, "p": p, "n": extra}
+                checked += 1
+    return checked, None
+
+
+def _layer_section(
+    p_set: tuple[int, ...], k_set: tuple[int, ...], n_max: int, prec: int
+) -> tuple[int, dict | None]:
+    """Graded tuple sums vs h_p_mod, and the max valuation k*s - U.
+
+    Many n share a prefix, so h_p_mod runs once per distinct prefix.
+    """
+    checked = 0
+    for p in p_set:
+        for k in k_set:
+            sc = structure_constants(k, p)
+            root = sc.root_digits
+            h_p_by_prefix: dict[tuple[int, ...], int] = {}
+            for n, row, occ in _jp_layer_sums(n_max, k, p, prec):
+                d = to_digits(n, p)
+                s = len(d) - 1
+                if not (d.extends(root) and s >= sc.t + 1):
+                    continue
+                v_obs = max(u for u in range(len(occ)) if occ[u])
+                if v_obs != k * s - sc.U:
+                    return checked, {
+                        "identity": "max-valuation", "n": n, "k": k, "p": p, "observed": v_obs,
+                    }
+                for v in range(s - sc.t):
+                    prefix = d.prefix(sc.t + v + 2)
+                    expected = h_p_by_prefix.get(prefix.digits)
+                    if expected is None:
+                        expected = h_p_mod(prefix, k, prec)
+                        h_p_by_prefix[prefix.digits] = expected
+                    if row[v_obs - v] != expected:
+                        return checked, {
+                            "identity": "valuation-layer-sum",
+                            "n": n,
+                            "k": k,
+                            "p": p,
+                            "v": v,
+                            "tuple_sum": row[v_obs - v],
+                            "h_p": expected,
+                        }
+                    checked += 1
+    return checked, None
+
+
+def _run_sections(sections: list) -> list:
+    """Each section's (checked, witness), in order, up to and including the
+    first failure; a section that raises ends the list with its exception."""
+    out: list = []
+    for section in sections:
+        try:
+            out.append(section())
+        except Exception as exc:
+            out.append(exc)
+            break
+        if out[-1][1] is not None:
+            break
+    return out
+
+
+def _encode(outcome) -> object:
+    if isinstance(outcome, Exception):
+        cls = type(outcome)
+        return {"raise": [cls.__module__, cls.__qualname__, list(outcome.args)]}
+    return outcome
+
+
+def _decode(outcome) -> object:
+    if not isinstance(outcome, dict):
+        return tuple(outcome)
+    module, qualname, args = outcome["raise"]
+    try:
+        return functools.reduce(getattr, qualname.split("."), sys.modules[module])(*args)
+    except Exception:  # a class this process cannot name or rebuild
+        return RuntimeError(f"{module}.{qualname}: {', '.join(map(str, args))}")
+
+
+class _ForkedSections:
+    """Sections that run in a forked child while this process runs others.
+
+    Entering forks the child, which sends its _run_sections list through a
+    pipe as JSON and ends with os._exit; outcomes() reads that list and
+    reaps the child, re-creating each exception with its type and args.
+    Leaving the block kills and reaps a child whose outcomes were not read.
+    If os.fork raises OSError, outcomes() runs the sections in this process.
+    """
+
+    def __init__(self, sections: list):
+        self.sections = sections
+        self.pid: int | None = None
+        self.fd: int | None = None
+
+    def __enter__(self) -> "_ForkedSections":
+        if not self.sections:
+            return self
+        fd_read, fd_write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(fd_read)
+            os.close(fd_write)
+            return self
+        if pid == 0:
+            code = 1
+            try:
+                os.close(fd_read)
+                outcomes = [_encode(o) for o in _run_sections(self.sections)]
+                with os.fdopen(fd_write, "wb") as pipe:
+                    pipe.write(json.dumps(outcomes, default=str).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(fd_write)
+        self.pid, self.fd = pid, fd_read
+        return self
+
+    def outcomes(self) -> list:
+        if self.pid is None:
+            return _run_sections(self.sections)
+        with os.fdopen(self.fd, "rb") as pipe:
+            self.fd = None
+            data = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status or not data:
+            raise RuntimeError(f"structural check: forked sections failed (wait status {status})")
+        return [_decode(o) for o in json.loads(data)]
+
+    def __exit__(self, *exc_info) -> None:
+        if self.fd is not None:
+            os.close(self.fd)
+        if self.pid is not None:
+            import signal  # only a child whose outcomes are not wanted is killed
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
 def check_structural_identities(
     p_set: tuple[int, ...] = (2, 3, 5, 7),
-    n_max: int = 64,
     k_max: int = 200,
     *,
     ratio_n_max: int = 12,
@@ -137,6 +353,15 @@ def check_structural_identities(
     floor-sum; the coprime-block form of the fixed-valuation slices; block
     telescoping to k-1; the top-slice count k-1; the maximum product
     valuation k*s - U; and the graded tuple sums against h_p_mod.
+
+    The sections are independent.  The valuation-slice sweeps of every
+    prime in slice_p_set but the last (p = 2 and 3 by default) run in a
+    forked child, while this process runs the others: the ratio, Legendre,
+    the last prime's slices, telescoping and the layer sums.  The outcomes
+    are then read in report order, as a serial run would meet them: the
+    first failure gives the witness, observed holds the sections before
+    it, and an exception raised before any failure is re-raised.
+    Whatever either process met later is discarded.
     """
     params = {
         "p_set": list(p_set),
@@ -158,114 +383,33 @@ def check_structural_identities(
             witness=witness,
         )
 
-    # H(n, k) * n! = s(n+1, k+1)
-    checked = 0
-    table = exact_H_table(ratio_n_max, ratio_n_max)
-    for n in range(1, ratio_n_max + 1):
-        nf = math.factorial(n)
-        for k in range(1, n + 1):
-            if table[n][k] * nf != stirling(n + 1, k + 1):
-                return report(False, {"identity": "harmonic-stirling-ratio", "n": n, "k": k})
-            checked += 1
-    observed["harmonic-stirling-ratio"] = checked
-
-    # Legendre's digit formula vs the floor sum
-    checked = 0
-    for p in p_set:
-        for n in range(legendre_n_max + 1):
-            floor_sum, q = 0, p
-            while q <= n:
-                floor_sum += n // q
-                q *= p
-            if vp_factorial(n, p) != floor_sum:
-                return report(False, {"identity": "legendre-factorial", "n": n, "p": p})
-            checked += 1
-    observed["legendre-factorial"] = checked
-
-    # fixed-valuation slices: block formula vs direct filter.  The reference
-    # is [1, n] bucketed by vp_int; the buckets grow by one integer per n,
-    # so each m is bucketed once, before the comparisons for every n >= m.
-    checked = 0
-    for p in slice_p_set:
-        buckets: dict[int, list[int]] = {}
-        for n in range(1, slice_n_max + 1):
-            buckets.setdefault(vp_int(n, p), []).append(n)
-            s = ilog(n, p)
-            for v in range(s + 1):
-                if a_p_set(n, v, p) != buckets.get(s - v, []):
-                    return report(False, {"identity": "valuation-slice", "n": n, "v": v, "p": p})
-                checked += 1
-            # spot-check the standalone filter on the top slice
-            if a_p_set_by_filter(n, s, p) != buckets.get(0, []):
-                return report(
-                    False, {"identity": "valuation-slice-filter", "n": n, "v": s, "p": p}
-                )
-    observed["valuation-slice"] = checked
-
-    # block telescoping and top-slice count
-    checked = 0
-    for p in p_set:
-        for k in range(2, k_max + 1):
-            sc = structure_constants(k, p)
-            total = sum(
-                bp_count(sc.root_digits.prefix(v + 1)) for v in range(sc.t + 1)
-            )
-            if total != k - 1:
-                return report(False, {"identity": "block-telescoping", "k": k, "p": p})
-            checked += 1
-            # top-slice count on digit extensions of the root
-            for extra in (sc.root_digits.value * p, sc.root_digits.value * p * p + 1):
-                union: set[int] = set()
-                for v in range(sc.t + 1):
-                    union.update(a_p_set(extra, v, p))
-                if len(union) != k - 1:
-                    return report(
-                        False, {"identity": "top-slice-count", "k": k, "p": p, "n": extra}
-                    )
-                checked += 1
-    observed["block-telescoping"] = checked
-
-    # graded tuple sums vs h_p_mod, and the max valuation k*s - U; many n
-    # share a prefix, so h_p_mod runs once per distinct prefix
-    checked = 0
-    for p in layer_p_set:
-        for k in layer_k_set:
-            sc = structure_constants(k, p)
-            root = sc.root_digits
-            h_p_by_prefix: dict[tuple[int, ...], int] = {}
-            for n, row, occ in _jp_layer_sums(layer_n_max, k, p, layer_prec):
-                d = to_digits(n, p)
-                s = len(d) - 1
-                if not (d.extends(root) and s >= sc.t + 1):
-                    continue
-                v_obs = max(u for u in range(len(occ)) if occ[u])
-                if v_obs != k * s - sc.U:
-                    return report(
-                        False,
-                        {"identity": "max-valuation", "n": n, "k": k, "p": p, "observed": v_obs},
-                    )
-                for v in range(s - sc.t):
-                    prefix = d.prefix(sc.t + v + 2)
-                    expected = h_p_by_prefix.get(prefix.digits)
-                    if expected is None:
-                        expected = h_p_mod(prefix, k, layer_prec)
-                        h_p_by_prefix[prefix.digits] = expected
-                    if row[v_obs - v] != expected:
-                        return report(
-                            False,
-                            {
-                                "identity": "valuation-layer-sum",
-                                "n": n,
-                                "k": k,
-                                "p": p,
-                                "v": v,
-                                "tuple_sum": row[v_obs - v],
-                                "h_p": expected,
-                            },
-                        )
-                    checked += 1
-    observed["valuation-layer-sum"] = checked
-
+    # observed key -> its sections, in report order
+    groups = {
+        "harmonic-stirling-ratio": [functools.partial(_ratio_section, ratio_n_max)],
+        "legendre-factorial": [functools.partial(_legendre_section, p_set, legendre_n_max)],
+        "valuation-slice": [functools.partial(_slice_section, p, slice_n_max) for p in slice_p_set],
+        "block-telescoping": [functools.partial(_telescoping_section, p_set, k_max)],
+        "valuation-layer-sum": [
+            functools.partial(_layer_section, layer_p_set, layer_k_set, layer_n_max, layer_prec)
+        ],
+    }
+    in_child = groups["valuation-slice"][:-1]
+    in_parent = [s for sections in groups.values() for s in sections if s not in in_child]
+    with _ForkedSections(in_child) as child:
+        outcomes = dict(zip(in_parent, _run_sections(in_parent)))
+        for key, sections in groups.items():
+            total = 0
+            for section in sections:
+                if section not in outcomes:
+                    outcomes.update(zip(in_child, child.outcomes()))
+                outcome = outcomes[section]
+                if isinstance(outcome, Exception):
+                    raise outcome
+                checked, witness = outcome
+                if witness is not None:
+                    return report(False, witness)
+                total += checked
+            observed[key] = total
     return report(True)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,7 +27,7 @@ from padicharm.checks import (
     monitor_lower_bound,
 )
 from padicharm import checks
-from padicharm.core import a_p_set, a_p_set_by_filter, free_p, vp_int
+from padicharm.core import ArgumentError, a_p_set, a_p_set_by_filter, bp_count, free_p, vp_int
 from padicharm.expansion import h_p_mod
 from padicharm.core import structure_constants, to_digits, vp
 from padicharm.valuation import exact_H_table
@@ -114,6 +115,187 @@ def test_structural_check_catches_a_wrong_layer_sum(monkeypatch, p, digits, n, v
         "identity": "valuation-layer-sum", "n": n, "k": 2, "p": p, "v": v,
         "tuple_sum": real, "h_p": real + 1,
     }
+
+
+# The suite's sections split over two processes: the p = 2 and p = 3
+# slice sweeps run in a forked child, the rest in the caller.  Each report
+# below was recorded from the serial suite with the same injected fault:
+# observed holds only the sections before the first failure.
+_SPLIT_SUITE = {**_SMALL_SUITE, "layer_n_max": 40, "slice_p_set": (2, 3, 5)}
+_RATIO = {"harmonic-stirling-ratio": 78}
+_LEGENDRE = {**_RATIO, "legendre-factorial": 102}
+_SLICES = {**_LEGENDRE, "valuation-slice": 2885}
+_TELESCOPING = {**_SLICES, "block-telescoping": 54}
+
+
+def _off_by_one_at(kernel, at):
+    def patched(*args):
+        return kernel(*args) + (args == at)
+    return patched
+
+
+def _extra_top_valuation_at(at):
+    real = checks._jp_layer_sums
+
+    def patched(n_max, k, p, M):
+        for n, row, occ in real(n_max, k, p, M):
+            yield n, row, occ + [True] if (n, k, p) == at else occ
+    return patched
+
+
+def _raise_at(kernel, at, exc):
+    def patched(*args):
+        if args[: len(at)] == at:
+            raise exc
+        return kernel(*args)
+    return patched
+
+
+_INJECTED = {
+    "ratio": ({"stirling": _off_by_one_at(checks.stirling, (8, 4))}, {}, {},
+              {"identity": "harmonic-stirling-ratio", "n": 7, "k": 3}),
+    "legendre": ({"vp_factorial": _off_by_one_at(checks.vp_factorial, (37, 3))}, {}, _RATIO,
+                 {"identity": "legendre-factorial", "n": 37, "p": 3}),
+    "slice-2": ({"a_p_set": _drop_one_member(a_p_set, (200, 7, 2))}, {}, _LEGENDRE,
+                {"identity": "valuation-slice", "n": 200, "v": 7, "p": 2}),
+    "slice-3": ({"a_p_set": _drop_one_member(a_p_set, (37, 2, 3))}, {}, _LEGENDRE,
+                {"identity": "valuation-slice", "n": 37, "v": 2, "p": 3}),
+    "slice-5": ({"a_p_set": _drop_one_member(a_p_set, (130, 1, 5))}, {}, _LEGENDRE,
+                {"identity": "valuation-slice", "n": 130, "v": 1, "p": 5}),
+    "filter-3": ({"a_p_set_by_filter": _drop_one_member(a_p_set_by_filter, (37, 3, 3))}, {},
+                 _LEGENDRE, {"identity": "valuation-slice-filter", "n": 37, "v": 3, "p": 3}),
+    "filter-5": ({"a_p_set_by_filter": _drop_one_member(a_p_set_by_filter, (130, 3, 5))}, {},
+                 _LEGENDRE, {"identity": "valuation-slice-filter", "n": 130, "v": 3, "p": 5}),
+    "telescoping": ({"bp_count": lambda d: bp_count(d) + (d.p == 3 and d.digits == (2, 1))},
+                    {}, _SLICES, {"identity": "block-telescoping", "k": 8, "p": 3}),
+    # top-slice counts read a_p_set at n = 73, past this run's slice sweeps
+    "top-slice": ({"a_p_set": _drop_one_member(a_p_set, (73, 1, 3))}, {"slice_n_max": 60},
+                  {**_LEGENDRE, "valuation-slice": 659},
+                  {"identity": "top-slice-count", "k": 9, "p": 3, "n": 73}),
+    "max-valuation": ({"_jp_layer_sums": _extra_top_valuation_at((20, 3, 3))}, {}, _TELESCOPING,
+                      {"identity": "max-valuation", "n": 20, "k": 3, "p": 3, "observed": 13}),
+    "layer-sum": (
+        {"h_p_mod": lambda d, k, M: h_p_mod(d, k, M) + (d.digits == (1, 1, 0, 1))},
+        {}, _TELESCOPING,
+        {"identity": "valuation-layer-sum", "n": 13, "k": 2, "p": 2, "v": 2,
+         "tuple_sum": 285, "h_p": 286}),
+}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fork_fails", [False, True], ids=["forked", "fork-fails"])
+@pytest.mark.parametrize("case", list(_INJECTED))
+def test_structural_failure_report_is_the_serial_one(monkeypatch, case, fork_fails):
+    patches, extra, observed, witness = _INJECTED[case]
+    for name, fn in patches.items():
+        monkeypatch.setattr(checks, name, fn)
+    if fork_fails:
+        monkeypatch.setattr(os, "fork", _raise_at(os.fork, (), OSError("no fork")))
+    report = check_structural_identities(**{**_SPLIT_SUITE, **extra})
+    assert (report.passed, report.observed, report.witness) == (False, observed, witness)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork_fails", [False, True], ids=["forked", "fork-fails"])
+def test_structural_passing_report_is_the_serial_one(monkeypatch, fork_fails):
+    if fork_fails:
+        monkeypatch.setattr(os, "fork", _raise_at(os.fork, (), OSError("no fork")))
+    report = check_structural_identities(**_SPLIT_SUITE)
+    assert report.passed and report.witness is None
+    assert report.observed == {**_TELESCOPING, "valuation-layer-sum": 297}
+    _assert_no_child_left()
+
+
+def test_structural_slices_of_all_but_the_last_prime_run_in_a_child(monkeypatch, tmp_path):
+    log = tmp_path / "pids"
+    real = checks._slice_section
+
+    def logged(p, n_max):
+        with open(log, "a") as fh:
+            fh.write(f"{p} {os.getpid()}\n")
+        return real(p, n_max)
+
+    monkeypatch.setattr(checks, "_slice_section", logged)
+    assert check_structural_identities(**_SPLIT_SUITE).passed
+    pids = dict(map(int, line.split()) for line in log.read_text().splitlines())
+    assert pids[5] == os.getpid()
+    assert pids[2] == pids[3] != os.getpid()
+    _assert_no_child_left()
+
+
+# (slice_p_set, where p = 4 runs): alone, in the child, in the caller
+@pytest.mark.parametrize("slice_p_set", [(4,), (4, 5), (2, 3, 4)], ids=str)
+def test_structural_check_rejects_a_composite_slice_modulus(slice_p_set):
+    with pytest.raises(ArgumentError, match=r"^modulus must be prime, got 4$"):
+        check_structural_identities(**{**_SPLIT_SUITE, "slice_p_set": slice_p_set})
+    _assert_no_child_left()
+
+
+def test_structural_child_exception_keeps_its_type_and_message(monkeypatch):
+    monkeypatch.setattr(checks, "a_p_set", _raise_at(
+        a_p_set, (37, 2, 3), ZeroDivisionError("injected at (37, 2, 3)")))
+    with pytest.raises(ZeroDivisionError, match=r"^injected at \(37, 2, 3\)$"):
+        check_structural_identities(**_SPLIT_SUITE)
+    _assert_no_child_left()
+
+
+def test_structural_child_exception_of_an_unnamed_class_names_it(monkeypatch):
+    class Local(Exception):
+        pass
+
+    monkeypatch.setattr(checks, "a_p_set", _raise_at(a_p_set, (37, 2, 3), Local("boom")))
+    with pytest.raises(RuntimeError, match=r"_names_it\.<locals>\.Local: boom$"):
+        check_structural_identities(**_SPLIT_SUITE)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["after-the-child", "before-the-child"])
+def test_structural_caller_exception_stops_the_child(monkeypatch, early):
+    if early:  # Legendre runs before the child's sections in report order
+        monkeypatch.setattr(checks, "vp_factorial", _raise_at(
+            checks.vp_factorial, (37, 3), KeyError("vp_factorial")))
+    else:
+        monkeypatch.setattr(checks, "h_p_mod", _raise_at(h_p_mod, (), KeyError("h_p_mod")))
+    with pytest.raises(KeyError):
+        check_structural_identities(**_SPLIT_SUITE)
+    _assert_no_child_left()
+
+
+_LATER_FAULTS = {
+    # a child failure at p = 2 comes before the caller's layer exception
+    "child-failure-first": (
+        {"a_p_set": _drop_one_member(a_p_set, (200, 7, 2)),
+         "h_p_mod": _raise_at(h_p_mod, (), KeyError("h_p_mod"))},
+        (_LEGENDRE, {"identity": "valuation-slice", "n": 200, "v": 7, "p": 2})),
+    # a caller failure in Legendre comes before the child's exception
+    "caller-failure-first": (
+        {"a_p_set": _raise_at(a_p_set, (37, 2, 3), ZeroDivisionError("p = 3")),
+         "vp_factorial": _off_by_one_at(checks.vp_factorial, (37, 3))},
+        (_RATIO, {"identity": "legendre-factorial", "n": 37, "p": 3})),
+    # a child exception at p = 3 comes before the caller's p = 5 failure
+    "child-exception-first": (
+        {"a_p_set": _raise_at(_drop_one_member(a_p_set, (130, 1, 5)), (37, 2, 3),
+                              ZeroDivisionError("p = 3"))},
+        ZeroDivisionError),
+}
+
+
+@pytest.mark.parametrize("case", list(_LATER_FAULTS))
+def test_structural_later_fault_of_either_process_is_discarded(monkeypatch, case):
+    patches, expected = _LATER_FAULTS[case]
+    for name, fn in patches.items():
+        monkeypatch.setattr(checks, name, fn)
+    if expected is ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="^p = 3$"):
+            check_structural_identities(**_SPLIT_SUITE)
+    else:
+        report = check_structural_identities(**_SPLIT_SUITE)
+        assert (report.observed, report.witness) == expected
+    _assert_no_child_left()
 
 
 def test_layer_sums_against_naive_enumeration():
