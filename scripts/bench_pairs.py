@@ -11,12 +11,19 @@ both alike.  Two kinds of pair:
              BENCHMARK.json; one pair per seed.
   ops        one fresh interpreter per side and pair imports padicharm
              from the checkout's src/ and times each cli.main call of a
-             perfbench workload in turn, in process: tree-dual
-             (tree --p 3 --k 2..5) or verify-suite (the nine verify checks
-             and two sweeps, seeded ones at seed 1, verify structural
-             first); the first call of each interpreter is cold.  Each
-             call's stdout is hashed so both sides can be compared byte
-             for byte.
+             group in turn, in process.  Two groups are perfbench
+             workloads: tree-dual (tree --p 3 --k 2..5) and verify-suite
+             (the nine verify checks and two sweeps, seeded ones at seed 1,
+             verify structural first).  val-ladder is single values, which
+             no perfbench workload asks for above n = 3000: val --p 3 --k 3
+             at n = 10^7, 10^15, 10^30, 10^60 with methods stirling,
+             expansion and both, then val --p 2 --k 2 --method expansion on
+             the 100- and 300-digit prefixes of the T_2(2) chain.  The
+             expansion engine only bounds a chain prefix from below, so
+             those two exit 1 on both sides, and 10^15 does not extend the
+             root digits of k - 1 in base 3, so its expansion call exits 2.
+             The first call of each interpreter is cold.  Each call's
+             stdout is hashed so both sides can be compared byte for byte.
 
 For every metric it writes the median and quartiles of each side, the
 change/parent ratio of each pair and of the medians, and the number of
@@ -30,9 +37,10 @@ Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --label tree-fixed-costs \\
         --perfbench tree-dual:1501-1512 deep-expansion:1501-1505 \\
-        --ops tree-dual:10 verify-suite:8
+        --ops tree-dual:10 verify-suite:8 val-ladder:10
 
-The ops commands are those of perfbench/workloads.py beside this script.
+The tree-dual and verify-suite ops commands are those of
+perfbench/workloads.py beside this script.
 """
 
 from __future__ import annotations
@@ -48,9 +56,13 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
 import workloads  # noqa: E402
 
-# perfbench workloads whose operations are all command lines
-OPS_GROUPS = ("tree-dual", "verify-suite")
+# perfbench workloads whose operations are all command lines, and the
+# val ladder
+OPS_GROUPS = ("tree-dual", "verify-suite", "val-ladder")
 OPS_SEED = 1  # the seed that verify-suite's seeded checks take
+LADDER_N = (10 ** 7, 10 ** 15, 10 ** 30, 10 ** 60)
+LADDER_METHODS = ("stirling", "expansion", "both")
+CHAIN_DIGITS = (100, 300)
 
 # Run in a fresh interpreter: time each cli.main call after the import.
 OPS_CHILD = r"""
@@ -72,7 +84,23 @@ SIDES = ("parent", "change")
 
 
 def ops_commands(group: str) -> list[list[str]]:
+    if group == "val-ladder":
+        return val_ladder()
     return [op["argv"] for op in workloads.make_ops(group, OPS_SEED, None)]
+
+
+def val_ladder() -> list[list[str]]:
+    # the chain's bits come from this script's own checkout, so both sides
+    # get the same command lines
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+    from padicharm.tree import f_sequence
+
+    out = [["val", "--p", "3", "--k", "3", "--n", str(n), "--method", method]
+           for n in LADDER_N for method in LADDER_METHODS]
+    bits = str(f_sequence(max(CHAIN_DIGITS) - 1))
+    out += [["val", "--p", "2", "--k", "2", "--n", str(int(bits[:d], 2)), "--method", "expansion"]
+            for d in CHAIN_DIGITS]
+    return out
 
 
 def ops_pairs_of(spec: str) -> tuple[str, int]:

@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .checks import CHECKS
 from .core import ArgumentError, EngineDisagreement, PrecisionError, vp
 from .expansion import vp_H_expansion
 from .tree import PTree, build_tree, f_sequence
@@ -260,6 +259,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # only verify reads the check table, so tree, val and fseq never load it
+    from .checks import CHECKS
+
     check = CHECKS.get(args.check)
     if check is None:
         print(

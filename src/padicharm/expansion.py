@@ -26,10 +26,16 @@ and the precision a walk carries shrinks as it goes deeper.
 
 M is derived from the decisions a walk makes, with no guard digits.  A tree
 build reads sigma mod p^(u+1) at depth u + 1 <= max_depth, so it carries
-M = max(max_depth, 1); vp_H_expansion reads whether vp(sigma) <= v at
-depth v + 1 <= s - t, so it carries M = s - t.  A residue that keeps those
-digits decides each test exactly, and the tests pin the rule: either walk
-one digit short changes tree levels and valuations.
+M = max(max_depth, 1).  vp_H_expansion reads whether vp(sigma) <= v at
+depth v + 1 <= s - t, and a walk carrying M digits decides that exactly
+for every v < M.  So it walks in passes, each scanning only v < M, and
+stops at the first pass that pins the valuation: M starts at 16, doubles
+while 8M <= s - t, then becomes s - t (one pass when s - t <= 16).  The
+index that decides a call is usually shallow, so most calls never carry
+all s - t digits, and the block stores build their entries at the
+smaller M.  A residue that keeps those digits decides each test exactly,
+and the tests pin the rule: either walk one digit short changes tree
+levels and valuations.
 
 Reciprocal power sums over the coprime sequence c_p are the workhorse.
 The sequence is periodic in blocks of p - 1 consecutive units, so a
@@ -561,6 +567,16 @@ class ExpansionVerdict:
         return v
 
 
+# The first pass of vp_H_expansion carries this many digits.  Below it a
+# walk node costs about the same whatever its precision (the h' fold's
+# loops, not its residues, set the cost): per node, 16 digits cost
+# 1.2-1.5x what 1 digit does, and 64 digits 2.6-3.9x, over p, k in
+# (2, 2), (3, 3), (3, 6), (5, 2) on cold stores.  Passes at 1, 2, 4 and 8
+# digits would each repeat the shallow nodes at almost full cost, and
+# CHANGES.md has the timings of both starts.
+_FIRST_PASS = 16
+
+
 def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     """vp(H(n, k)) from the digit-local expansion.
 
@@ -568,10 +584,19 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     once, and scans the accumulated weighted sum (the node's sigma) for
     the first index v where its valuation is exactly v; later terms carry
     at least v + 1 powers of p and cannot disturb it, so the valuation
-    U + v - k*s is exact.  If the whole scan stays above its index, only
-    the tail bound remains.  The scan reads vp(sigma) <= v for v < s - t,
-    so the walk carries sigma mod p^(s - t): a residue below that modulus
-    has its true valuation, and a zero one clears every index.
+    U + v - k*s is exact.  If the whole scan, v < s - t, stays above its
+    index, only the tail bound remains.
+
+    The scan runs in passes that escalate precision from the bottom.  A
+    pass walks with sigma mod p^top and scans only v < top: a nonzero
+    residue below p^top has sigma's true valuation, and a zero one clears
+    every index, so each of its verdicts equals that of a walk at the full
+    p^(s - t).  top starts at min(_FIRST_PASS, s - t) and doubles while
+    8*top <= s - t, then jumps to s - t; only that last pass returns the
+    lower bound.  A pass walks only down to the node that decides, so most
+    calls end in the first pass, far below s - t digits.  A tree member
+    fails every pass, and the jump from at most (s - t)/8 digits keeps what
+    its failed passes cost small beside its last one.
     """
     d = to_digits(n, p)
     sc = structure_constants(k, p)
@@ -582,10 +607,16 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     s = len(d) - 1
     if s < sc.t + 1:
         raise ArgumentError(f"n={n} needs at least {sc.t + 2} digits in base {p}")
-    node = _WalkNode.root(k, p, s - sc.t)
-    for v, b in enumerate(d.digits[sc.t + 1:]):
-        node = node.child(b)
-        acc = node.sigma
-        if acc and vp_int(acc, p) <= v:
-            return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
-    return ExpansionVerdict(lower_bound=(s - sc.t) - k * s + sc.U)
+    span = s - sc.t
+    tail = d.digits[sc.t + 1:]
+    top = min(_FIRST_PASS, span)
+    while True:
+        node = _WalkNode.root(k, p, top)
+        for v, b in enumerate(tail[:top]):
+            node = node.child(b)
+            acc = node.sigma
+            if acc and vp_int(acc, p) <= v:
+                return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
+        if top == span:
+            return ExpansionVerdict(lower_bound=span - k * s + sc.U)
+        top = 2 * top if 8 * top <= span else span

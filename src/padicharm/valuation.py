@@ -14,8 +14,11 @@ the p-part of n! divided out (_ScaledHRow), so its modulus has
 kL + v_max digits, L = ilog_p(n), and grows with log n rather than with
 vp(n!).  Single values (vp_H), scans over increasing n (vp_H_sweep) and
 tree membership (padicharm.tree) all run that row.  A zero residue only
-says the valuation is at least v_max, so vp_H doubles v_max and retries
-until the residue pins the valuation exactly.
+says the valuation is at least v_max.  vp_H pins a single value from the
+bottom: its row starts at A = kL + v_max = 4 digits, and A doubles while
+the residue is zero.  Near the paper's bound vp(H(n, k)) + kL is small, so
+a few digits usually suffice, and a nonzero residue pins the valuation
+exactly.
 
 The row packs its k + 1 residues mod p^A into one int, in slots of
 S >= bits(p^A) + R*bits(2*n_max) + 1 bits: a step is two scalar products
@@ -396,30 +399,28 @@ class _ScaledHRow:
         return vp_int(residue, self.p) - self.kL if residue else None
 
 
-def _initial_guard(n: int, k: int, p: int) -> int:
-    # Heuristic start only; correctness never depends on it because a zero
-    # residue forces escalation.
-    return (k + 1) * (ilog(n, p) + 1) + 8
-
-
 def vp_H_with_guard(n: int, k: int, p: int) -> tuple[int, int]:
     """vp(H(n, k)) plus the v_max of the scaled row that pinned it.
 
-    A row with v_max pins vp(H(n, k)) whenever it lies below v_max; a zero
-    residue only bounds it from below, so v_max doubles until the residue
-    is nonzero.  H(n, k) > 0 guarantees termination.
+    The row reads Z_k = H(n, k) * p^(kL) * unit mod p^A and only needs the
+    digits up to its first nonzero one, which sits low wherever
+    vp(H(n, k)) is near its lower bound -kL.  So the row starts at A = 4
+    digits (v_max = 4 - kL, negative for most n) and A doubles while the
+    residue is zero; a nonzero residue pins vp(H(n, k)) exactly.
+    H(n, k) > 0 guarantees termination.
     """
     if k < 1:
         raise ArgumentError(f"k must be positive, got {k}")
     _check_range(n, k)
     if not is_prime(p):
         raise ArgumentError(f"p must be prime, got {p}")
-    v_max = _initial_guard(n, k, p)
+    kL = k * ilog(n, p)
+    A = 4
     while True:
-        val = _ScaledHRow(k, p, n, v_max).vp(n)
+        val = _ScaledHRow(k, p, n, A - kL).vp(n)
         if val is not None:
-            return val, v_max
-        v_max *= 2
+            return val, A - kL
+        A *= 2
 
 
 def vp_H(n: int, k: int, p: int) -> int:
@@ -430,9 +431,11 @@ def vp_H(n: int, k: int, p: int) -> int:
 def vp_H_sweep(n_max: int, k: int, p: int) -> dict[int, int]:
     """vp(H(n, k)) for every n in [k, n_max] from one shared row sweep.
 
-    Advances one scaled row (_ScaledHRow) with the vp_H starting guard
-    as v_max; any valuation at or above it falls back to vp_H, so results
-    always agree with vp_H.
+    Advances one scaled row (_ScaledHRow) with v_max = (k+1)(L+1) + 8,
+    L = ilog_p(n_max): the row's slot width is dominated by
+    R * bits(2*n_max), not by its digits, so a sweep gains nothing from a
+    smaller start.  Any valuation at or above v_max falls back to vp_H, so
+    results always agree with vp_H.
     """
     if k < 1:
         raise ArgumentError(f"k must be positive, got {k}")
@@ -445,7 +448,7 @@ def vp_H_sweep(n_max: int, k: int, p: int) -> dict[int, int]:
             f"n_max={n_max} exceeds the Stirling sweep cap {ROW_CAP}; "
             "a sweep steps through every integer up to n_max"
         )
-    row = _ScaledHRow(k, p, n_max, _initial_guard(n_max, k, p))
+    row = _ScaledHRow(k, p, n_max, (k + 1) * (ilog(n_max, p) + 1) + 8)
     out: dict[int, int] = {}
     for n in range(k, n_max + 1):
         val = row.vp(n)

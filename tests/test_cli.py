@@ -326,14 +326,18 @@ def test_cache_file_round_trip(records):
 
 
 def test_val_writes_the_pinning_v_max_as_guard(tmp_path, capsys):
-    # guard is the v_max of the Stirling row that pinned the value:
-    # (k + 1)(ilog_2(7) + 1) + 8 = 17, as every release has written it
+    # guard is the v_max = A - kL of the Stirling row that pinned the value,
+    # A the row's modulus digits: A = 4 pins vp_2(H(7, 2)) = -2, since
+    # kL + vp = 2*2 - 2 < 4, so guard is 4 - 4 = 0; at (60000, 7, 3)
+    # kL + vp = 70 - 59 = 11, so A escalates 4, 8, 16 and guard is 16 - 70
     cache = tmp_path / "vals.jsonl"
-    rc, _, _ = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
-                   "--cache", str(cache))
-    assert rc == 0
+    for n, k, p, method in [(7, 2, 2, "both"), (60000, 7, 3, "stirling")]:
+        rc, _, _ = run(capsys, "val", "--p", str(p), "--n", str(n), "--k", str(k),
+                       "--method", method, "--cache", str(cache))
+        assert rc == 0
     assert cache.read_text() == (
-        '{"engine": "both", "guard": 17, "k": 2, "n": 7, "p": 2, "valuation": -2}\n'
+        '{"engine": "both", "guard": 0, "k": 2, "n": 7, "p": 2, "valuation": -2}\n'
+        '{"engine": "stirling", "guard": -54, "k": 7, "n": 60000, "p": 3, "valuation": -59}\n'
     )
 
 
@@ -502,3 +506,25 @@ def test_cli_import_leaves_mpmath_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_only_verify_loads_the_check_table():
+    # tree, val and fseq never import padicharm.checks; verify does
+    import padicharm
+
+    src = os.path.dirname(os.path.dirname(padicharm.__file__))
+    script = (
+        "import contextlib, io, sys, padicharm.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['val', '--p', '3', '--n', '10', '--k', '2'],\n"
+        "                 ['tree', '--p', '3', '--k', '2'], ['fseq', '--terms', '3']):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    print('padicharm.checks' in sys.modules, file=sys.stderr)\n"
+        "    assert cli.main(['verify', 'lengyel', '--m-max', '3']) == 0\n"
+        "print('padicharm.checks' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stderr, proc.stdout) == ("False\n", "True\n")

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -32,7 +34,7 @@ from padicharm.expansion import (
     recip_power_sum,
     vp_H_expansion,
 )
-from padicharm.tree import build_tree
+from padicharm.tree import build_tree, f_sequence
 from padicharm.valuation import exact_H, vp_H
 
 
@@ -586,6 +588,92 @@ def test_vp_H_expansion_examples():
     v = vp_H_expansion(6, 2, 2)
     assert not v.is_exact and v.value == -1
     assert vp(exact_H(6, 2), 2) == -1
+
+
+def top_down_verdict(n, k, p):
+    """vp_H_expansion as one walk at the full p^(s - t): the reference for
+    its passes."""
+    d = to_digits(n, p)
+    sc = structure_constants(k, p)
+    s = len(d) - 1
+    node = _WalkNode.root(k, p, s - sc.t)
+    for v, b in enumerate(d.digits[sc.t + 1:]):
+        node = node.child(b)
+        acc = node.sigma
+        if acc and vp_int(acc, p) <= v:
+            return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
+    return ExpansionVerdict(lower_bound=(s - sc.t) - k * s + sc.U)
+
+
+def deep_expansion_inputs(seeds):
+    """The (n, k, p) of the benchmark's deep-expansion vp_H_expansion calls."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    golden = workloads.load_golden()
+    return [tuple(op["vpx"]) for seed in seeds
+            for op in workloads.make_ops("deep-expansion", seed, golden) if "vpx" in op]
+
+
+@pytest.mark.parametrize("first_pass", [1, expansion._FIRST_PASS])
+def test_vp_H_expansion_passes_equal_the_top_down_walk(monkeypatch, first_pass):
+    # a first pass of 1 digit is the longest run of passes
+    monkeypatch.setattr(expansion, "_FIRST_PASS", first_pass)
+    rng = random.Random(16)
+    inputs = []
+    while len(inputs) < 300:
+        p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 8)
+        digits = to_digits(k - 1, p).digits
+        digits += tuple(rng.randrange(p) for _ in range(rng.randint(1, 60)))
+        inputs.append((DigitString(p, digits).value, k, p))
+    # these start at the deepest level of their tree, so they decide deep
+    inputs += deep_expansion_inputs(range(1, 6))
+    for n, k, p in inputs:
+        assert vp_H_expansion(n, k, p) == top_down_verdict(n, k, p), (n, k, p)
+
+
+@pytest.mark.parametrize("first_pass", [1, expansion._FIRST_PASS])
+def test_vp_H_expansion_chain_prefixes_keep_the_lower_bound(monkeypatch, first_pass):
+    # every prefix of the T_2(2) chain is a tree node, so every pass fails
+    # and only the last one, at s - t digits, returns the bound
+    monkeypatch.setattr(expansion, "_FIRST_PASS", first_pass)
+    bits = str(f_sequence(150))
+    for length in range(2, 152, 10):
+        n = int(bits[:length], 2)
+        verdict = vp_H_expansion(n, 2, 2)
+        assert not verdict.is_exact
+        assert verdict == top_down_verdict(n, 2, 2), length
+
+
+def test_vp_H_expansion_pass_schedule(monkeypatch):
+    tops = []
+    root = _WalkNode.root.__func__
+
+    def recording_root(cls, k, p, M):
+        tops.append(M)
+        return root(cls, k, p, M)
+
+    monkeypatch.setattr(_WalkNode, "root", classmethod(recording_root))
+
+    def passes(bits):
+        tops.clear()
+        vp_H_expansion(int(bits, 2), 2, 2)
+        return tops[:]
+
+    chain = str(f_sequence(199))  # 200 digits, s - t = 199
+    flip = {"0": "1", "1": "0"}
+    assert expansion._FIRST_PASS == 16
+    # no index decides: 16, then 32 since 8*16 <= 199, then 199 since 8*32 > 199
+    assert passes(chain) == [16, 32, 199]
+    assert passes(chain[:100]) == [16, 99]
+    assert passes(chain[:12]) == [11]
+    # leaving the chain at depth 20 decides v = 19, past the first pass
+    assert passes(chain[:20] + flip[chain[20]] + chain[21:]) == [16, 32]
+    assert passes(chain[:5] + flip[chain[5]] + chain[6:]) == [16]
+    monkeypatch.setattr(expansion, "_FIRST_PASS", 1)
+    assert passes(chain) == [1, 2, 4, 8, 16, 32, 199]
+    assert passes(chain[:5] + flip[chain[5]] + chain[6:]) == [1, 2, 4, 8]
 
 
 def test_vp_H_expansion_rejects_bad_input():

@@ -19,6 +19,7 @@ from padicharm.core import (
 )
 from padicharm.expansion import vp_H_expansion
 from padicharm.valuation import (
+    DEFAULT_EXACT_CAP,
     _REDUCE_EVERY,
     _ScaledHRow,
     exact_H,
@@ -173,16 +174,99 @@ def test_vp_H_matches_exact_rationals(p):
             assert vp_H(n, k, p) == vp(table[n][k], p)
 
 
-def test_vp_H_escalates_from_a_small_start(monkeypatch):
-    # start every row at v_max = 1, so each nonnegative valuation escalates
-    # and each sweep value at or above 1 falls back to vp_H
-    monkeypatch.setattr(valuation, "_initial_guard", lambda n, k, p: 1)
-    # vp_5(H(4, 1)) = vp_5(25/12) = 2: v_max 1 and 2 leave a zero residue
+def test_vp_H_matches_exact_stirling_numbers_to_the_exact_cap():
+    # H(n, k) = s(n+1, k+1) / n! exactly; one exact row sweep reads
+    # s(n+1, j+1) for every n up to the cap, and vp_H must match each value
+    K = 6
+    targets = set(random.Random(4096).sample(range(1, DEFAULT_EXACT_CAP), 30))
+    targets |= {DEFAULT_EXACT_CAP - 1, DEFAULT_EXACT_CAP}
+    row = [0, 1] + [0] * K  # s(1, 0..K+1)
+    checked = 0
+    for m in range(1, DEFAULT_EXACT_CAP + 1):
+        row = [0] + [row[j - 1] + m * row[j] for j in range(1, K + 2)]  # s(m+1, .)
+        if m in targets:
+            for p in (2, 3, 5, 7):
+                for k in range(1, min(m, K) + 1):
+                    assert vp_H(m, k, p) == vp_int(row[k + 1], p) - vp_factorial(m, p), (m, k, p)
+                    checked += 1
+    assert checked == 32 * 4 * K
+
+
+# (n, k, p, vp(H(n, k))) for 100 seeded p <= 7, k <= 7 and log-uniform n in
+# [10^3.6, 10^6], as the Stirling row that started at
+# v_max = (k+1)(ilog_p(n)+1) + 8 decided them
+ROW_VALUES = [
+    (771694, 6, 5, -41), (78393, 4, 3, -35), (4639, 6, 5, -25), (219757, 1, 3, -11),
+    (138901, 4, 5, -25), (22801, 5, 5, -26), (139023, 4, 2, -63), (6205, 4, 3, -25),
+    (25962, 7, 7, -29), (359478, 3, 5, -20), (30381, 7, 2, -88), (34407, 5, 2, -65),
+    (684467, 7, 5, -50), (191252, 5, 7, -26), (15894, 3, 5, -15), (191659, 6, 2, -91),
+    (5850, 4, 7, -14), (5211, 4, 3, -26), (972457, 3, 5, -23), (104137, 1, 3, -10),
+    (456289, 4, 3, -42), (22943, 1, 5, -6), (9883, 6, 7, -21), (531750, 5, 5, -36),
+    (748682, 2, 5, -14), (23275, 1, 7, -5), (979664, 3, 3, -34), (16926, 2, 5, -10),
+    (450565, 3, 7, -18), (5029, 3, 2, -29), (193711, 5, 5, -31), (749105, 6, 3, -65),
+    (61689, 4, 2, -54), (96790, 2, 7, -10), (28283, 2, 5, -9), (28545, 1, 2, -14),
+    (355818, 3, 2, -51), (9406, 2, 5, -10), (123257, 7, 3, -61), (83108, 6, 5, -36),
+    (10173, 2, 3, -15), (54962, 7, 2, -94), (141129, 5, 3, -47), (252883, 3, 5, -21),
+    (6042, 3, 2, -33), (924681, 1, 2, -19), (43636, 1, 2, -15), (87409, 1, 3, -10),
+    (40237, 5, 7, -21), (74545, 7, 5, -39), (601480, 3, 7, -18), (12676, 4, 3, -28),
+    (388166, 4, 3, -42), (190109, 5, 5, -30), (603467, 5, 5, -36), (10966, 1, 2, -13),
+    (26134, 2, 3, -16), (13341, 2, 3, -16), (140919, 5, 3, -47), (59292, 4, 2, -55),
+    (154824, 6, 2, -88), (4747, 1, 5, -5), (74243, 4, 2, -59), (20754, 4, 3, -31),
+    (198716, 4, 7, -21), (660473, 6, 5, -43), (125314, 3, 3, -27), (17958, 2, 5, -10),
+    (723296, 5, 7, -29), (201225, 7, 5, -44), (308250, 4, 5, -26), (5157, 2, 3, -14),
+    (200887, 2, 5, -14), (325691, 1, 5, -5), (25284, 4, 5, -21), (8961, 5, 7, -18),
+    (868259, 3, 7, -18), (195054, 2, 2, -33), (27789, 3, 2, -40), (6990, 3, 5, -14),
+    (72322, 7, 5, -39), (12860, 1, 7, -4), (415435, 7, 3, -72), (172736, 1, 7, -6),
+    (4757, 3, 7, -9), (81831, 2, 5, -12), (235512, 6, 5, -38), (4316, 5, 7, -16),
+    (237986, 3, 5, -21), (4709, 1, 7, -4), (30901, 3, 7, -13), (176357, 4, 3, -37),
+    (4629, 6, 2, -59), (181586, 5, 5, -31), (44186, 2, 3, -18), (5758, 5, 7, -16),
+    (25473, 4, 3, -30), (10647, 5, 7, -19), (79363, 5, 3, -44), (252689, 7, 5, -45),
+]
+
+
+def test_vp_H_keeps_the_values_of_the_wide_start():
+    for n, k, p, expected in ROW_VALUES:
+        assert vp_H(n, k, p) == expected, (n, k, p)
+
+
+def test_vp_H_escalates_from_a_small_start():
+    # the row starts at A = 4 modulus digits (v_max = 4 - kL) and doubles A
+    # while its residue is zero, so the pinning A is the first of 4, 8,
+    # 16, ... above kL + vp(H(n, k))
+    # vp_5(H(4, 1)) = vp_5(25/12) = 2 and L = 0: A = 4 pins it
     assert vp_H_with_guard(4, 1, 5) == (2, 4)
-    for p, k in [(2, 1), (3, 2), (5, 1), (7, 3)]:
-        sweep = vp_H_sweep(120, k, p)
+    seen = set()
+    for p, k in [(2, 3), (2, 5), (3, 2), (3, 4), (7, 3)]:
         for n in range(k, 121):
-            assert sweep[n] == vp_H(n, k, p) == exact_vp_H(n, k, p)
+            val, v_max = vp_H_with_guard(n, k, p)
+            assert val == exact_vp_H(n, k, p)
+            kL = k * ilog(n, p)
+            A = kL + v_max
+            assert A in (4, 8, 16, 32) and kL + val < A
+            assert A == 4 or kL + val >= A // 2
+            seen.add(A)
+    assert seen == {4, 8, 16}
+
+
+def test_vp_H_sweep_falls_back_to_vp_H(monkeypatch):
+    # start the sweep's row, the first one built, at v_max = 1, so that each
+    # sweep value at or above 1 falls back to vp_H
+    real_row = valuation._ScaledHRow
+    built = []
+
+    def row(k, p, n_max, v_max):
+        built.append(v_max)
+        return real_row(k, p, n_max, 1 if len(built) == 1 else v_max)
+
+    monkeypatch.setattr(valuation, "_ScaledHRow", row)
+    fallbacks = 0
+    for p, k in [(2, 1), (3, 2), (5, 1), (7, 3)]:
+        built.clear()
+        sweep = vp_H_sweep(120, k, p)
+        fallbacks += len(built) > 1
+        for n in range(k, 121):
+            assert sweep[n] == exact_vp_H(n, k, p)
+    assert fallbacks == 3  # vp_2(H(n, 1)) = -ilog_2(n) never falls back
 
 
 def test_vp_H_rejections():
