@@ -11,23 +11,30 @@ both alike.  Two kinds of pair:
              BENCHMARK.json; one pair per seed.
   ops        one fresh interpreter per side and pair imports padicharm
              from the checkout's src/ and times each cli.main call of a
-             group in turn, in process.  Two groups are perfbench
-             workloads: tree-dual (tree --p 3 --k 2..5) and verify-suite
-             (the nine verify checks and two sweeps, seeded ones at seed 1,
-             verify structural first).  val-ladder is single values, which
-             no perfbench workload asks for above n = 3000: val --p 3 --k 3
-             at n = 10^7, 10^15, 10^30, 10^60 with methods stirling,
-             expansion and both, then val --p 2 --k 2 --method expansion on
-             the 100- and 300-digit prefixes of the T_2(2) chain.  The
-             expansion engine only bounds a chain prefix from below, so
-             those two exit 1 on both sides, and 10^15 does not extend the
-             root digits of k - 1 in base 3, so its expansion call exits 2.
+             group in turn, in process.  Three groups are perfbench
+             workloads at seed 1: tree-dual (tree --p 3 --k 2..5),
+             verify-suite (the nine verify checks and two sweeps, verify
+             structural first) and deep-expansion (fseq, the
+             expansion-only trees, then vp_H_expansion calls, each listed
+             as "vpx N K P" and hashed as perfbench prints it, [exact,
+             lower]).  deep-walk is the deep walks no workload reaches:
+             fseq --terms 600 and the expansion-only trees T_3(14) at
+             depth 60 and T_7(5) at depth 40.  val-ladder is single
+             values, which no perfbench workload asks for above n = 3000:
+             val --p 3 --k 3 at n = 10^7, 10^15, 10^30, 10^60 with methods
+             stirling, expansion and both, then val --p 2 --k 2 --method
+             expansion on the 100- and 300-digit prefixes of the T_2(2)
+             chain.  The expansion engine only bounds a chain prefix from
+             below, so those two exit 1 on both sides, and 10^15 does not
+             extend the root digits of k - 1 in base 3, so its expansion
+             call exits 2.
              The first call of each interpreter is cold.  Each call's
              stdout is hashed so both sides can be compared byte for byte.
 
-For every metric it writes the median and quartiles of each side, the
-change/parent ratio of each pair and of the medians, and the number of
-pairs in which the change was lower (faster), to BENCH_<label>.json in
+For every metric, and for each ops group's total over its calls, it
+writes the median and quartiles of each side, the change/parent ratio of
+each pair and of the medians, and the number of pairs in which the
+change was lower (faster), to BENCH_<label>.json in
 the change checkout.  The schema is that of BENCH_row-blocks.json plus
 the per-pair ratios.  A run that exits non-zero or prints no JSON result
 is recorded as it is (its exit code and an empty result) and the pairs go
@@ -39,7 +46,7 @@ Example:
         --perfbench tree-dual:1501-1512 deep-expansion:1501-1505 \\
         --ops tree-dual:10 verify-suite:8 val-ladder:10
 
-The tree-dual and verify-suite ops commands are those of
+The tree-dual, verify-suite and deep-expansion ops commands are those of
 perfbench/workloads.py beside this script.
 """
 
@@ -56,24 +63,31 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
 import workloads  # noqa: E402
 
-# perfbench workloads whose operations are all command lines, and the
-# val ladder
-OPS_GROUPS = ("tree-dual", "verify-suite", "val-ladder")
-OPS_SEED = 1  # the seed that verify-suite's seeded checks take
+# perfbench workloads, the deep walks and the val ladder
+OPS_GROUPS = ("tree-dual", "verify-suite", "deep-expansion", "deep-walk", "val-ladder")
+OPS_SEED = 1  # the seed of the workloads' operations
+DEEP_WALK = ("fseq --terms 600", "tree --p 3 --k 14 --max-depth 60 --engine expansion",
+             "tree --p 7 --k 5 --max-depth 40 --engine expansion")
 LADDER_N = (10 ** 7, 10 ** 15, 10 ** 30, 10 ** 60)
 LADDER_METHODS = ("stirling", "expansion", "both")
 CHAIN_DIGITS = (100, 300)
 
-# Run in a fresh interpreter: time each cli.main call after the import.
+# Run in a fresh interpreter: time each cli.main call (or, for "vpx N K P",
+# each vp_H_expansion call) after the import.
 OPS_CHILD = r"""
 import contextlib, hashlib, io, json, sys, time
-from padicharm import cli
+from padicharm import cli, expansion
 out = []
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         t0 = time.perf_counter()
-        rc = cli.main(argv)
+        if argv[0] == "vpx":
+            v = expansion.vp_H_expansion(*map(int, argv[1:]))
+            print(json.dumps([v.exact_valuation, v.lower_bound]), end="")
+            rc = 0
+        else:
+            rc = cli.main(argv)
         s = time.perf_counter() - t0
     out.append({"rc": rc, "seconds": s,
                 "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()})
@@ -86,7 +100,10 @@ SIDES = ("parent", "change")
 def ops_commands(group: str) -> list[list[str]]:
     if group == "val-ladder":
         return val_ladder()
-    return [op["argv"] for op in workloads.make_ops(group, OPS_SEED, None)]
+    if group == "deep-walk":
+        return [argv.split() for argv in DEEP_WALK]
+    return [op["argv"] if "argv" in op else ["vpx", *map(str, op["vpx"])]
+            for op in workloads.make_ops(group, OPS_SEED, workloads.load_golden())]
 
 
 def val_ladder() -> list[list[str]]:
@@ -233,6 +250,15 @@ def main(argv=None) -> int:
             {r["stdout_sha256"] for s in SIDES for r in runs[s]}) == 1
         entry["all_exit_0"] = all(r["rc"] == 0 for s in SIDES for r in runs[s])
         summary["ops"].setdefault(group, {})[argv_] = entry
+    for group, pairs in args.ops:
+        totals = {s: [] for s in SIDES}
+        for pair in range(1, pairs + 1):
+            for s in SIDES:
+                xs = [r["seconds"] for r in ops_runs
+                      if (r["group"], r["side"], r["pair"]) == (group, s, pair)]
+                totals[s].append(None if None in xs else sum(xs))
+        summary["ops"][group]["total"] = compare(*totals.values(), unit="_s",
+                                                 won="pairs_change_faster")
     for workload, _ in args.perfbench:
         runs = {s: [r for r in perfbench_runs if r["workload"] == workload and r["side"] == s]
                 for s in SIDES}

@@ -17,12 +17,18 @@ all reduced mod p^M.  These drive both an independent valuation method
 h_prime is read off a (count, depth-sum) DP over the prefix's digit
 groups, and _add_group is its only step: it folds one group.  h_prime_mod
 folds a whole prefix from scratch and is the reference; _WalkNode walks
-down the digits and folds one group per digit, carrying the DP table and
-sigma from parent to child.  build_tree, f_sequence and vp_H_expansion all
-walk _WalkNode.  Only sigma needs the walk's full precision p^M: the h_p
-term of a child of a depth-d node enters it times p^d, so that node folds
-its table, and its children's block sums, mod p^(M - d) (at least p^1),
-and the precision a walk carries shrinks as it goes deeper.
+down the digits and folds one group per digit onto its parent's table,
+carrying the table and sigma from parent to child, so no prefix is folded
+twice.  build_tree, f_sequence and vp_H_expansion all walk _WalkNode.
+Each table is sized once, from the largest budget its owner can read:
+U + M for a walk at p^M, which reads h' down to depth M, and the budget
+itself for h_prime_mod.  A fold keeps only the entries that can still
+reach such a budget, since every item still to come lies deeper than the
+group just folded; so deep nodes fold a few short rows.  Only sigma
+needs the walk's full precision p^M: the h_p term of a child of a depth-d
+node enters it times p^d, so that node folds its table, and its
+children's block sums, mod p^(M - d) (at least p^1), and the precision a
+walk carries shrinks as it goes deeper.
 
 M is derived from the decisions a walk makes, with no guard digits.  A tree
 build reads sigma mod p^(u+1) at depth u + 1 <= max_depth, so it carries
@@ -53,13 +59,14 @@ power sums by Newton's identities.  Below a few dozen units the direct
 per-unit scans are cheaper, and they stay as the oracles of the closed
 forms.
 
-Walks ask for the same block at many precisions (each vp_H_expansion
-call picks its own M, Newton's identities pad it, a refolded parent asks
-again for a larger degree), so each block quantity has one _Store entry
-per block key, built at the largest M and degree m asked for so far; a
-smaller request reduces the stored residues mod p^M and keeps the terms
-it asked for.  recip_esym, recip_power_sum, _closed_weights and
-_index_power_sums each expose their store as cache_info/cache_clear.
+Walks ask for the same block at many precisions and degrees (each
+vp_H_expansion call picks its own M, Newton's identities pad it, and a
+walk's reach sets the degree its folds ask for), so each block quantity
+has one _Store entry per block key, built at the largest M and degree m
+asked for so far; a smaller request reduces the stored residues mod p^M
+and keeps the terms it asked for.  recip_esym, recip_power_sum,
+_closed_weights and _index_power_sums each expose their store as
+cache_info/cache_clear.
 """
 
 from __future__ import annotations
@@ -187,9 +194,7 @@ def _closed_weights(r: int, p: int, M: int) -> tuple[int, ...]:
     asked for: term j carries p^j, so the terms j >= M that a larger M'
     adds vanish mod p^M, and w_i(M') mod p^M = w_i(M) for i < M.
     """
-    (top,), weights = _WEIGHTS.fetch((r, p), (M,), _build_weights)
-    if top == M:
-        return weights
+    weights = _WEIGHTS.fetch((r, p), (M,), _build_weights)[1]
     mod = p ** M
     return tuple(w % mod for w in weights[:M])
 
@@ -228,9 +233,7 @@ def _index_power_sums(Q: int, p: int, M: int) -> tuple[int, ...]:
     terms at the largest M asked for; each f_i is an integer, so a smaller
     M takes the first min(Q, M) of them mod p^M.
     """
-    (top,), terms = _INDEX_SUMS.fetch((Q, p), (M,), _build_index_sums)
-    if top == M:
-        return terms
+    terms = _INDEX_SUMS.fetch((Q, p), (M,), _build_index_sums)[1]
     mod = p ** M
     return tuple(f % mod for f in terms[:min(Q, M)])
 
@@ -251,14 +254,18 @@ def _recip_power_sum_closed(B: int, r: int, p: int, M: int) -> int:
 
     The Q full blocks contribute sum_i w_i f_i(Q) (_closed_weights,
     _index_power_sums), O(M) per call once the weights are built; the
-    partial block is summed directly.
+    partial block is summed directly.  The two stores are read as they
+    stand, at their own M' >= M: the first M weights and the first
+    min(Q, M) terms reduce mod p^M to the ones asked for, so the sum is
+    reduced once, at the end.
     """
     mod = p ** M
     Q, m0 = divmod(B, p - 1)
     total = 0
     if Q:
-        weights = _closed_weights(r, p, M)
-        total = sum(w * f for w, f in zip(weights, _index_power_sums(Q, p, M)))
+        weights = _WEIGHTS.fetch((r, p), (M,), _build_weights)[1]
+        terms = _INDEX_SUMS.fetch((Q, p), (M,), _build_index_sums)[1]
+        total = sum(map(operator.mul, weights[:M], terms))
     base = p * Q
     for m in range(1, m0 + 1):
         total += pow(base + m, -r, mod)
@@ -367,44 +374,57 @@ def _require_extension(prefix: DigitString, k: int) -> StructureConstants:
     return sc
 
 
-def _add_group(dp: list[list[int]], B: int, w: int, k: int, p: int, M: int) -> list[list[int]]:
+def _add_group(
+    dp: list[list[int]], B: int, w: int, k: int, p: int, M: int, limit: int
+) -> list[list[int]]:
     """Fold one digit group, B units at depth w, into the h' DP.
 
-    dp[c][W] sums the selections of c items with depth sum W, for W up to
-    the table's width; the group enters through its elementary symmetric
-    sums, so group size never costs more than the degree actually
-    reachable within the width.  Entries below any budget do not depend
-    on the width.  Tables are never mutated, so a group that adds nothing
-    returns the same table.
+    dp[c][W] sums the selections of c items with depth sum W.  Only budgets
+    up to limit are ever read, and the k - c items still to pick all lie
+    deeper than w, so after this fold row c keeps only the W with W <= c*w
+    and W + (k - c)(w + 1) <= limit: every entry it drops could reach a
+    budget only above limit, and every entry it keeps is the full sum.  The
+    group enters through its elementary symmetric sums, up to the largest
+    degree that lands in a kept entry.  The parent's table is not mutated,
+    since its other children fold onto it too.
     """
-    width = len(dp[0]) - 1
-    m_top = min(k if w == 0 else min(k, width // w), B)
-    if m_top == 0:
-        return dp
-    ep = recip_esym(B, m_top, p, M)
-    mod = p ** M
-    new = [row[:] for row in dp]
-    for c in range(k):
-        row = dp[c]
-        for W in range(width + 1):
-            val = row[W]
-            if not val:
-                continue
-            top = min(m_top, k - c) if w == 0 else min(m_top, k - c, (width - W) // w)
-            for mu in range(1, top + 1):
-                new[c + mu][W + mu * w] = (new[c + mu][W + mu * w] + val * ep[mu]) % mod
+    ends = [max(min(c * w, limit - (k - c) * (w + 1)) + 1, 0) for c in range(k + 1)]
+    new = [row[:end] + [0] * (end - len(row)) for row, end in zip(dp, ends)]
+    # the lowest row whose W = 0 entry reaches a kept entry takes the most items here
+    m_top = next((min(k - c, B) for c in range(k) if dp[c]
+                  and (k - c) * (w + 1) - min(k - c, B) <= limit), 0)
+    if m_top:
+        ep = recip_esym(B, m_top, p, M)
+        mod = p ** M
+        for c in range(k):
+            top = min(m_top, k - c)
+            # entry W lands in a kept entry only with at least W + lack items here
+            lack = (k - c) * (w + 1) - limit
+            for W, val in enumerate(dp[c]):
+                if val:
+                    for mu in range(max(W + lack, 1), top + 1):
+                        row = new[c + mu]
+                        row[W + mu * w] = (row[W + mu * w] + val * ep[mu]) % mod
     return new
 
 
-def _fold(prefix: DigitString, k: int, width: int, M: int) -> list[list[int]]:
-    """The h' DP table of a whole prefix, one _add_group per digit."""
+def _fold(prefix: DigitString, k: int, limit: int, M: int) -> list[list[int]]:
+    """The h' DP table of a whole prefix for budgets up to limit, one
+    _add_group per digit."""
     p = prefix.p
-    dp = [[1] + [0] * width] + [[0] * (width + 1) for _ in range(k)]
+    dp = [[1]] + [[] for _ in range(k)]
     value = 0
     for w, digit in enumerate(prefix.digits):
         parent, value = value, value * p + digit
-        dp = _add_group(dp, value - parent, w, k, p, M)
+        dp = _add_group(dp, value - parent, w, k, p, M, limit)
     return dp
+
+
+def _h_prime(table: list[list[int]], k: int, budget: int) -> int:
+    """The h' entry at budget of a table folded for budgets up to limit >=
+    budget; row k ends short of the budget where no selection reaches it."""
+    row = table[k]
+    return row[budget] if budget < len(row) else 0
 
 
 def h_prime_mod(prefix: DigitString, k: int, M: int) -> int:
@@ -419,7 +439,7 @@ def h_prime_mod(prefix: DigitString, k: int, M: int) -> int:
         raise ArgumentError(f"M must be positive, got {M}")
     sc = _require_extension(prefix, k)
     budget = sc.U + len(prefix) - sc.t - 1
-    return _fold(prefix, k, budget, M)[k][budget]
+    return _h_prime(_fold(prefix, k, budget, M), k, budget)
 
 
 class _WalkNode:
@@ -429,11 +449,12 @@ class _WalkNode:
     and the h' DP table are computed on first use from the parent: the
     child's sigma adds its h_p term, which reads the parent's h', and the
     child's table folds exactly one group, of B = value(parent)*(p-1) + b
-    units, into the parent's.  The root's table is as wide as its budget
-    U; the first child whose budget U + v would exceed its parent's width
-    refolds the parent's digits at twice that width, in place, and every
-    child folds its group onto that.  Once a node holds both it
-    lets go of its parent, so a walk keeps only its frontier alive.
+    units, into the parent's.  The walk's reach is known at the root: it
+    reads h' at depth v <= top only, budget U + v <= U + top, so every
+    table is pruned to that limit (_add_group) and is never widened or
+    refolded.  h_prime past the reach raises PrecisionError, since the
+    pruned table would read 0 there.  Once a node holds both it lets go
+    of its parent, so a walk keeps only its frontier alive.
 
     sigma is kept mod p^top, top the root's precision.  The h_p term of a
     child of a depth-d node enters sigma times p^d, so only its residue
@@ -481,7 +502,9 @@ class _WalkNode:
 
     @property
     def h_prime(self) -> int:
-        return self._table()[self.k][self.sc.U + self.depth]
+        if self.depth > self.top:
+            raise PrecisionError(f"h' at depth {self.depth} is past the walk's reach {self.top}")
+        return _h_prime(self._table(), self.k, self.sc.U + self.depth)
 
     @property
     def sigma(self) -> int:
@@ -505,17 +528,11 @@ class _WalkNode:
         if self._dp is None:
             parent = self._parent
             if parent is None:
-                self._dp = _fold(self.digits, self.k, self.sc.U, self.M)
+                self._dp = _fold(self.digits, self.k, self.sc.U + self.top, self.M)
             else:
-                table = parent._table()
-                width = len(table[0]) - 1
-                if self.sc.U + self.depth > width:
-                    # widen the parent once for all its children; entries
-                    # below any budget do not depend on the width
-                    table = parent._dp = _fold(parent.digits, self.k, 2 * width, parent.M)
                 self._dp = _add_group(
-                    table, self.value - parent.value,
-                    len(self.digits) - 1, self.k, self.digits.p, self.M,
+                    parent._table(), self.value - parent.value, len(self.digits) - 1,
+                    self.k, self.digits.p, self.M, self.sc.U + self.top,
                 )
                 if self._sigma is not None:
                     self._parent = None
@@ -567,13 +584,14 @@ class ExpansionVerdict:
         return v
 
 
-# The first pass of vp_H_expansion carries this many digits.  Below it a
-# walk node costs about the same whatever its precision (the h' fold's
-# loops, not its residues, set the cost): per node, 16 digits cost
-# 1.2-1.5x what 1 digit does, and 64 digits 2.6-3.9x, over p, k in
-# (2, 2), (3, 3), (3, 6), (5, 2) on cold stores.  Passes at 1, 2, 4 and 8
-# digits would each repeat the shallow nodes at almost full cost, and
-# CHANGES.md has the timings of both starts.
+# The first pass of vp_H_expansion carries this many digits.  A walk
+# node's cost grows with the walk's reach, which sizes its pruned h'
+# table, but slowly: per node on cold stores, a walk at 16 digits costs
+# 1.0-1.5x one at 1 digit, and at 64 digits 2.2-4.7x, over p, k in
+# (2, 2), (3, 3), (3, 6), (5, 2).  Passes at 1, 2, 4 and 8 digits would
+# each repeat the shallow nodes at nearly full cost; first passes of 8 and
+# 32 digits both ran deep-expansion's operations slower than 16, and
+# CHANGES.md has the timings.
 _FIRST_PASS = 16
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -55,6 +56,24 @@ def test_tree_json_and_byte_stability(capsys):
     assert doc["node_count"] == 8
     assert doc["built_at"] is None
     assert doc["levels"][0] == [[1]]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("tree --p 3 --k 9 --max-depth 60 --engine expansion",
+     "57d1a4b8b8308eca0cfb2ecb50164cf91779ef588c84ffb93f696834ef399f93"),
+    ("tree --p 3 --k 14 --max-depth 60 --engine expansion",
+     "0ca04669a73db6d04ae07ae18ed408d34203c34afb38f10f4eaecf632da2e0f7"),
+    ("tree --p 7 --k 5 --max-depth 40 --engine expansion",
+     "d450678ab5f910e56fcaff52575e9a97334acea52960c392770624d9b89bed92"),
+    ("fseq --terms 300",
+     "002180da2e0b2984fd0a40425e3dbb7bf34cb126a117ca84dc8769d257b7a3cc"),
+])
+def test_deep_walk_outputs_are_pinned(capsys, argv, digest):
+    # the growing trees and the branch bits, byte for byte: pruning the
+    # walk's h' tables to the budgets it reads must not move one node
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tree_dot_output(capsys):

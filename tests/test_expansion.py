@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from padicharm.core import (
     DigitString,
+    PrecisionError,
     bp_count,
     cp,
     structure_constants,
@@ -498,14 +499,15 @@ def test_sigma_matches_fraction_oracle(p, k):
 @given(st.sampled_from([2, 3, 5]), st.integers(min_value=2, max_value=5), st.data())
 @settings(max_examples=30, deadline=None)
 def test_walk_matches_from_scratch_dp(p, k, data):
-    # The root's table is U wide and doubles at depth 1 and again at depth
-    # U + 1, so every path here crosses at least two doublings.
+    # The walk's tables keep budgets up to U + M and h_prime_mod's up to
+    # the node's own budget, so the two prune them differently.
     sc = structure_constants(k, p)
     depth = data.draw(st.integers(min_value=sc.U + 1, max_value=sc.U + 2), label="depth")
     path = data.draw(st.lists(st.integers(0, p - 1), min_size=depth, max_size=depth), label="path")
     # A node's table is exact mod p^(its precision), max(M - depth, 1);
-    # sigma is compared at the root's full precision M.
-    M = data.draw(st.integers(min_value=1, max_value=8), label="M")
+    # sigma is compared at the root's full precision M, whose reach
+    # covers the path.
+    M = data.draw(st.integers(min_value=depth, max_value=depth + 4), label="M")
     mod = p ** M
     node = _WalkNode.root(k, p, M)
     sigma = 0
@@ -520,32 +522,57 @@ def test_walk_matches_from_scratch_dp(p, k, data):
         assert child.sigma == sigma, child.digits
         node = child
     assert node.h_prime % p ** node.M == h_prime_mod(node.digits, k, node.M)
-    assert len(node._table()[0]) - 1 >= 4 * sc.U
 
 
-def test_walk_widens_each_parent_once(monkeypatch):
-    # At a doubling depth the parent's table is refolded once, at twice its
-    # width, and all its children fold their groups onto that one table.
-    folds = []
-    real_fold = expansion._fold
+def test_walk_folds_each_node_once(monkeypatch):
+    # The root folds its own digits, and every node the walk expands below
+    # it folds exactly one group onto its parent's table: no prefix is
+    # ever folded again.
+    folds, groups = [], []
+    real_fold, real_add_group = expansion._fold, expansion._add_group
 
-    def fold(prefix, k, width, M):
-        folds.append((prefix, width))
-        return real_fold(prefix, k, width, M)
+    def fold(prefix, k, limit, M):
+        folds.append((prefix, limit))
+        return real_fold(prefix, k, limit, M)
+
+    def add_group(dp, B, w, *args):
+        groups.append((w, B))
+        return real_add_group(dp, B, w, *args)
 
     monkeypatch.setattr(expansion, "_fold", fold)
-    for k in range(2, 9):
+    monkeypatch.setattr(expansion, "_add_group", add_group)
+    for p, k, depth in [(3, k, 32) for k in range(2, 9)] + [(2, 2, 64), (3, 14, 20), (7, 5, 12)]:
         folds.clear()
-        tree = build_tree(3, k, engine="expansion")
+        groups.clear()
+        tree = build_tree(p, k, depth, engine="expansion")
         sc = tree.constants
-        root, *refolds = folds
-        assert root == (sc.root_digits, sc.U)
-        assert refolds  # every one of these trees expands a depth-1 node
-        prefixes = [prefix for prefix, _ in refolds]
-        assert len(set(prefixes)) == len(prefixes)
-        for prefix, width in refolds:
-            # the parent is at full width; only its children need more
-            assert sc.U + len(prefix) - len(sc.root_digits) == width // 2
+        assert folds == [(sc.root_digits, sc.U + depth)]
+        expected, value = [], 0
+        for w, digit in enumerate(sc.root_digits.digits):
+            expected.append((w, value * (p - 1) + digit))
+            value = value * p + digit
+        # the nodes of levels 1 .. depth - 1 have children to decide
+        expanded = [node for level in tree.levels[1:depth] for node in level]
+        assert expanded  # every one of these trees expands a depth-1 node
+        expected += [(len(node) - 1, node.value - node.parent().value) for node in expanded]
+        assert len(set(groups)) == len(groups)
+        assert sorted(groups) == sorted(expected)
+
+
+def test_walk_refuses_to_read_past_its_reach():
+    # A walk carrying sigma mod p^M reads h' down to depth M; deeper, its
+    # tables have dropped the budgets, so h' must raise, not read 0.
+    for p, k, M in [(2, 2, 1), (2, 2, 6), (3, 3, 4), (5, 2, 3)]:
+        node = _WalkNode.root(k, p, M)
+        for _ in range(M):
+            node = node.child(p - 1)
+        assert node.h_prime % p ** node.M == h_prime_mod(node.digits, k, node.M)
+        deeper = node.child(p - 1)
+        deeper.sigma  # reads h' at depth M
+        with pytest.raises(PrecisionError):
+            deeper.h_prime
+        with pytest.raises(PrecisionError):
+            deeper.child(0).sigma
 
 
 def test_derived_walk_precision_needs_no_extra_digits(monkeypatch):
