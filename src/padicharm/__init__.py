@@ -37,7 +37,6 @@ from .tree import (
     FSequence,
     PTree,
     build_tree,
-    child_stats,
     f_sequence,
     validate_ptree,
 )

@@ -44,6 +44,7 @@ from .tree import build_tree, f_sequence
 from .valuation import (
     DEFAULT_EXACT_CAP,
     exact_H_table,
+    integral_pairs,
     stirling,
     vp_H,
     vp_H_sweep,
@@ -460,15 +461,7 @@ def check_lengyel_identity(m_max: int = 12) -> CheckReport:
 
 def check_integral_scan(n_max: int = 40) -> CheckReport:
     """The only integral H(n, k) with k <= n <= n_max are (1,1) and (3,2)."""
-    if n_max < 1:
-        raise ArgumentError(f"n_max must be positive, got {n_max}")
-    table = exact_H_table(n_max, n_max)
-    found = [
-        (n, k)
-        for n in range(1, n_max + 1)
-        for k in range(1, n + 1)
-        if table[n][k].denominator == 1
-    ]
+    found = integral_pairs(n_max)
     expected = [(1, 1), (3, 2)] if n_max >= 3 else [(1, 1)]
     return CheckReport(
         claim_id="integral-scan",
@@ -564,7 +557,7 @@ def _ubound_holds(n: int, k: int, p: int, nu: int) -> bool:
     return lhs < rhs
 
 
-def check_ubound(p: int, k: int, x: int) -> CheckReport:
+def check_ubound(p: int = 3, k: int = 2, x: int = 729) -> CheckReport:
     """Upper-bound mechanism on [(k-1)p, x]: leaf exits force the strict
     inequality, violators stay inside the tree, and the violator count is
     at most 3 x^0.835."""
@@ -647,8 +640,10 @@ def _harm_window_hits(
 _HARM_X_MAX = 400
 
 
-def check_harm_count_suite(p: int, cases: int = 100, seed: int = 0) -> CheckReport:
+def check_harm_count_suite(p: int = 3, cases: int = 500, seed: int = 0) -> CheckReport:
     """Seeded batch of harmonic congruence windows for one prime."""
+    if not is_prime(p):
+        raise ArgumentError(f"p must be prime, got {p}")
     if cases < 1:
         raise ArgumentError(f"cases must be positive, got {cases}")
     rng = random.Random(seed)
@@ -694,7 +689,7 @@ def cpicong_hit_count(p: int, q: Fraction, a: int) -> tuple[int, list[int]]:
 
 
 def check_cpicong(
-    p: int, q_samples: int = 20, a_samples: int = 10, seed: int = 0
+    p: int = 3, q_samples: int = 20, a_samples: int = 10, seed: int = 0
 ) -> CheckReport:
     """Congruence hit counts over coprime-block windows of length p.
 
@@ -806,7 +801,7 @@ def check_p59_exponent(prime_bound: int = 1000) -> CheckReport:
     )
 
 
-def monitor_lower_bound(p: int, k: int, n_max: int) -> CheckReport:
+def monitor_lower_bound(p: int = 3, k: int = 2, n_max: int = 40) -> CheckReport:
     """Informational: min over n <= n_max of vp(H(n,k)) + k log_p n.
 
     The additive constant in the known lower bound is unspecified, so this
@@ -837,8 +832,9 @@ class Check:
     it draws random samples.
 
     flags maps each keyword argument of run to the `verify` flag (its
-    argparse dest) that supplies it.  A seeded check also gets seed=, and
-    `verify` refuses to run it without an explicit --seed.
+    argparse dest) that supplies it; a flag left out is not passed, so each
+    of these keywords has its default in run's signature.  A seeded check
+    also gets seed=, and `verify` refuses to run it without an explicit --seed.
     """
 
     run: Callable[..., CheckReport]

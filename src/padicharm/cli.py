@@ -1,11 +1,12 @@
 """Command-line surface: valuations, trees, branch bits, checks, scans.
 
 This is the only module that does I/O.  Machine paths emit line-delimited
-JSON (or DOT for trees).  `verify` runs a row of checks.CHECKS: the
-table gives the valid names, the flags each check reads and which checks
-require an explicit --seed, so a new check is one row there and nothing
-here.  `val` with method stirling or both runs the Stirling row, which
-jumps aligned blocks of integers, so it takes any n; only the sweeps of
+JSON (or DOT for trees, in build_tree's order).  `verify` runs a row of
+checks.CHECKS: the table gives the valid names, the flags each check
+reads and which checks require an explicit --seed.  A verify flag left
+out is not passed, so each default lives in the check's signature only.
+`val` with method stirling or both runs the Stirling row, which jumps
+aligned blocks of integers, so it takes any n; only the sweeps of
 `verify` refuse n above valuation.ROW_CAP.
 The argparse parser is built once per process, on the first `main` call,
 and `main` looks up the `cmd_*` function of each parsed command at call
@@ -24,14 +25,13 @@ import functools
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 from . import __version__
 from .core import ArgumentError, EngineDisagreement, PrecisionError, vp
 from .expansion import vp_H_expansion
 from .tree import PTree, build_tree, f_sequence
-from .valuation import exact_H, exact_H_table, vp_H_with_guard
+from .valuation import exact_H, integral_pairs, vp_H_with_guard
 
 CACHE_ENV = "PADIC_CACHE"
 
@@ -112,8 +112,9 @@ def _parse_record(line: str, path: str, lineno: int) -> CacheRecord:
     return rec
 
 
-def tree_document(tree: PTree, stamp: bool = False) -> dict:
-    """JSON-ready view of a built tree; byte-stable unless stamped."""
+def tree_document(tree: PTree) -> dict:
+    """JSON-ready view of a built tree in its own order, byte-stable;
+    "built_at" stays null until the next ptree format bump."""
     stats = tree.stats
     return {
         "format": "ptree-v1",
@@ -130,21 +131,15 @@ def tree_document(tree: PTree, stamp: bool = False) -> dict:
         "status": tree.status,
         "truncated_at": tree.truncated_at,
         "node_count": tree.node_count,
-        "levels": [
-            [list(ds.digits) for ds in sorted(level, key=lambda d: d.value)]
-            for level in tree.levels
-        ],
-        "leaves": [
-            list(ds.digits)
-            for ds in sorted(tree.leaves, key=lambda d: (len(d), d.value))
-        ],
+        "levels": [[list(ds.digits) for ds in level] for level in tree.levels],
+        "leaves": [list(ds.digits) for ds in tree.leaves],
         "child_stats": {
-            "min_children": stats.min_children if stats else None,
-            "max_children": stats.max_children if stats else None,
-            "determined": stats.determined if stats else 0,
-            "girth": stats.girth if stats else None,
+            "min_children": stats.min_children,
+            "max_children": stats.max_children,
+            "determined": stats.determined,
+            "girth": stats.min_children,
         },
-        "built_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()) if stamp else None,
+        "built_at": None,
     }
 
 
@@ -154,23 +149,14 @@ def _label(digits: tuple[int, ...], p: int) -> str:
 
 
 def tree_dot(tree: PTree) -> str:
-    """DOT text: one box per digit string, leaves dashed."""
+    """DOT text: one box per digit string, leaves dashed, in tree order."""
     p = tree.p
+    nodes = [ds for level in tree.levels for ds in level]
     lines = ["digraph ptree {", "  node [shape=box];"]
-    for level in tree.levels:
-        for ds in sorted(level, key=lambda d: d.value):
-            lines.append(f'  "{_label(ds.digits, p)}";')
-    for ds in sorted(tree.leaves, key=lambda d: (len(d), d.value)):
-        lines.append(f'  "{_label(ds.digits, p)}" [style=dashed];')
-    for level in tree.levels[1:]:
-        for ds in sorted(level, key=lambda d: d.value):
-            lines.append(
-                f'  "{_label(ds.parent().digits, p)}" -> "{_label(ds.digits, p)}";'
-            )
-    for ds in sorted(tree.leaves, key=lambda d: (len(d), d.value)):
-        lines.append(
-            f'  "{_label(ds.parent().digits, p)}" -> "{_label(ds.digits, p)}";'
-        )
+    lines += [f'  "{_label(ds.digits, p)}";' for ds in nodes]
+    lines += [f'  "{_label(ds.digits, p)}" [style=dashed];' for ds in tree.leaves]
+    for ds in nodes[1:] + tree.leaves:
+        lines.append(f'  "{_label(ds.parent().digits, p)}" -> "{_label(ds.digits, p)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -231,16 +217,11 @@ def cmd_val(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    tree = build_tree(
-        args.p,
-        args.k,
-        max_depth=args.max_depth,
-        engine=args.engine,
-    )
+    tree = build_tree(args.p, args.k, max_depth=args.max_depth, engine=args.engine)
     if args.format == "dot":
         sys.stdout.write(tree_dot(tree))
     else:
-        print(json.dumps(tree_document(tree, stamp=args.stamp), sort_keys=True))
+        print(json.dumps(tree_document(tree), sort_keys=True))
     return 0
 
 
@@ -250,11 +231,8 @@ def cmd_fseq(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    table = exact_H_table(args.max_n, args.max_n)
-    for n in range(1, args.max_n + 1):
-        for k in range(1, n + 1):
-            if table[n][k].denominator == 1:
-                print(json.dumps({"n": n, "k": k}))
+    for n, k in integral_pairs(args.max_n):
+        print(json.dumps({"n": n, "k": k}))
     return 0
 
 
@@ -269,7 +247,8 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    kwargs = {kw: getattr(args, flag) for kw, flag in check.flags.items()}
+    given = vars(args)
+    kwargs = {kw: given[flag] for kw, flag in check.flags.items() if given[flag] is not None}
     if check.seeded:
         if args.seed is None:
             print(f"check {args.check!r} requires an explicit --seed", file=sys.stderr)
@@ -308,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["stirling", "expansion", "both"], default="both"
     )
     p_tree.add_argument("--format", choices=["json", "dot"], default="json")
-    p_tree.add_argument("--stamp", action="store_true", help="embed a build timestamp")
 
     p_fseq = sub.add_parser("fseq", help="branch bits of the 2-adic tree")
     p_fseq.add_argument("--terms", type=int, required=True)
@@ -316,16 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run one named check")
     p_verify.add_argument("check")
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--m-max", type=int, default=12)
-    p_verify.add_argument("--max-n", type=int, default=40)
-    p_verify.add_argument("--p", type=int, default=3)
-    p_verify.add_argument("--k", type=int, default=2)
-    p_verify.add_argument("--x", type=int, default=729)
-    p_verify.add_argument("--terms", type=int, default=14)
-    p_verify.add_argument("--samples", type=int, default=500)
-    p_verify.add_argument("--q-samples", type=int, default=20)
-    p_verify.add_argument("--a-samples", type=int, default=10)
-    p_verify.add_argument("--prime-bound", type=int, default=1000)
+    # the flags the CHECKS rows read, without defaults: a flag left out is
+    # left out of the call, so the check's own signature supplies it
+    for dest in ("m_max", "max_n", "p", "k", "x", "terms", "samples",
+                 "q_samples", "a_samples", "prime_bound"):
+        p_verify.add_argument("--" + dest.replace("_", "-"), type=int)
 
     p_scan = sub.add_parser("scan", help="integral values of H(n, k)")
     p_scan.add_argument("--max-n", type=int, required=True)

@@ -18,7 +18,9 @@ The branch bits f_sequence are the levels of the (2, 2) tree, which has
 exactly one node per level.
 
 Rejected children whose parent is a node are kept as leaves: they pin
-exact valuations for every integer whose digits run through them.
+exact valuations for every integer whose digits run through them.  The
+walk meets children in the order PTree documents and counts each node's
+member children as it goes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "PTree",
     "FSequence",
     "build_tree",
-    "child_stats",
     "f_sequence",
     "validate_ptree",
 ]
@@ -56,17 +57,12 @@ DUAL_VALUE_CAP = 1_000_000
 
 @dataclass
 class ChildStats:
-    """Child counts over nodes whose children are fully determined."""
+    """Smallest and largest member-child count over the expanded nodes
+    (None when none was expanded), and how many nodes were expanded."""
 
-    counts: dict[DigitString, int]
     min_children: int | None
     max_children: int | None
     determined: int
-
-    @property
-    def girth(self) -> int | None:
-        """Smallest determined child count; the branching floor."""
-        return self.min_children
 
 
 @dataclass
@@ -74,7 +70,9 @@ class PTree:
     """Built digit tree: leveled node lists plus rejected children.
 
     status is "complete" when an empty level was observed (the final empty
-    level is kept in levels), else "truncated" at max_depth.
+    level is kept in levels), else "truncated" at max_depth.  Each level
+    is in increasing value order, and leaves are in (length, value) order;
+    validate_ptree checks this as its "order" axiom.
     """
 
     p: int
@@ -85,8 +83,8 @@ class PTree:
     status: str
     max_depth: int
     engine: str
-    dual_checks: int = 0
-    stats: ChildStats | None = None
+    dual_checks: int
+    stats: ChildStats
 
     @property
     def node_count(self) -> int:
@@ -98,9 +96,6 @@ class PTree:
 
     def node_values(self) -> set[int]:
         return {ds.value for level in self.levels for ds in level}
-
-    def leaf_values(self) -> set[int]:
-        return {ds.value for ds in self.leaves}
 
 
 def _membership_threshold(sc: StructureConstants, k: int, child_len: int) -> int:
@@ -137,6 +132,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     status = "truncated"
     # (value, digits, threshold, expansion verdict) of each dual-checked child
     checked: list[tuple[int, DigitString, int, bool]] = []
+    child_counts: list[int] = []  # member children of each expanded node
 
     # Child values rise across a level and from level to level, and the
     # threshold falls with depth, so one row with the first level's
@@ -147,11 +143,10 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
         row = _ScaledHRow(k, p, p ** (len(root.digits) + max_depth) - 1, top_threshold)
 
     for u in range(max_depth):
-        if not frontier:
-            break
         threshold = _membership_threshold(sc, k, len(frontier[0].digits) + 1)
         next_frontier = []
         for node in frontier:
+            before = len(next_frontier)
             for b in range(p):
                 child = node.child(b)
                 if engine == "stirling":
@@ -164,6 +159,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                     next_frontier.append(child)
                 else:
                     leaves.append(child.digits)
+            child_counts.append(len(next_frontier) - before)
         levels.append([node.digits for node in next_frontier])
         frontier = next_frontier
         if not frontier:
@@ -180,35 +176,22 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                     f"expansion={member_exp}, stirling={member_st}"
                 )
 
-    tree = PTree(
+    return PTree(
         p=p,
         k=k,
         constants=sc,
         levels=levels,
-        leaves=sorted(leaves, key=lambda ds: (len(ds), ds.value)),
+        leaves=leaves,
         status=status,
         max_depth=max_depth,
         engine=engine,
         dual_checks=len(checked),
+        stats=ChildStats(
+            min(child_counts, default=None),
+            max(child_counts, default=None),
+            len(child_counts),
+        ),
     )
-    tree.stats = child_stats(tree)
-    return tree
-
-
-def child_stats(tree: PTree) -> ChildStats:
-    """Counts over nodes whose level was actually expanded."""
-    if not tree.levels or not tree.levels[0]:
-        raise ValueError("tree has no nodes")
-    counts: dict[DigitString, int] = {}
-    for u in range(len(tree.levels) - 1):
-        per_parent = {node: 0 for node in tree.levels[u]}
-        for child in tree.levels[u + 1]:
-            per_parent[child.parent()] += 1
-        counts.update(per_parent)
-    if counts:
-        values = counts.values()
-        return ChildStats(counts, min(values), max(values), len(counts))
-    return ChildStats({}, None, None, 0)
 
 
 @dataclass(frozen=True)
@@ -254,7 +237,8 @@ def f_sequence(S: int) -> FSequence:
 
 def validate_ptree(tree: PTree) -> CheckReport:
     """Structural axioms: root present, prefix agreement, parent closure,
-    and leaf consistency.  Reports the first violation."""
+    leaf consistency, and the order PTree documents.  Reports the first
+    violation."""
     sc = tree.constants
     root = sc.root_digits
     params = {"p": tree.p, "k": tree.k, "levels": len(tree.levels)}
@@ -292,6 +276,11 @@ def validate_ptree(tree: PTree) -> CheckReport:
             return fail("leaves", "leaf parent is not a node", leaf)
         if not leaf.extends(root):
             return fail("leaves", "leaf does not extend the root", leaf)
+    # equal-length digit strings order by value as their digit tuples do
+    for items in (*tree.levels, tree.leaves):
+        for a, b in zip(items, items[1:]):
+            if (len(a), a.digits) >= (len(b), b.digits):
+                return fail("order", "levels must rise in value, leaves in (length, value)", b)
     return CheckReport(
         claim_id="ptree-axioms",
         parameters=params,

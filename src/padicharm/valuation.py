@@ -49,6 +49,7 @@ __all__ = [
     "ROW_CAP",
     "exact_H",
     "exact_H_table",
+    "integral_pairs",
     "stirling",
     "stirling_mod",
     "vp_H",
@@ -101,6 +102,16 @@ def exact_H_table(n_max: int, k_max: int) -> list[list[Fraction]]:
             row[j] += row[j - 1] / m
         out.append(row[: min(m, k_max) + 1])
     return out
+
+
+def integral_pairs(n_max: int) -> list[tuple[int, int]]:
+    """The (n, k) with 1 <= k <= n <= n_max and H(n, k) an integer, by n
+    then k, read from one exact table."""
+    if n_max < 1:
+        raise ArgumentError(f"n_max must be positive, got {n_max}")
+    table = exact_H_table(n_max, n_max)
+    return [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)
+            if table[n][k].denominator == 1]
 
 
 def _stirling_row(n: int, k: int, mod: int | None = None) -> list[int]:

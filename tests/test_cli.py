@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -76,6 +77,52 @@ def test_deep_walk_outputs_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("tree --p 3 --k 2",
+     "dd2078af26f2f9a643dfc7692dda5d0bdf2b4850e40366d21a34f22b7b75f493"),
+    ("tree --p 3 --k 2 --format dot",
+     "b36a9c19eeff1756a6af0c79ee0a82a3b0e9b582b83971fcb1acfb3480b58407"),
+    ("tree --p 3 --k 3",
+     "daca221bf263a5ec9b171786aefbcc28d97ca6aa6d6720f926b4209c8143cf6d"),
+    ("tree --p 3 --k 3 --format dot",
+     "2e6652a1f045f122190a8b39207a9567ede4fa6cc7c9dca185a735fa2ac7d100"),
+    ("tree --p 3 --k 4",
+     "eac0355044c13c00933418122c22ea3f0ad49eb0b47956e249a08cd8a67575c1"),
+    ("tree --p 3 --k 4 --format dot",
+     "071c0c6ad176f4e7854db532c5905e0fbf93df46b34f7b400ac3794922a5074c"),
+    ("tree --p 3 --k 5",
+     "76022277ade08be6eabce1b60b906dbe430c234829fc974a310d91830e6427f6"),
+    ("tree --p 3 --k 5 --format dot",
+     "8fd2654697e441856a29c6ef67f972e7c9e2f13fa2aef14d01f9b009e501f015"),
+    ("tree --p 3 --k 6",
+     "7a7ce11e4e7888aaa21f5dd7a25c12f663f7849804eb25e53025bede50345614"),
+    ("tree --p 3 --k 6 --format dot",
+     "5c6afc525db37ac7c65eebb2ace2a3c7969f9a5ab2e7ab87d7b55783e47b7087"),
+    ("tree --p 3 --k 7",
+     "7953e3a0fb2644f2be30bb0e8ee7bddb7d9fafc44fde4cacc2374f5d81faa1ae"),
+    ("tree --p 3 --k 7 --format dot",
+     "e394cb030820b1dc75e9cf79aee720af856f994b81da619ee44ed182774a0a85"),
+    ("tree --p 3 --k 8",
+     "87a5ed0e5c9227e84a91f9ba68a72ad0993f908e2cb8c9c76bc800e40fbf29f4"),
+    ("tree --p 3 --k 8 --format dot",
+     "014eb6b6e3c50b8357a4d23936a49542a8bdd2ea4276f05d6d60a0fe67f0198d"),
+    ("tree --p 5 --k 2",
+     "df46d4e72d3a9e905b96f378bd76135e679024b40d479b68337b18df08febbfa"),
+    ("tree --p 5 --k 2 --format dot",
+     "49ca4b9dd6ab6eebcc20bef2f3531ecdd8e7f2e754bec543bf3ac410f25a868b"),
+    ("tree --p 7 --k 5 --max-depth 12 --engine expansion",
+     "c2033ef4f4d1c59dc987ec8bdbceb738cf20685dd3b174c89b474ac3b0edfe50"),
+    ("tree --p 11 --k 11 --max-depth 12 --format dot",
+     "5748949ece8391b236734f51436021ef095375a55ac6d03d358a54ccfa50d1ab"),
+])
+def test_tree_outputs_are_pinned(capsys, argv, digest):
+    # tree JSON and DOT byte for byte: levels and leaves are written in the
+    # order build_tree made them, with no re-sort
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_tree_dot_output(capsys):
     rc, out, _ = run(capsys, "tree", "--p", "3", "--k", "5", "--format", "dot")
     assert rc == 0
@@ -108,6 +155,9 @@ def test_scan(capsys):
     assert rc == 0
     lines = [json.loads(line) for line in out.splitlines()]
     assert lines == [{"n": 1, "k": 1}, {"n": 3, "k": 2}]
+    # scan and verify integral-scan share one enumeration and its refusal
+    rc, out, err = run(capsys, "scan", "--max-n", "0")
+    assert rc == 2 and out == "" and err == "usage error: n_max must be positive, got 0\n"
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):
@@ -124,7 +174,7 @@ def test_verify_runs_a_row_added_only_to_the_check_table(capsys, monkeypatch):
     # reads all come from checks.CHECKS
     calls = []
 
-    def dummy(n_max, seed):
+    def dummy(seed, n_max=40):
         calls.append((n_max, seed))
         return CheckReport(claim_id="dummy", parameters={"n_max": n_max}, observed={},
                            bound=None, passed=seed != 13, seed=seed)
@@ -138,9 +188,36 @@ def test_verify_runs_a_row_added_only_to_the_check_table(capsys, monkeypatch):
                                "parameters": {"n_max": 7}, "passed": True, "seed": 5,
                                "witness": None}
     rc, _, _ = run(capsys, "verify", "dummy", "--seed", "13")
-    assert rc == 1 and calls[-1] == (40, 13)  # --max-n keeps its default
+    assert rc == 1 and calls[-1] == (40, 13)  # n_max keeps the check's own default
     rc, _, err = run(capsys, "verify", "bogus")
     assert rc == 2 and err.rstrip().endswith("lower-bound-monitor, dummy")
+
+
+def _verify_flags():
+    verify = cli._build_parser()._subparsers._group_actions[0].choices["verify"]
+    return {a.dest: a for a in verify._actions if a.option_strings and a.dest != "help"}
+
+
+def test_verify_flags_are_the_check_table_flags_without_defaults():
+    # every flag a row reads is a verify flag, every verify flag but --seed
+    # is read by some row, and the check's signature holds each default, so
+    # a flag left out never leaves a row short of an argument
+    flags = _verify_flags()
+    read = {flag for check in checks.CHECKS.values() for flag in check.flags.values()}
+    assert set(flags) == read | {"seed"}
+    assert all(action.default is None for action in flags.values())
+    for name, check in checks.CHECKS.items():
+        params = inspect.signature(check.run).parameters
+        for kw in check.flags:
+            assert params[kw].default is not inspect.Parameter.empty, (name, kw)
+        if check.seeded:
+            assert "seed" in params, name
+
+
+@pytest.mark.parametrize("p", ["4", "1"])
+def test_harm_count_refuses_a_non_prime_p(capsys, p):
+    rc, out, err = run(capsys, "verify", "harm-count", "--p", p, "--seed", "1")
+    assert rc == 2 and out == "" and err == f"usage error: p must be prime, got {p}\n"
 
 
 def readme_text():

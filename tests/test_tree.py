@@ -8,7 +8,6 @@ from padicharm.core import DigitString, EngineDisagreement
 from padicharm.tree import (
     FSequence,
     build_tree,
-    child_stats,
     f_sequence,
     validate_ptree,
 )
@@ -38,7 +37,7 @@ def test_t32_complete_with_8_nodes(t32):
     assert t32.node_count == 8
     assert t32.levels[-1] == []
     assert t32.stats.max_children <= 2
-    assert t32.stats.girth == 0  # complete finite tree: some node has no child
+    assert t32.stats.min_children == 0  # complete finite tree: some node has no child
 
 
 def test_levels_are_sorted_and_prefix_closed(t32):
@@ -155,9 +154,41 @@ def test_validate_rejects_leaf_that_is_a_node(t32):
 
 def test_child_stats_empty_for_unexpanded_tree():
     tree = build_tree(3, 2, 0)
-    stats = child_stats(tree)
+    stats = tree.stats
     assert stats.determined == 0
-    assert stats.min_children is None and stats.girth is None
+    assert stats.min_children is None and stats.max_children is None
+
+
+@pytest.mark.parametrize("p, k, depth", [(3, 3, 32), (3, 7, 32), (5, 2, 6), (2, 2, 10)])
+def test_walk_child_counts_match_the_levels(p, k, depth):
+    # the counts build_tree keeps while walking equal those read back from
+    # the finished levels, one per expanded node
+    tree = build_tree(p, k, depth)
+    counts = []
+    for u in range(len(tree.levels) - 1):
+        parents = [ds.parent() for ds in tree.levels[u + 1]]
+        counts += [parents.count(node) for node in tree.levels[u]]
+    assert (tree.stats.min_children, tree.stats.max_children) == (min(counts), max(counts))
+    assert tree.stats.determined == len(counts)
+
+
+def test_validate_rejects_a_shuffled_level():
+    broken = build_tree(3, 2, 32)
+    level = next(level for level in broken.levels if len(level) > 1)
+    level.reverse()
+    report = validate_ptree(broken)
+    assert not report.passed
+    assert report.witness["axiom"] == "order"
+
+
+def test_validate_rejects_an_out_of_order_leaf():
+    broken = build_tree(3, 2, 32)
+    broken.leaves[0], broken.leaves[-1] = broken.leaves[-1], broken.leaves[0]
+    report = validate_ptree(broken)
+    assert not report.passed
+    # the deepest leaf now comes first, so its successor is the first misplaced
+    assert report.witness["axiom"] == "order"
+    assert report.witness["item"] == str(broken.leaves[1])
 
 
 def test_f_sequence_examples():
