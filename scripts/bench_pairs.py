@@ -172,7 +172,6 @@ def run_ops(root: str, commands: list[list[str]]) -> list[dict]:
     """One record per command; if the child fails, each carries its exit
     code and no timing or hash."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    env.pop("PADIC_CACHE", None)
     proc = subprocess.run([sys.executable, "-c", OPS_CHILD, json.dumps(commands)],
                           env=env, capture_output=True, text=True)
     result = last_json(proc.stdout)

@@ -13,7 +13,6 @@ from .core import (
     a_p_set,
     bp_count,
     cp,
-    digit_sum,
     free_p,
     is_prime,
     pi_p_mod,

@@ -20,10 +20,10 @@ import json
 import math
 import os
 import random
-import sys
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import BinaryIO, Callable
 
 from .core import (
     ArgumentError,
@@ -242,97 +242,51 @@ def _layer_section(
     return checked, None
 
 
-def _run_sections(sections: list) -> list:
-    """Each section's (checked, witness), in order, up to and including the
-    first failure; a section that raises ends the list with its exception."""
-    out: list = []
-    for section in sections:
-        try:
-            out.append(section())
-        except Exception as exc:
-            out.append(exc)
-            break
-        if out[-1][1] is not None:
-            break
-    return out
+def _in_report_order(groups: dict[str, list], run: list) -> tuple[dict[str, int], dict | None]:
+    """Calls the sections of groups that are in run, in report order: each
+    key's checked total before the first failure, and its witness or None."""
+    observed: dict[str, int] = {}
+    for key, sections in groups.items():
+        total = 0
+        for section in sections:
+            if section in run:
+                checked, witness = section()
+                if witness is not None:
+                    return observed, witness
+                total += checked
+        observed[key] = total
+    return observed, None
 
 
-def _encode(outcome) -> object:
-    if isinstance(outcome, Exception):
-        cls = type(outcome)
-        return {"raise": [cls.__module__, cls.__qualname__, list(outcome.args)]}
-    return outcome
-
-
-def _decode(outcome) -> object:
-    if not isinstance(outcome, dict):
-        return tuple(outcome)
-    module, qualname, args = outcome["raise"]
+def _fork_counts(groups: dict[str, list], run: list) -> tuple[int, BinaryIO] | None:
+    """(pid, read end of a pipe) of a forked child that calls the sections
+    of groups in run and writes their observed counts as JSON only if all
+    of them pass; None if os.fork raises OSError."""
+    fd_read, fd_write = os.pipe()
     try:
-        return functools.reduce(getattr, qualname.split("."), sys.modules[module])(*args)
-    except Exception:  # a class this process cannot name or rebuild
-        return RuntimeError(f"{module}.{qualname}: {', '.join(map(str, args))}")
-
-
-class _ForkedSections:
-    """Sections that run in a forked child while this process runs others.
-
-    Entering forks the child, which sends its _run_sections list through a
-    pipe as JSON and ends with os._exit; outcomes() reads that list and
-    reaps the child, re-creating each exception with its type and args.
-    Leaving the block kills and reaps a child whose outcomes were not read.
-    If os.fork raises OSError, outcomes() runs the sections in this process.
-    """
-
-    def __init__(self, sections: list):
-        self.sections = sections
-        self.pid: int | None = None
-        self.fd: int | None = None
-
-    def __enter__(self) -> "_ForkedSections":
-        if not self.sections:
-            return self
-        fd_read, fd_write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(fd_read)
-            os.close(fd_write)
-            return self
-        if pid == 0:
-            code = 1
-            try:
-                os.close(fd_read)
-                outcomes = [_encode(o) for o in _run_sections(self.sections)]
-                with os.fdopen(fd_write, "wb") as pipe:
-                    pipe.write(json.dumps(outcomes, default=str).encode())
-                code = 0
-            finally:
-                os._exit(code)
+        pid = os.fork()
+    except OSError:
+        os.close(fd_read)
         os.close(fd_write)
-        self.pid, self.fd = pid, fd_read
-        return self
+        return None
+    if pid == 0:
+        try:
+            os.close(fd_read)
+            observed, witness = _in_report_order(groups, run)
+            if witness is None:
+                os.write(fd_write, json.dumps(observed).encode())
+        finally:
+            os._exit(0)
+    os.close(fd_write)
+    return pid, os.fdopen(fd_read, "rb")
 
-    def outcomes(self) -> list:
-        if self.pid is None:
-            return _run_sections(self.sections)
-        with os.fdopen(self.fd, "rb") as pipe:
-            self.fd = None
-            data = pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status or not data:
-            raise RuntimeError(f"structural check: forked sections failed (wait status {status})")
-        return [_decode(o) for o in json.loads(data)]
 
-    def __exit__(self, *exc_info) -> None:
-        if self.fd is not None:
-            os.close(self.fd)
-        if self.pid is not None:
-            import signal  # only a child whose outcomes are not wanted is killed
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
+def _reap(pid: int, kill: bool) -> None:
+    """Kills the child pid if its counts are not wanted, then waits for it,
+    so no child outlives the check."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def check_structural_identities(
@@ -355,14 +309,14 @@ def check_structural_identities(
     telescoping to k-1; the top-slice count k-1; the maximum product
     valuation k*s - U; and the graded tuple sums against h_p_mod.
 
-    The sections are independent.  The valuation-slice sweeps of every
-    prime in slice_p_set but the last (p = 2 and 3 by default) run in a
-    forked child, while this process runs the others: the ratio, Legendre,
-    the last prime's slices, telescoping and the layer sums.  The outcomes
-    are then read in report order, as a serial run would meet them: the
-    first failure gives the witness, observed holds the sections before
-    it, and an exception raised before any failure is re-raised.
-    Whatever either process met later is discarded.
+    The report is a serial run's: the first failure in report order gives
+    the witness, observed holds the sections before it, and an exception
+    raised before any failure propagates.  To speed up a passing run, the
+    valuation-slice sweeps of every prime in slice_p_set but the last run
+    in a forked child while this process runs the other sections; when
+    both halves pass, the child's checked counts are added to these.  Any
+    other outcome, or an os.fork that raises OSError, runs the whole check
+    again serially, and that run gives the report or raises.
     """
     params = {
         "p_set": list(p_set),
@@ -372,15 +326,14 @@ def check_structural_identities(
         "k_max": k_max,
         "layer_n_max": layer_n_max,
     }
-    observed: dict[str, int] = {}
 
-    def report(passed: bool, witness=None) -> CheckReport:
+    def report(observed: dict[str, int], witness: dict | None) -> CheckReport:
         return CheckReport(
             claim_id="structural-identities",
             parameters=params,
             observed=observed,
             bound="exact equality per identity",
-            passed=passed,
+            passed=witness is None,
             witness=witness,
         )
 
@@ -394,24 +347,26 @@ def check_structural_identities(
             functools.partial(_layer_section, layer_p_set, layer_k_set, layer_n_max, layer_prec)
         ],
     }
+    every = [s for sections in groups.values() for s in sections]
     in_child = groups["valuation-slice"][:-1]
-    in_parent = [s for sections in groups.values() for s in sections if s not in in_child]
-    with _ForkedSections(in_child) as child:
-        outcomes = dict(zip(in_parent, _run_sections(in_parent)))
-        for key, sections in groups.items():
-            total = 0
-            for section in sections:
-                if section not in outcomes:
-                    outcomes.update(zip(in_child, child.outcomes()))
-                outcome = outcomes[section]
-                if isinstance(outcome, Exception):
-                    raise outcome
-                checked, witness = outcome
-                if witness is not None:
-                    return report(False, witness)
-                total += checked
-            observed[key] = total
-    return report(True)
+    child = _fork_counts(groups, in_child) if in_child else None
+    if child is not None:
+        pid, pipe = child
+        counts = None
+        try:
+            observed, witness = _in_report_order(groups, [s for s in every if s not in in_child])
+            if witness is None:
+                counts = json.loads(pipe.read() or "null")
+        except Exception:
+            pass  # the serial run below meets the same fault
+        finally:
+            pipe.close()
+            _reap(pid, kill=counts is None)
+        if counts is not None:
+            return report({key: total + counts[key] for key, total in observed.items()}, None)
+    # Every section is a pure function of its arguments, so this run
+    # reproduces any failure or exception that either half met.
+    return report(*_in_report_order(groups, every))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ This is the only module that does I/O.  Machine paths emit line-delimited
 JSON (or DOT for trees, in build_tree's order).  `verify` runs a row of
 checks.CHECKS: the table gives the valid names, the flags each check
 reads and which checks require an explicit --seed.  A verify flag left
-out is not passed, so each default lives in the check's signature only.
+out is not passed, so each default lives in the check's signature only;
+a flag the named check does not read is a usage error.
 `val` with method stirling or both runs the Stirling row, which jumps
 aligned blocks of integers, so it takes any n; only the sweeps of
 `verify` refuse n above valuation.ROW_CAP.
@@ -32,8 +33,6 @@ from .core import ArgumentError, EngineDisagreement, PrecisionError, vp
 from .expansion import vp_H_expansion
 from .tree import PTree, build_tree, f_sequence
 from .valuation import exact_H, integral_pairs, vp_H_with_guard
-
-CACHE_ENV = "PADIC_CACHE"
 
 
 @dataclass
@@ -161,14 +160,9 @@ def tree_dot(tree: PTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cache_path(args) -> str | None:
-    return os.environ.get(CACHE_ENV) or getattr(args, "cache", None)
-
-
 def cmd_val(args) -> int:
     p, n, k, method = args.p, args.n, args.k, args.method
-    path = _cache_path(args)
-    cache = ValCache(path) if path else None
+    cache = ValCache(args.cache) if args.cache else None
     if cache is not None:
         hit = cache.get(p, n, k)
         if hit is not None:
@@ -248,6 +242,12 @@ def cmd_verify(args) -> int:
         )
         return 2
     given = vars(args)
+    for flag in _VERIFY_FLAGS:
+        read = flag in check.flags.values() or (flag == "seed" and check.seeded)
+        if given[flag] is not None and not read:
+            print(f"check {args.check!r} does not read --{flag.replace('_', '-')}",
+                  file=sys.stderr)
+            return 2
     kwargs = {kw: given[flag] for kw, flag in check.flags.items() if given[flag] is not None}
     if check.seeded:
         if args.seed is None:
@@ -257,6 +257,13 @@ def cmd_verify(args) -> int:
     report = check.run(**kwargs)
     print(report.to_json())
     return 0 if report.passed else 1
+
+
+# The flags of `verify`, without defaults: a flag left out is left out of
+# the call, so the check's own signature supplies it.  A check refuses any
+# given flag that its CHECKS row does not read, and --seed unless seeded.
+_VERIFY_FLAGS = ("seed", "m_max", "max_n", "p", "k", "x", "terms", "samples",
+                 "q_samples", "a_samples", "prime_bound")
 
 
 @functools.lru_cache(maxsize=1)
@@ -277,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["exact", "stirling", "expansion", "both"],
         default="both",
     )
-    p_val.add_argument("--cache", help=f"JSONL cache path ({CACHE_ENV} overrides)")
+    p_val.add_argument("--cache", help="JSONL cache path")
 
     p_tree = sub.add_parser("tree", help="build and serialize a digit tree")
     p_tree.add_argument("--p", type=int, required=True)
@@ -293,11 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one named check")
     p_verify.add_argument("check")
-    p_verify.add_argument("--seed", type=int)
-    # the flags the CHECKS rows read, without defaults: a flag left out is
-    # left out of the call, so the check's own signature supplies it
-    for dest in ("m_max", "max_n", "p", "k", "x", "terms", "samples",
-                 "q_samples", "a_samples", "prime_bound"):
+    for dest in _VERIFY_FLAGS:
         p_verify.add_argument("--" + dest.replace("_", "-"), type=int)
 
     p_scan = sub.add_parser("scan", help="integral values of H(n, k)")

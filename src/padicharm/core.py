@@ -20,7 +20,6 @@ __all__ = [
     "StructureConstants",
     "is_prime",
     "to_digits",
-    "digit_sum",
     "ilog",
     "cp",
     "vp_int",
@@ -180,13 +179,6 @@ def _digit_sum(n: int, p: int) -> int:
     return total
 
 
-def digit_sum(n: int, p: int) -> int:
-    """Sum of base-p digits of n >= 1."""
-    _require_prime(p)
-    _require_positive(n)
-    return _digit_sum(n, p)
-
-
 def ilog(n: int, p: int) -> int:
     """floor(log_p n) for n >= 1."""
     _require_prime(p)
@@ -260,7 +252,7 @@ def free_p(m: int, p: int) -> int:
 
 
 def vp_factorial(n: int, p: int) -> int:
-    """vp(n!) by Legendre's formula (n - digit_sum(n)) / (p - 1)."""
+    """vp(n!) by Legendre's formula (n - s_p(n)) / (p - 1), s_p the base-p digit sum."""
     _require_prime(p)
     if n < 0:
         raise ArgumentError(f"n must be nonnegative, got {n}")

@@ -243,13 +243,42 @@ def test_structural_child_exception_keeps_its_type_and_message(monkeypatch):
     _assert_no_child_left()
 
 
-def test_structural_child_exception_of_an_unnamed_class_names_it(monkeypatch):
+def test_structural_child_exception_of_an_unnamed_class_is_the_serial_one(monkeypatch):
+    # nothing crosses the pipe but counts: the serial re-run raises the
+    # exception itself, whatever its class
     class Local(Exception):
         pass
 
-    monkeypatch.setattr(checks, "a_p_set", _raise_at(a_p_set, (37, 2, 3), Local("boom")))
-    with pytest.raises(RuntimeError, match=r"_names_it\.<locals>\.Local: boom$"):
+    boom = Local("boom")
+    monkeypatch.setattr(checks, "a_p_set", _raise_at(a_p_set, (37, 2, 3), boom))
+    with pytest.raises(Local) as info:
         check_structural_identities(**_SPLIT_SUITE)
+    assert info.value is boom
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("case, calls", [(None, 1), ("slice-2", 2)], ids=["passing", "slice-2"])
+def test_structural_failure_alone_pays_for_a_serial_re_run(monkeypatch, case, calls):
+    # Legendre runs in the caller, before the slices in report order: once
+    # in a passing split run, and again in the serial re-run after the
+    # child's p = 2 failure
+    expected = (True, {**_TELESCOPING, "valuation-layer-sum": 297}, None)
+    if case is not None:
+        patches, _, observed, witness = _INJECTED[case]
+        for name, fn in patches.items():
+            monkeypatch.setattr(checks, name, fn)
+        expected = (False, observed, witness)
+    pids = []
+    real = checks._legendre_section
+
+    def counted(*args):
+        pids.append(os.getpid())
+        return real(*args)
+
+    monkeypatch.setattr(checks, "_legendre_section", counted)
+    report = check_structural_identities(**_SPLIT_SUITE)
+    assert (report.passed, report.observed, report.witness) == expected
+    assert pids == [os.getpid()] * calls
     _assert_no_child_left()
 
 

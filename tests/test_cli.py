@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -256,6 +257,28 @@ def test_readme_cli_examples_run(capsys):
     assert pairs == [(1, 1), (3, 2)]
 
 
+_UNREAD_FLAGS = [
+    (("lengyel", "--p", "5", "--m-max", "3"), "--p"),
+    (("integral-scan", "--seed", "4", "--max-n", "5"), "--seed"),
+    (("structural", "--k", "3"), "--k"),
+    (("corollary-2adic", "--seed", "1", "--p", "3"), "--p"),
+    (("cpicong", "--p", "11", "--seed", "7", "--max-n", "9"), "--max-n"),
+    (("lower-bound-monitor", "--a-samples", "2"), "--a-samples"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _UNREAD_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in _UNREAD_FLAGS])
+def test_verify_refuses_a_flag_the_check_does_not_read(capsys, monkeypatch, argv, flag):
+    ran = []
+    check = checks.CHECKS[argv[0]]
+    stub = dataclasses.replace(check, run=lambda **kw: ran.append(kw))
+    monkeypatch.setitem(checks.CHECKS, argv[0], stub)
+    rc, out, err = run(capsys, "verify", *argv)
+    assert (rc, out, err) == (2, "", f"check {argv[0]!r} does not read {flag}\n")
+    assert ran == []
+
+
 def test_verify_randomized_requires_seed(capsys):
     rc, _, err = run(capsys, "verify", "cpicong")
     assert rc == 2 and "--seed" in err
@@ -300,16 +323,6 @@ def test_cache_roundtrip(tmp_path, capsys):
                       "--cache", str(cache))
     assert rc == 0 and json.loads(out2)["valuation"] == -2
     assert len(cache.read_text().splitlines()) == 1  # hit appends nothing
-
-
-def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):
-    env_cache = tmp_path / "env.jsonl"
-    flag_cache = tmp_path / "flag.jsonl"
-    monkeypatch.setenv("PADIC_CACHE", str(env_cache))
-    rc, _, _ = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
-                   "--cache", str(flag_cache))
-    assert rc == 0
-    assert env_cache.exists() and not flag_cache.exists()
 
 
 def test_cache_conflict_is_fatal(tmp_path, capsys):
@@ -545,23 +558,6 @@ def test_commands_are_looked_up_at_call_time(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_tree", traced)
     assert run(capsys, "tree", "--p", "3", "--k", "4") == (7, "", "")
     assert seen == [(3, 4)]
-
-
-def test_val_reads_the_cache_path_once(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("PADIC_CACHE", raising=False)
-    calls = []
-    real = cli._cache_path
-
-    def counted(args):
-        calls.append(args)
-        return real(args)
-
-    monkeypatch.setattr(cli, "_cache_path", counted)
-    path = str(tmp_path / "c.jsonl")
-    assert run(capsys, "val", "--p", "3", "--n", "10", "--k", "2", "--cache", path)[0] == 0
-    assert len(calls) == 1
-    assert run(capsys, "val", "--p", "3", "--n", "10", "--k", "2")[0] == 0
-    assert len(calls) == 2
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -11,7 +11,6 @@ from padicharm.core import (
     a_p_set_by_filter,
     bp_count,
     cp,
-    digit_sum,
     free_p,
     ilog,
     is_prime,
@@ -40,11 +39,6 @@ def test_digit_examples(n, p, digits):
     d = to_digits(n, p)
     assert d.digits == digits
     assert d.value == n
-
-
-def test_digit_sum():
-    assert digit_sum(7, 2) == 3
-    assert digit_sum(15, 3) == 3
 
 
 @given(st.integers(min_value=1, max_value=10 ** 5), st.sampled_from(PRIMES))
@@ -203,21 +197,19 @@ def test_vp_factorial_floor_sum_random(n, p):
 
 @given(st.integers(min_value=1, max_value=10 ** 30), st.sampled_from([2, 3, 5, 7, 11]))
 def test_digit_quantities_match_digit_string(n, p):
-    # ilog, digit_sum and vp_factorial divide n down directly; the digit
-    # string is the reference
+    # ilog and vp_factorial divide n down directly; the digit string is
+    # the reference
     d = to_digits(n, p)
     assert ilog(n, p) == len(d) - 1
-    assert digit_sum(n, p) == sum(d.digits)
     assert vp_factorial(n, p) == (n - sum(d.digits)) // (p - 1)
 
 
 @given(st.integers(min_value=-10 ** 6, max_value=0), st.sampled_from([4, 6, 9, 15, 1]))
 def test_digit_quantities_reject_bad_input(bad_n, not_prime):
-    for f in (ilog, digit_sum):
-        with pytest.raises(ValueError, match="positive"):
-            f(bad_n, 3)
-        with pytest.raises(ValueError, match="prime"):
-            f(10, not_prime)
+    with pytest.raises(ValueError, match="positive"):
+        ilog(bad_n, 3)
+    with pytest.raises(ValueError, match="prime"):
+        ilog(10, not_prime)
     if bad_n < 0:
         with pytest.raises(ValueError, match="nonnegative"):
             vp_factorial(bad_n, 3)
