@@ -40,6 +40,10 @@ the per-pair ratios.  A run that exits non-zero or prints no JSON result
 is recorded as it is (its exit code and an empty result) and the pairs go
 on; it shows up as all_operations_correct / all_exit_0 false.
 
+Stale bytecode on one side skews its timings, so the script refuses to
+start (exit 2) while either checkout has a __pycache__ under src/ or
+perfbench/, and neither it nor its children write any.
+
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --label tree-fixed-costs \\
@@ -60,6 +64,7 @@ import statistics
 import subprocess
 import sys
 
+sys.dont_write_bytecode = True  # nor does this script's own import of workloads
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
 import workloads  # noqa: E402
 
@@ -159,11 +164,19 @@ def last_json(stdout: str):
         return None
 
 
+def bytecode_caches(*roots: str) -> list[str]:
+    """The __pycache__ directories under src/ and perfbench/ of each root."""
+    return [os.path.join(path, "__pycache__")
+            for root in roots for top in ("src", "perfbench")
+            for path, dirs, _ in os.walk(os.path.join(root, top)) if "__pycache__" in dirs]
+
+
 def run_perfbench(root: str, workload: str, seed: int) -> tuple[int, dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(run_seconds(root)), "--trace", "0"],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True)
     result = last_json(proc.stdout)
     return proc.returncode, result if isinstance(result, dict) else {}
 
@@ -171,7 +184,7 @@ def run_perfbench(root: str, workload: str, seed: int) -> tuple[int, dict]:
 def run_ops(root: str, commands: list[list[str]]) -> list[dict]:
     """One record per command; if the child fails, each carries its exit
     code and no timing or hash."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", OPS_CHILD, json.dumps(commands)],
                           env=env, capture_output=True, text=True)
     result = last_json(proc.stdout)
@@ -215,6 +228,11 @@ def main(argv=None) -> int:
                          "e.g. verify-suite:8")
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    stale = bytecode_caches(*roots.values())
+    for path in stale:
+        print(f"bench_pairs: remove the bytecode cache {path} first", file=sys.stderr)
+    if stale:
+        return 2
 
     ops_runs = []
     for group, pairs in args.ops:

@@ -10,7 +10,7 @@ escalates precision instead of guessing.
 
 CHECKS names every check that `padicharm verify` runs, in order, with the
 command-line flags each one reads; the command line derives its names,
-seeding and dispatch from that table alone.
+flags and dispatch from that table alone.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "check_cpicong",
     "check_p59_exponent",
     "monitor_lower_bound",
-    "cpicong_hit_count",
 ]
 
 
@@ -628,12 +627,9 @@ def check_harm_count_suite(p: int = 3, cases: int = 500, seed: int = 0) -> Check
     )
 
 
-def cpicong_hit_count(p: int, q: Fraction, a: int) -> tuple[int, list[int]]:
-    """d in [0, p-1] with sum_{i=a}^{a+d} 1/cp(i) congruent to q mod p."""
-    if not is_prime(p):
-        raise ArgumentError(f"modulus must be prime, got {p}")
-    if a < 1:
-        raise ArgumentError(f"index must be positive, got {a}")
+def _cpicong_hits(p: int, q: Fraction, a: int) -> tuple[int, list[int]]:
+    """d in [0, p-1] with sum_{i=a}^{a+d} 1/cp(i) congruent to q mod p,
+    for prime p and a >= 1."""
     hits = []
     total = Fraction(0)
     for i in range(a, a + p):
@@ -652,6 +648,8 @@ def check_cpicong(
     ceil(p/2), below 3((p-2)/2)^(2/3) + 2, and no two consecutive window
     lengths may both hit.
     """
+    if not is_prime(p):
+        raise ArgumentError(f"p must be prime, got {p}")
     if q_samples < 1 or a_samples < 1:
         raise ArgumentError(
             f"need q_samples >= 1 and a_samples >= 1, got {q_samples}, {a_samples}"
@@ -672,7 +670,7 @@ def check_cpicong(
     for q in qs:
         for a in a_list:
             pairs += 1
-            count, hits = cpicong_hit_count(p, q, a)
+            count, hits = _cpicong_hits(p, q, a)
             worst = max(worst, count)
             consecutive = any(b - a_ == 1 for a_, b in zip(hits, hits[1:]))
             if (
@@ -783,18 +781,17 @@ def monitor_lower_bound(p: int = 3, k: int = 2, n_max: int = 40) -> CheckReport:
 
 @dataclass(frozen=True)
 class Check:
-    """One `verify` check: its function, the flags it reads, and whether
-    it draws random samples.
+    """One `verify` check: its function and the flags it reads.
 
     flags maps each keyword argument of run to the `verify` flag (its
-    argparse dest) that supplies it; a flag left out is not passed, so each
-    of these keywords has its default in run's signature.  A seeded check
-    also gets seed=, and `verify` refuses to run it without an explicit --seed.
+    argparse dest) that supplies it, and `verify NAME` accepts these flags
+    and no other.  A flag left out is not passed, so each of these keywords
+    has its default in run's signature.  A check that draws random samples
+    lists "seed": "seed", and `verify` refuses to run it without --seed.
     """
 
     run: Callable[..., CheckReport]
     flags: dict[str, str] = field(default_factory=dict)
-    seeded: bool = False
 
 
 CHECKS: dict[str, Check] = {
@@ -802,16 +799,15 @@ CHECKS: dict[str, Check] = {
     "lengyel": Check(check_lengyel_identity, {"m_max": "m_max"}),
     "integral-scan": Check(check_integral_scan, {"n_max": "max_n"}),
     "corollary-2adic": Check(
-        check_corollary_2adic, {"S": "terms", "sample_count": "samples"}, seeded=True
+        check_corollary_2adic, {"seed": "seed", "S": "terms", "sample_count": "samples"}
     ),
     "ubound": Check(check_ubound, {"p": "p", "k": "k", "x": "x"}),
     "harm-count": Check(
-        check_harm_count_suite, {"p": "p", "cases": "samples"}, seeded=True
+        check_harm_count_suite, {"seed": "seed", "p": "p", "cases": "samples"}
     ),
     "cpicong": Check(
         check_cpicong,
-        {"p": "p", "q_samples": "q_samples", "a_samples": "a_samples"},
-        seeded=True,
+        {"seed": "seed", "p": "p", "q_samples": "q_samples", "a_samples": "a_samples"},
     ),
     "p59-exponent": Check(check_p59_exponent, {"prime_bound": "prime_bound"}),
     "lower-bound-monitor": Check(monitor_lower_bound, {"p": "p", "k": "k", "n_max": "max_n"}),

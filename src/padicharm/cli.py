@@ -2,16 +2,18 @@
 
 This is the only module that does I/O.  Machine paths emit line-delimited
 JSON (or DOT for trees, in build_tree's order).  `verify` runs a row of
-checks.CHECKS: the table gives the valid names, the flags each check
-reads and which checks require an explicit --seed.  A verify flag left
-out is not passed, so each default lives in the check's signature only;
-a flag the named check does not read is a usage error.
+checks.CHECKS and parses the flags after the check's name with a parser
+built from that row alone, so `verify NAME --help` lists exactly them
+and a flag the row does not read is a usage error.  A seeded row lists
+seed, and its --seed is required.  A flag left out is not passed, so
+each default lives in the check's signature only.
 `val` with method stirling or both runs the Stirling row, which jumps
 aligned blocks of integers, so it takes any n; only the sweeps of
 `verify` refuse n above valuation.ROW_CAP.
-The argparse parser is built once per process, on the first `main` call,
-and `main` looks up the `cmd_*` function of each parsed command at call
-time, so a rebound `cli.cmd_*` takes effect on the next call.
+The command parser is built once per process, on the first `main` call
+(a check's own parser once per `verify` call), and `main` looks up the
+`cmd_*` function of each parsed command at call time, so a rebound
+`cli.cmd_*` takes effect on the next call.
 Exit codes: 0 success, 1 check failure / engine discrepancy / precision
 failure, 2 usage error: a parse error, an ArgumentError (SizeCapError
 included).  Any other exception is a fault and propagates with its
@@ -24,7 +26,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -54,28 +55,36 @@ class ValCache:
     """Append-only JSON-lines store keyed by (p, n, k), single writer.
 
     Every record is one JSON object and its newline, written at once, so a
-    line without its newline is torn.  A torn or malformed line is refused,
-    never truncated: appending after it would corrupt the next record.
+    line without its newline is torn.  A torn or malformed line (non-UTF-8
+    included) is refused, never truncated: appending after it would corrupt
+    the next record.  A path that cannot be opened for reading and appending
+    is an ArgumentError, raised before anything is computed; a missing file
+    is created empty.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._records: dict[tuple[int, int, int], CacheRecord] = {}
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    rec = _parse_record(line, path, lineno)
-                    key = (rec.p, rec.n, rec.k)
-                    old = self._records.get(key)
-                    if old is not None and old.valuation != rec.valuation:
-                        raise CacheIntegrityError(
-                            f"cache {path} holds conflicting valuations for "
-                            f"(p={rec.p}, n={rec.n}, k={rec.k}): "
-                            f"{old.valuation} vs {rec.valuation}"
-                        )
-                    self._records.setdefault(key, rec)
+        try:
+            fh = open(path, "a+b")
+        except OSError as exc:
+            raise ArgumentError(f"cache {path} cannot be opened for reading and "
+                                f"appending: {exc.strerror}") from None
+        with fh:
+            fh.seek(0)
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                rec = _parse_record(line, path, lineno)
+                key = (rec.p, rec.n, rec.k)
+                old = self._records.get(key)
+                if old is not None and old.valuation != rec.valuation:
+                    raise CacheIntegrityError(
+                        f"cache {path} holds conflicting valuations for "
+                        f"(p={rec.p}, n={rec.n}, k={rec.k}): "
+                        f"{old.valuation} vs {rec.valuation}"
+                    )
+                self._records.setdefault(key, rec)
 
     def get(self, p: int, n: int, k: int) -> CacheRecord | None:
         return self._records.get((p, n, k))
@@ -95,15 +104,15 @@ class ValCache:
         self._records[key] = rec
 
 
-def _parse_record(line: str, path: str, lineno: int) -> CacheRecord:
+def _parse_record(line: bytes, path: str, lineno: int) -> CacheRecord:
     def refuse(why: str) -> CacheIntegrityError:
         return CacheIntegrityError(f"cache {path} line {lineno}: {why}")
 
-    if not line.endswith("\n"):
+    if not line.endswith(b"\n"):
         raise refuse("torn record (no terminating newline)")
     try:
-        rec = CacheRecord(**json.loads(line))
-    except (ValueError, TypeError) as exc:
+        rec = CacheRecord(**json.loads(line.decode("utf-8")))
+    except (ValueError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
         raise refuse(f"malformed record ({exc})") from None
     ints = (rec.p, rec.n, rec.k, rec.valuation, rec.guard)
     if not all(type(x) is int for x in ints) or not isinstance(rec.engine, str):
@@ -241,29 +250,18 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    given = vars(args)
-    for flag in _VERIFY_FLAGS:
-        read = flag in check.flags.values() or (flag == "seed" and check.seeded)
-        if given[flag] is not None and not read:
-            print(f"check {args.check!r} does not read --{flag.replace('_', '-')}",
-                  file=sys.stderr)
-            return 2
-    kwargs = {kw: given[flag] for kw, flag in check.flags.items() if given[flag] is not None}
-    if check.seeded:
-        if args.seed is None:
-            print(f"check {args.check!r} requires an explicit --seed", file=sys.stderr)
-            return 2
-        kwargs["seed"] = args.seed
-    report = check.run(**kwargs)
+    # the row's flags alone, none with a default: a flag left out stays out
+    # of the call, so the check's signature supplies it
+    parser = argparse.ArgumentParser(
+        prog=f"padicharm verify {args.check}", argument_default=argparse.SUPPRESS
+    )
+    for flag in check.flags.values():
+        parser.add_argument("--" + flag.replace("_", "-"), dest=flag, type=int,
+                            required=flag == "seed")
+    given = vars(parser.parse_args(args.flags))
+    report = check.run(**{kw: given[flag] for kw, flag in check.flags.items() if flag in given})
     print(report.to_json())
     return 0 if report.passed else 1
-
-
-# The flags of `verify`, without defaults: a flag left out is left out of
-# the call, so the check's own signature supplies it.  A check refuses any
-# given flag that its CHECKS row does not read, and --seed unless seeded.
-_VERIFY_FLAGS = ("seed", "m_max", "max_n", "p", "k", "x", "terms", "samples",
-                 "q_samples", "a_samples", "prime_bound")
 
 
 @functools.lru_cache(maxsize=1)
@@ -300,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one named check")
     p_verify.add_argument("check")
-    for dest in _VERIFY_FLAGS:
-        p_verify.add_argument("--" + dest.replace("_", "-"), type=int)
+    p_verify.add_argument("flags", nargs=argparse.REMAINDER,
+                          help="the check's flags, listed by verify CHECK --help")
 
     p_scan = sub.add_parser("scan", help="integral values of H(n, k)")
     p_scan.add_argument("--max-n", type=int, required=True)
@@ -312,10 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
         return globals()["cmd_" + args.command](args)
+    except SystemExit as exc:  # argparse's, verify's own parser included: 2, or 0 on --help
+        return int(exc.code) if exc.code else 0
     except (EngineDisagreement, PrecisionError, CacheIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padicharm.checks import (
+    _cpicong_hits,
     _exact_H_valuations,
     _harm_window_hits,
     _harmonic_numbers,
@@ -23,7 +24,6 @@ from padicharm.checks import (
     check_p59_exponent,
     check_structural_identities,
     check_ubound,
-    cpicong_hit_count,
     monitor_lower_bound,
 )
 from padicharm import checks
@@ -432,8 +432,8 @@ def test_suite_window_counts_match_a_fraction_scan(p, x, data):
 
 
 def test_cpicong_hit_examples():
-    assert cpicong_hit_count(3, Fraction(0), 1) == (1, [1])
-    assert cpicong_hit_count(5, Fraction(0), 1) == (1, [3])
+    assert _cpicong_hits(3, Fraction(0), 1) == (1, [1])
+    assert _cpicong_hits(5, Fraction(0), 1) == (1, [3])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

@@ -171,53 +171,54 @@ def test_verify_pass_and_fail_exit_codes(capsys):
 
 
 def test_verify_runs_a_row_added_only_to_the_check_table(capsys, monkeypatch):
-    # the CLI keeps no list of its own: names, seeding and the flags a check
-    # reads all come from checks.CHECKS
+    # the CLI keeps no list of its own: names, the flags a check reads and
+    # the required --seed all come from checks.CHECKS, even a flag that no
+    # other row reads
     calls = []
 
-    def dummy(seed, n_max=40):
-        calls.append((n_max, seed))
-        return CheckReport(claim_id="dummy", parameters={"n_max": n_max}, observed={},
+    def dummy(seed, depth=40):
+        calls.append((depth, seed))
+        return CheckReport(claim_id="dummy", parameters={"depth": depth}, observed={},
                            bound=None, passed=seed != 13, seed=seed)
 
-    monkeypatch.setitem(checks.CHECKS, "dummy", checks.Check(dummy, {"n_max": "max_n"}, seeded=True))
+    row = checks.Check(dummy, {"seed": "seed", "depth": "depth"})
+    monkeypatch.setitem(checks.CHECKS, "dummy", row)
     rc, _, err = run(capsys, "verify", "dummy")
     assert rc == 2 and "--seed" in err and calls == []
-    rc, out, _ = run(capsys, "verify", "dummy", "--seed", "5", "--max-n", "7")
+    rc, out, _ = run(capsys, "verify", "dummy", "--seed", "5", "--depth", "7")
     assert rc == 0 and calls == [(7, 5)]
     assert json.loads(out) == {"bound": None, "claim_id": "dummy", "observed": {},
-                               "parameters": {"n_max": 7}, "passed": True, "seed": 5,
+                               "parameters": {"depth": 7}, "passed": True, "seed": 5,
                                "witness": None}
     rc, _, _ = run(capsys, "verify", "dummy", "--seed", "13")
-    assert rc == 1 and calls[-1] == (40, 13)  # n_max keeps the check's own default
+    assert rc == 1 and calls[-1] == (40, 13)  # depth keeps the check's own default
     rc, _, err = run(capsys, "verify", "bogus")
     assert rc == 2 and err.rstrip().endswith("lower-bound-monitor, dummy")
 
 
-def _verify_flags():
-    verify = cli._build_parser()._subparsers._group_actions[0].choices["verify"]
-    return {a.dest: a for a in verify._actions if a.option_strings and a.dest != "help"}
-
-
-def test_verify_flags_are_the_check_table_flags_without_defaults():
-    # every flag a row reads is a verify flag, every verify flag but --seed
-    # is read by some row, and the check's signature holds each default, so
-    # a flag left out never leaves a row short of an argument
-    flags = _verify_flags()
-    read = {flag for check in checks.CHECKS.values() for flag in check.flags.values()}
-    assert set(flags) == read | {"seed"}
-    assert all(action.default is None for action in flags.values())
+def test_verify_help_lists_exactly_the_row_flags(capsys):
+    # `verify NAME --help` lists the flags of NAME's row and no other, and
+    # the check's signature holds each default, so a flag left out never
+    # leaves a row short of an argument
     for name, check in checks.CHECKS.items():
+        rc, out, _ = run(capsys, "verify", name, "--help")
+        assert rc == 0 and out.startswith(f"usage: padicharm verify {name} "), name
+        listed = set(re.findall(r"--[a-z][a-z-]*", out)) - {"--help"}
+        assert listed == {"--" + flag.replace("_", "-") for flag in check.flags.values()}, name
         params = inspect.signature(check.run).parameters
         for kw in check.flags:
             assert params[kw].default is not inspect.Parameter.empty, (name, kw)
-        if check.seeded:
-            assert "seed" in params, name
 
 
-@pytest.mark.parametrize("p", ["4", "1"])
-def test_harm_count_refuses_a_non_prime_p(capsys, p):
-    rc, out, err = run(capsys, "verify", "harm-count", "--p", p, "--seed", "1")
+@pytest.mark.parametrize("check, p", [
+    # each seeded check refuses p before it draws a sample; cpicong once
+    # looped forever on p = 1 and crashed in randint on p <= 0
+    pytest.param(check, p, id=p if check == "harm-count" else f"{check} {p}")
+    for check, p in [("harm-count", "4"), ("harm-count", "1"), ("cpicong", "4"),
+                     ("cpicong", "1"), ("cpicong", "0"), ("cpicong", "-3")]
+])
+def test_harm_count_refuses_a_non_prime_p(capsys, check, p):
+    rc, out, err = run(capsys, "verify", check, "--p", p, "--seed", "1")
     assert rc == 2 and out == "" and err == f"usage error: p must be prime, got {p}\n"
 
 
@@ -275,7 +276,9 @@ def test_verify_refuses_a_flag_the_check_does_not_read(capsys, monkeypatch, argv
     stub = dataclasses.replace(check, run=lambda **kw: ran.append(kw))
     monkeypatch.setitem(checks.CHECKS, argv[0], stub)
     rc, out, err = run(capsys, "verify", *argv)
-    assert (rc, out, err) == (2, "", f"check {argv[0]!r} does not read {flag}\n")
+    assert (rc, out) == (2, "")
+    error = err.splitlines()[-1]
+    assert error.startswith(f"padicharm verify {argv[0]}: error:") and flag in error
     assert ran == []
 
 
@@ -396,6 +399,30 @@ def test_cache_malformed_line_names_file_and_line(tmp_path, capsys, bad_line):
     assert f"cache {cache} line 3: malformed record" in err
     with pytest.raises(CacheIntegrityError, match="line 3"):
         ValCache(str(cache))
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_val_refuses_a_cache_path_it_cannot_open(tmp_path, capsys, monkeypatch, where):
+    # refused before any valuation runs, in one line that names the path
+    path = tmp_path / "absent" / "vals.jsonl" if where == "missing-directory" else tmp_path
+    ran = []
+    monkeypatch.setattr(cli, "vp_H_with_guard", lambda *args: ran.append(args))
+    rc, out, err = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
+                       "--cache", str(path))
+    assert (rc, out, ran) == (2, "", [])
+    assert err.startswith(f"usage error: cache {path} cannot be opened")
+    assert err.count("\n") == 1
+
+
+def test_cache_undecodable_line_names_file_and_line(tmp_path, capsys):
+    cache = tmp_path / "vals.jsonl"
+    good = b'{"engine": "both", "guard": 0, "k": 2, "n": 7, "p": 2, "valuation": -2}\n'
+    cache.write_bytes(good + b'{"p": 2, "n": 9\xff}\n')
+    rc, out, err = run(capsys, "val", "--p", "2", "--n", "7", "--k", "2",
+                       "--cache", str(cache))
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: cache {cache} line 2: malformed record")
+    assert cache.read_bytes() == good + b'{"p": 2, "n": 9\xff}\n'
 
 
 _CACHE_RECORDS = st.lists(
