@@ -37,7 +37,6 @@ from .tree import (
     PTree,
     build_tree,
     f_sequence,
-    validate_ptree,
 )
 from .valuation import (
     exact_H,

@@ -67,11 +67,26 @@ asked for so far; a smaller request reduces the stored residues mod p^M
 and keeps the terms it asked for.  recip_esym, recip_power_sum,
 _closed_weights and _index_power_sums each expose their store as
 cache_info/cache_clear.
+
+A walk also keeps what it decides.  A prefix is decided when its sigma
+has vp(sigma) < depth while every proper prefix was a member (vp(sigma)
+>= depth); then vp(H(n, k)) = U + vp(sigma) - k*s for every n whose
+digits run through it, since each later term carries p^depth.  The
+decided-prefix store maps (k, p, prefix value) to that vp(sigma), which is
+always depth - 1: a member's sigma vanishes mod p^(depth - 1) and the
+term a child adds carries p^(depth - 1) too.  build_tree records each
+leaf and vp_H_expansion the node that decides its walk; vp_H_expansion
+looks up every prefix of n before it walks and answers a hit with no
+walk.  The hit is exact at any precision: sigma at depth d reads only the
+first t + 1 + d digits of n, and at most one prefix of n can ever be
+recorded, its first decided one.  The store is an LRU bounded like
+recip_power_sum's, exposed as vp_H_expansion.cache_info/cache_clear.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -112,7 +127,8 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 class _Store:
     """A bounded LRU map from a block key to the block's value at the
     largest grades asked for so far: the precision M and, for symmetric
-    sums, the degree m.
+    sums, the degree m.  The decided-prefix store is a plain bounded LRU
+    map, written by record and read by first.
 
     A request whose grades the entry covers is served from it; the caller
     reduces the value mod p^M and cuts it to the terms it asked for.  A
@@ -150,6 +166,31 @@ class _Store:
         fn.cache_clear = self.clear
         return fn
 
+    def record(self, items) -> None:
+        """Store each (key, value) of items as the most recently used
+        entry, then drop the least recently used entries past maxsize.
+        For a store read through first rather than fetch."""
+        entries = self.entries
+        for key, value in items:
+            entries.pop(key, None)
+            entries[key] = value
+        for key in list(itertools.islice(entries, max(len(entries) - self.maxsize, 0))):
+            del entries[key]
+
+    def first(self, keys):
+        """The value of the first of keys that has an entry, which becomes
+        the most recently used, or None if none has; one hit or one miss
+        either way."""
+        entries = self.entries
+        for key in keys:
+            value = entries.pop(key, None)
+            if value is not None:
+                entries[key] = value
+                self.hits += 1
+                return value
+        self.misses += 1
+        return None
+
     def clear(self) -> None:
         self.entries.clear()
         self.hits = self.misses = 0
@@ -159,6 +200,9 @@ _WEIGHTS = _Store(256)
 _INDEX_SUMS = _Store(512)
 _POWER_SUMS = _Store(65536)
 _ESYMS = _Store(4096)
+# vp(sigma) of each decided prefix, keyed (k, p, prefix value): build_tree
+# records its leaves, vp_H_expansion its deciding nodes, and reads them all
+_DECIDED = _Store(65536)
 
 
 def _build_weights(r: int, p: int, M: int) -> tuple[int, ...]:
@@ -595,6 +639,7 @@ class ExpansionVerdict:
 _FIRST_PASS = 16
 
 
+@_DECIDED.serves
 def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     """vp(H(n, k)) from the digit-local expansion.
 
@@ -604,6 +649,12 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     at least v + 1 powers of p and cannot disturb it, so the valuation
     U + v - k*s is exact.  If the whole scan, v < s - t, stays above its
     index, only the tail bound remains.
+
+    First it looks up the prefixes of n, depth 1 to s - t, in the
+    decided-prefix store (module docstring): a prefix that a tree build or
+    an earlier call decided answers U + vp(sigma) - k*s with no walk, and a
+    call that decides records its deciding node.  cache_info() counts the
+    calls a record answered as hits and those that walked as misses.
 
     The scan runs in passes that escalate precision from the bottom.  A
     pass walks with sigma mod p^top and scans only v < top: a nonzero
@@ -627,14 +678,22 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
         raise ArgumentError(f"n={n} needs at least {sc.t + 2} digits in base {p}")
     span = s - sc.t
     tail = d.digits[sc.t + 1:]
+    prefixes = itertools.accumulate(tail, lambda value, b: value * p + b,
+                                    initial=sc.root_digits.value)
+    vs = _DECIDED.first((k, p, value) for value in itertools.islice(prefixes, 1, None))
+    if vs is not None:
+        return ExpansionVerdict(exact_valuation=sc.U + vs - k * s)
     top = min(_FIRST_PASS, span)
     while True:
         node = _WalkNode.root(k, p, top)
         for v, b in enumerate(tail[:top]):
             node = node.child(b)
             acc = node.sigma
-            if acc and vp_int(acc, p) <= v:
-                return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
+            if acc:
+                vs = vp_int(acc, p)
+                if vs <= v:
+                    _DECIDED.record([((k, p, node.value), vs)])
+                    return ExpansionVerdict(exact_valuation=sc.U + vs - k * s)
         if top == span:
             return ExpansionVerdict(lower_bound=span - k * s + sc.U)
         top = 2 * top if 8 * top <= span else span

@@ -18,7 +18,9 @@ The branch bits f_sequence are the levels of the (2, 2) tree, which has
 exactly one node per level.
 
 Rejected children whose parent is a node are kept as leaves: they pin
-exact valuations for every integer whose digits run through them.  The
+exact valuations for every integer whose digits run through them, and
+every build that walks records them in vp_H_expansion's decided-prefix
+store, which later calls through them read instead of walking.  The
 walk meets children in the order PTree documents and counts each node's
 member children as it goes.
 """
@@ -33,8 +35,7 @@ from .core import (
     EngineDisagreement,
     StructureConstants,
 )
-from .expansion import _WalkNode
-from .report import CheckReport
+from .expansion import _DECIDED, _WalkNode
 from .valuation import _ScaledHRow
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "FSequence",
     "build_tree",
     "f_sequence",
-    "validate_ptree",
 ]
 
 # Dual mode re-decides every child value up to this cap on the Stirling
@@ -72,7 +72,7 @@ class PTree:
     status is "complete" when an empty level was observed (the final empty
     level is kept in levels), else "truncated" at max_depth.  Each level
     is in increasing value order, and leaves are in (length, value) order;
-    validate_ptree checks this as its "order" axiom.
+    the tests check this with the tree's other structural axioms.
     """
 
     p: int
@@ -119,6 +119,13 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     A child at level u + 1 is a member when its sigma vanishes mod p^(u+1),
     and u < max_depth, so the walk carries sigma mod p^max(max_depth, 1):
     exactly the digits the deepest test reads, and no more.
+
+    A leaf at level u + 1 has vp(sigma) = u exactly, since its parent's
+    sigma and the term it adds both vanish mod p^u.  Once the walk (and,
+    in dual mode, the check) is done, an "expansion" or "both" build
+    records each leaf with that valuation in vp_H_expansion's
+    decided-prefix store; a "stirling" build computes no sigma and records
+    nothing.
     """
     if engine not in ("stirling", "expansion", "both"):
         raise ArgumentError(f"unknown engine {engine!r}")
@@ -133,6 +140,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     # (value, digits, threshold, expansion verdict) of each dual-checked child
     checked: list[tuple[int, DigitString, int, bool]] = []
     child_counts: list[int] = []  # member children of each expanded node
+    decided: list[tuple[tuple[int, int, int], int]] = []  # ((k, p, value), vp(sigma)) per leaf
 
     # Child values rise across a level and from level to level, and the
     # threshold falls with depth, so one row with the first level's
@@ -159,6 +167,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                     next_frontier.append(child)
                 else:
                     leaves.append(child.digits)
+                    decided.append(((k, p, child.value), u))
             child_counts.append(len(next_frontier) - before)
         levels.append([node.digits for node in next_frontier])
         frontier = next_frontier
@@ -175,6 +184,8 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                     f"engines disagree on {digits}: "
                     f"expansion={member_exp}, stirling={member_st}"
                 )
+    if engine != "stirling":
+        _DECIDED.record(decided)
 
     return PTree(
         p=p,
@@ -233,58 +244,3 @@ def f_sequence(S: int) -> FSequence:
             f"depth {S}; branching invariant broken"
         )
     return FSequence(tree.levels[-1][0].digits)
-
-
-def validate_ptree(tree: PTree) -> CheckReport:
-    """Structural axioms: root present, prefix agreement, parent closure,
-    leaf consistency, and the order PTree documents.  Reports the first
-    violation."""
-    sc = tree.constants
-    root = sc.root_digits
-    params = {"p": tree.p, "k": tree.k, "levels": len(tree.levels)}
-
-    def fail(axiom: str, detail: str, item=None) -> CheckReport:
-        witness = {"axiom": axiom, "detail": detail}
-        if item is not None:
-            witness["item"] = str(item)
-        return CheckReport(
-            claim_id="ptree-axioms",
-            parameters=params,
-            observed={"checked": tree.node_count + len(tree.leaves)},
-            bound=None,
-            passed=False,
-            witness=witness,
-        )
-
-    if not tree.levels or tree.levels[0] != [root]:
-        return fail("root", "level 0 must hold exactly the root digits")
-    node_set = {ds for level in tree.levels for ds in level}
-    for u, level in enumerate(tree.levels):
-        for ds in level:
-            if len(ds) != len(root) + u:
-                return fail("levels", f"length mismatch at level {u}", ds)
-            if not ds.extends(root):
-                return fail("prefix-agreement", "node does not extend the root", ds)
-            if u > 0 and ds.parent() not in node_set:
-                return fail("parent-closure", "parent of node is not a node", ds)
-    if tree.status == "complete" and tree.levels[-1]:
-        return fail("completeness", "complete status requires an empty last level")
-    for leaf in tree.leaves:
-        if leaf in node_set:
-            return fail("leaves", "leaf is also a node", leaf)
-        if len(leaf) < len(root) + 1 or leaf.parent() not in node_set:
-            return fail("leaves", "leaf parent is not a node", leaf)
-        if not leaf.extends(root):
-            return fail("leaves", "leaf does not extend the root", leaf)
-    # equal-length digit strings order by value as their digit tuples do
-    for items in (*tree.levels, tree.leaves):
-        for a, b in zip(items, items[1:]):
-            if (len(a), a.digits) >= (len(b), b.digits):
-                return fail("order", "levels must rise in value, leaves in (length, value)", b)
-    return CheckReport(
-        claim_id="ptree-axioms",
-        parameters=params,
-        observed={"nodes": tree.node_count, "leaves": len(tree.leaves)},
-        bound=None,
-        passed=True,
-    )

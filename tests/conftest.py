@@ -1,6 +1,34 @@
 import hypothesis
+import pytest
+
+from padicharm.expansion import vp_H_expansion
 
 hypothesis.settings.register_profile("fast", max_examples=25)
 hypothesis.settings.register_profile("thorough", max_examples=400, deadline=None)
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def _empty_decided_prefix_store():
+    """Each test starts and ends with vp_H_expansion's decided-prefix store
+    empty, so no test reads records another one left."""
+    vp_H_expansion.cache_clear()
+    yield
+    vp_H_expansion.cache_clear()
+
+
+@pytest.fixture
+def monkeypatch(monkeypatch):
+    """pytest's monkeypatch, whose setattr also empties the decided-prefix
+    store: calls made under a patch (a walk at another precision, a
+    counting fold, another first pass) walk with the patched code instead
+    of reading records made before it."""
+    setattr_ = monkeypatch.setattr
+
+    def setattr_and_clear(*args, **kwargs):
+        setattr_(*args, **kwargs)
+        vp_H_expansion.cache_clear()
+
+    monkeypatch.setattr = setattr_and_clear
+    return monkeypatch

@@ -32,3 +32,10 @@ def test_bench_pairs_refuses_checkouts_with_bytecode_caches(tmp_path, capsys, be
     err = capsys.readouterr().err
     assert all(str(path) in err for path in stale)
     assert not (change / "BENCH_x.json").exists()
+
+
+def test_vpx_walks_are_the_deep_expansion_calls_alone(bench_pairs):
+    deep = bench_pairs.ops_commands("deep-expansion")
+    walks = bench_pairs.ops_commands("vpx-walks")
+    assert len(walks) == 40
+    assert walks == [["walk", *argv[1:]] for argv in deep if argv[0] == "vpx"]

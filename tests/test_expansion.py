@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from padicharm.core import (
     DigitString,
+    EngineDisagreement,
     PrecisionError,
     bp_count,
     cp,
@@ -690,6 +691,9 @@ def test_vp_H_expansion_pass_schedule(monkeypatch):
 
     chain = str(f_sequence(199))  # 200 digits, s - t = 199
     flip = {"0": "1", "1": "0"}
+    # the build recorded the chain's leaf at depth 20, which answers with no pass
+    assert passes(chain[:20] + flip[chain[20]] + chain[21:]) == []
+    vp_H_expansion.cache_clear()  # the schedule below is that of walks
     assert expansion._FIRST_PASS == 16
     # no index decides: 16, then 32 since 8*16 <= 199, then 199 since 8*32 > 199
     assert passes(chain) == [16, 32, 199]
@@ -745,6 +749,124 @@ def test_vp_H_expansion_exhaustive_small(p, k):
             assert verdict.value == reference, (n, k, p)
         else:
             assert reference >= verdict.value, (n, k, p)
+
+
+# --- the decided-prefix store -----------------------------------------------
+
+def extend(rng, prefix, extra):
+    """The value of prefix followed by extra seeded digits."""
+    p = prefix.p
+    return DigitString(p, prefix.digits + tuple(rng.randrange(p) for _ in range(extra))).value
+
+
+def assert_lookups_equal_fresh_walks(calls, hits):
+    """The verdicts of calls, (n, k, p) each, read with the store as it
+    stands, equal those of a walk on a cleared store; exactly hits of them
+    are answered by a record."""
+    before = vp_H_expansion.cache_info().hits
+    looked_up = [vp_H_expansion(*call) for call in calls]
+    assert vp_H_expansion.cache_info().hits - before == hits
+    for call, verdict in zip(calls, looked_up):
+        vp_H_expansion.cache_clear()
+        assert vp_H_expansion(*call) == verdict, call
+        assert vp_H_expansion.cache_info()[:2] == (0, 1)  # walked
+
+
+@pytest.mark.parametrize("p, k", [(3, k) for k in range(2, 9)] + [(5, 2)])
+def test_decided_prefix_lookup_equals_a_fresh_walk(p, k):
+    tree = build_tree(p, k, 32, engine="expansion")
+    rng = random.Random(37 * p + k)
+    nodes = [ds for level in tree.levels[1:] for ds in level]
+    # n through a leaf, of up to 30 digits more, is a hit; n ending on a node is not
+    through_leaves = [extend(rng, rng.choice(tree.leaves), rng.randint(0, 30)) for _ in range(25)]
+    on_nodes = [rng.choice(nodes).value for _ in range(5)]
+    calls = [(n, k, p) for n in through_leaves + on_nodes]
+    assert_lookups_equal_fresh_walks(calls, hits=len(through_leaves))
+
+
+def test_decided_prefix_lookup_on_the_T22_chain():
+    chain = str(f_sequence(80))
+    flip = {"0": "1", "1": "0"}
+    rng = random.Random(80)
+    # members: chain prefixes, which only the bound decides
+    members = [int(chain[:length], 2) for length in range(2, 82, 6)]
+    # leaves: the chain left at depth d, then any bits
+    leaves = [int(chain[:d] + flip[chain[d]], 2) for d in range(1, 81, 4)]
+    through = [int(bin(n)[2:] + "".join(rng.choice("01") for _ in range(rng.randint(0, 40))), 2)
+               for n in leaves]
+    calls = [(n, 2, 2) for n in members + leaves + through]
+    assert_lookups_equal_fresh_walks(calls, hits=len(leaves) + len(through))
+
+
+def test_decided_prefix_records_are_first_decisions():
+    for p, k, depth in [(3, 4, 32), (5, 2, 32), (2, 2, 40), (7, 5, 12)]:
+        build_tree(p, k, depth, engine="expansion")
+    rng = random.Random(7)
+    for _ in range(300):
+        p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 6)
+        vp_H_expansion(extend(rng, structure_constants(k, p).root_digits, rng.randint(1, 40)), k, p)
+    entries = expansion._DECIDED.entries
+    assert len(entries) > 1000
+    for (k, p, value), vs in entries.items():
+        root_len = structure_constants(k, p).t + 1
+        depth = len(to_digits(value, p)) - root_len
+        # every proper prefix is a member, so sigma vanishes mod p^(depth - 1)
+        assert vs == depth - 1, (k, p, value)
+        for j in range(1, depth):
+            assert (k, p, value // p ** j) not in entries, (k, p, value, j)
+
+
+def test_decided_prefix_store_records_the_leaves_of_walked_builds_only(monkeypatch):
+    build_tree(3, 3, engine="stirling")
+    assert vp_H_expansion.cache_info().currsize == 0
+    for engine in ("expansion", "both"):
+        vp_H_expansion.cache_clear()
+        tree = build_tree(3, 3, engine=engine)
+        assert set(expansion._DECIDED.entries) == {(3, 3, leaf.value) for leaf in tree.leaves}
+
+    class Contrary:  # a row that calls every child a member
+        def __init__(self, *args):
+            pass
+
+        def vp_at_least(self, value, threshold):
+            return True
+
+    monkeypatch.setattr("padicharm.tree._ScaledHRow", Contrary)
+    with pytest.raises(EngineDisagreement):
+        build_tree(3, 3)
+    assert vp_H_expansion.cache_info().currsize == 0  # a refuted build records nothing
+
+
+def test_decided_prefix_eviction_keeps_answers_exact(monkeypatch):
+    monkeypatch.setattr(expansion._DECIDED, "maxsize", 6)
+    tree = build_tree(3, 7, 32, engine="expansion")
+    assert len(tree.leaves) > 6
+    # the last leaves recorded are kept
+    kept = [(7, 3, leaf.value) for leaf in tree.leaves[-6:]]
+    assert list(expansion._DECIDED.entries) == kept
+    vp_H_expansion(tree.leaves[-6].value, 7, 3)  # a hit makes its record the most recent
+    assert list(expansion._DECIDED.entries) == kept[1:] + kept[:1]
+    build_tree(3, 7, 32, engine="expansion")  # and so does recording it again
+    assert list(expansion._DECIDED.entries) == kept
+    rng = random.Random(6)
+    for _ in range(60):
+        n = extend(rng, rng.choice(tree.leaves), rng.randint(0, 20))
+        assert vp_H_expansion(n, 7, 3) == top_down_verdict(n, 7, 3), n
+        assert vp_H_expansion.cache_info().currsize <= 6
+    assert vp_H_expansion.cache_info().hits > 0
+
+
+def test_decided_prefix_cache_info_counts_hits_and_misses():
+    assert vp_H_expansion.cache_info() == (0, 0, 65536, 0)
+    vp_H_expansion(5, 2, 2)  # <1,0,1> decides at depth 2
+    assert vp_H_expansion.cache_info() == (0, 1, 65536, 1)
+    vp_H_expansion(5, 2, 2)
+    vp_H_expansion(11, 2, 2)  # <1,0,1,1> runs through <1,0,1>
+    assert vp_H_expansion.cache_info() == (2, 1, 65536, 1)
+    assert vp_H_expansion(6, 2, 2).lower_bound == -1  # a member: walked, not recorded
+    assert vp_H_expansion.cache_info() == (2, 2, 65536, 1)
+    vp_H_expansion.cache_clear()
+    assert vp_H_expansion.cache_info() == (0, 0, 65536, 0)
 
 
 def test_expansion_verdict_validation():

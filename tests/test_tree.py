@@ -5,13 +5,69 @@ import pytest
 
 from padicharm import tree as tree_module
 from padicharm.core import DigitString, EngineDisagreement
+from padicharm.report import CheckReport
 from padicharm.tree import (
     FSequence,
+    PTree,
     build_tree,
     f_sequence,
-    validate_ptree,
 )
 from padicharm.valuation import vp_H
+
+
+def validate_ptree(tree: PTree) -> CheckReport:
+    """Structural axioms: root present, prefix agreement, parent closure,
+    leaf consistency, and the order PTree documents.  Reports the first
+    violation."""
+    sc = tree.constants
+    root = sc.root_digits
+    params = {"p": tree.p, "k": tree.k, "levels": len(tree.levels)}
+
+    def fail(axiom: str, detail: str, item=None) -> CheckReport:
+        witness = {"axiom": axiom, "detail": detail}
+        if item is not None:
+            witness["item"] = str(item)
+        return CheckReport(
+            claim_id="ptree-axioms",
+            parameters=params,
+            observed={"checked": tree.node_count + len(tree.leaves)},
+            bound=None,
+            passed=False,
+            witness=witness,
+        )
+
+    if not tree.levels or tree.levels[0] != [root]:
+        return fail("root", "level 0 must hold exactly the root digits")
+    node_set = {ds for level in tree.levels for ds in level}
+    for u, level in enumerate(tree.levels):
+        for ds in level:
+            if len(ds) != len(root) + u:
+                return fail("levels", f"length mismatch at level {u}", ds)
+            if not ds.extends(root):
+                return fail("prefix-agreement", "node does not extend the root", ds)
+            if u > 0 and ds.parent() not in node_set:
+                return fail("parent-closure", "parent of node is not a node", ds)
+    if tree.status == "complete" and tree.levels[-1]:
+        return fail("completeness", "complete status requires an empty last level")
+    for leaf in tree.leaves:
+        if leaf in node_set:
+            return fail("leaves", "leaf is also a node", leaf)
+        if len(leaf) < len(root) + 1 or leaf.parent() not in node_set:
+            return fail("leaves", "leaf parent is not a node", leaf)
+        if not leaf.extends(root):
+            return fail("leaves", "leaf does not extend the root", leaf)
+    # equal-length digit strings order by value as their digit tuples do
+    for items in (*tree.levels, tree.leaves):
+        for a, b in zip(items, items[1:]):
+            if (len(a), a.digits) >= (len(b), b.digits):
+                return fail("order", "levels must rise in value, leaves in (length, value)", b)
+    return CheckReport(
+        claim_id="ptree-axioms",
+        parameters=params,
+        observed={"nodes": tree.node_count, "leaves": len(tree.leaves)},
+        bound=None,
+        passed=True,
+    )
 
 
 @pytest.fixture(scope="module")
