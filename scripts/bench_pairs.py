@@ -18,22 +18,20 @@ both alike.  Two kinds of pair:
              expansion-only trees, then vp_H_expansion calls, each listed
              as "vpx N K P" and hashed as perfbench prints it, [exact,
              lower]).  vpx-walks is deep-expansion's vp_H_expansion
-             calls alone, each listed as "walk N K P": before each one,
-             outside its timing, the child empties vp_H_expansion's
-             decided-prefix store where the checkout has one, so every
-             call walks its digits.  In deep-expansion they read the
-             leaves its tree builds recorded.  deep-walk is the deep
-             walks no workload reaches: fseq --terms 600 and the
-             expansion-only trees T_3(14) at depth 60 and T_7(5) at depth
-             40.  val-ladder is single values, which no perfbench
-             workload asks for above n = 3000: val --p 3 --k 3 at
-             n = 10^7, 10^15, 10^30, 10^60 with methods stirling,
-             expansion and both, then val --p 2 --k 2 --method expansion
-             on the 100- and 300-digit prefixes of the T_2(2) chain.  The
-             expansion engine only bounds a chain prefix from below, so
-             those two exit 1 on both sides, and 10^15 does not extend
-             the root digits of k - 1 in base 3, so its expansion call
-             exits 2.
+             calls alone, without the fseq and tree builds before them,
+             so no tree leaf is recorded and every call walks its
+             digits; in deep-expansion they read the leaves those builds
+             recorded.  deep-walk is the deep walks no workload reaches:
+             fseq --terms 600 and the expansion-only trees T_3(14) at
+             depth 60 and T_7(5) at depth 40.  val-ladder is single
+             values, which no perfbench workload asks for above n = 3000:
+             val --p 3 --k 3 at n = 10^7, 10^15, 10^30, 10^60 with methods
+             stirling, expansion and both, then val --p 2 --k 2 --method
+             expansion on the 100- and 300-digit prefixes of the T_2(2)
+             chain.  The expansion engine only bounds a chain prefix from
+             below, so those two exit 1 on both sides, and 10^15 does not
+             extend the root digits of k - 1 in base 3, so its expansion
+             call exits 2.
              The first call of each interpreter is cold.  Each call's
              stdout is hashed so both sides can be compared byte for byte.
 
@@ -84,19 +82,17 @@ LADDER_N = (10 ** 7, 10 ** 15, 10 ** 30, 10 ** 60)
 LADDER_METHODS = ("stirling", "expansion", "both")
 CHAIN_DIGITS = (100, 300)
 
-# Run in a fresh interpreter: time each cli.main call (or, for "vpx N K P"
-# and "walk N K P", each vp_H_expansion call) after the import.
+# Run in a fresh interpreter: time each cli.main call (or, for "vpx N K P",
+# each vp_H_expansion call) after the import.
 OPS_CHILD = r"""
 import contextlib, hashlib, io, json, sys, time
 from padicharm import cli, expansion
 out = []
 for argv in json.loads(sys.argv[1]):
-    if argv[0] == "walk":  # no decided prefix recorded, in checkouts that keep them
-        getattr(expansion.vp_H_expansion, "cache_clear", lambda: None)()
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         t0 = time.perf_counter()
-        if argv[0] in ("vpx", "walk"):
+        if argv[0] == "vpx":
             v = expansion.vp_H_expansion(*map(int, argv[1:]))
             print(json.dumps([v.exact_valuation, v.lower_bound]), end="")
             rc = 0
@@ -117,8 +113,7 @@ def ops_commands(group: str) -> list[list[str]]:
     if group == "deep-walk":
         return [argv.split() for argv in DEEP_WALK]
     if group == "vpx-walks":
-        return [["walk", *argv[1:]] for argv in ops_commands("deep-expansion")
-                if argv[0] == "vpx"]
+        return [argv for argv in ops_commands("deep-expansion") if argv[0] == "vpx"]
     return [op["argv"] if "argv" in op else ["vpx", *map(str, op["vpx"])]
             for op in workloads.make_ops(group, OPS_SEED, workloads.load_golden())]
 

@@ -68,19 +68,19 @@ and keeps the terms it asked for.  recip_esym, recip_power_sum,
 _closed_weights and _index_power_sums each expose their store as
 cache_info/cache_clear.
 
-A walk also keeps what it decides.  A prefix is decided when its sigma
+A tree build also keeps what it decides.  A leaf is a prefix whose sigma
 has vp(sigma) < depth while every proper prefix was a member (vp(sigma)
 >= depth); then vp(H(n, k)) = U + vp(sigma) - k*s for every n whose
 digits run through it, since each later term carries p^depth.  The
-decided-prefix store maps (k, p, prefix value) to that vp(sigma), which is
-always depth - 1: a member's sigma vanishes mod p^(depth - 1) and the
-term a child adds carries p^(depth - 1) too.  build_tree records each
-leaf and vp_H_expansion the node that decides its walk; vp_H_expansion
-looks up every prefix of n before it walks and answers a hit with no
-walk.  The hit is exact at any precision: sigma at depth d reads only the
-first t + 1 + d digits of n, and at most one prefix of n can ever be
-recorded, its first decided one.  The store is an LRU bounded like
-recip_power_sum's, exposed as vp_H_expansion.cache_info/cache_clear.
+decided-prefix store maps (k, p, leaf value) to the leaf's sigma residue,
+which the build already holds; build_tree records its leaves through
+_record_leaves, and vp_H_expansion looks up every prefix of n before it
+walks and answers a hit with vp_int of the stored sigma and no walk.  The
+residue is kept mod p^max_depth, past its valuation depth - 1, so the hit
+computes the valuation the walk through that leaf would.  It is exact at
+any precision: sigma at depth d reads only the first t + 1 + d digits of
+n, and at most one prefix of n can be a leaf.  The store is an LRU bounded
+like recip_power_sum's, exposed as vp_H_expansion.cache_info/cache_clear.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class _Store:
     """A bounded LRU map from a block key to the block's value at the
     largest grades asked for so far: the precision M and, for symmetric
     sums, the degree m.  The decided-prefix store is a plain bounded LRU
-    map, written by record and read by first.
+    map, written by record and read by _leaf_sigma.
 
     A request whose grades the entry covers is served from it; the caller
     reduces the value mod p^M and cuts it to the terms it asked for.  A
@@ -177,20 +177,6 @@ class _Store:
         for key in list(itertools.islice(entries, max(len(entries) - self.maxsize, 0))):
             del entries[key]
 
-    def first(self, keys):
-        """The value of the first of keys that has an entry, which becomes
-        the most recently used, or None if none has; one hit or one miss
-        either way."""
-        entries = self.entries
-        for key in keys:
-            value = entries.pop(key, None)
-            if value is not None:
-                entries[key] = value
-                self.hits += 1
-                return value
-        self.misses += 1
-        return None
-
     def clear(self) -> None:
         self.entries.clear()
         self.hits = self.misses = 0
@@ -200,9 +186,31 @@ _WEIGHTS = _Store(256)
 _INDEX_SUMS = _Store(512)
 _POWER_SUMS = _Store(65536)
 _ESYMS = _Store(4096)
-# vp(sigma) of each decided prefix, keyed (k, p, prefix value): build_tree
-# records its leaves, vp_H_expansion its deciding nodes, and reads them all
+# the sigma residue of each tree leaf, keyed (k, p, leaf value)
 _DECIDED = _Store(65536)
+
+
+def _record_leaves(k: int, p: int, leaves) -> None:
+    """Record each (value, sigma) of leaves, the leaf prefixes of one
+    T_p(k) build with their sigma residues, in the decided-prefix store."""
+    _DECIDED.record(((k, p, value), sigma) for value, sigma in leaves)
+
+
+def _leaf_sigma(k: int, p: int, value: int, digits) -> int | None:
+    """The stored sigma of the first recorded leaf among the prefixes that
+    value, a node of T_p(k), gains digit by digit, which becomes the most
+    recently used record; None if none is recorded.  One hit or one miss
+    either way."""
+    entries = _DECIDED.entries
+    for b in digits:
+        value = value * p + b
+        sigma = entries.pop((k, p, value), None)
+        if sigma is not None:
+            entries[k, p, value] = sigma
+            _DECIDED.hits += 1
+            return sigma
+    _DECIDED.misses += 1
+    return None
 
 
 def _build_weights(r: int, p: int, M: int) -> tuple[int, ...]:
@@ -651,10 +659,10 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     index, only the tail bound remains.
 
     First it looks up the prefixes of n, depth 1 to s - t, in the
-    decided-prefix store (module docstring): a prefix that a tree build or
-    an earlier call decided answers U + vp(sigma) - k*s with no walk, and a
-    call that decides records its deciding node.  cache_info() counts the
-    calls a record answered as hits and those that walked as misses.
+    decided-prefix store (module docstring): a leaf that a tree build
+    recorded answers U + vp(sigma) - k*s from its stored sigma with no
+    walk.  A call records nothing.  cache_info() counts the calls a record
+    answered as hits and those that walked as misses.
 
     The scan runs in passes that escalate precision from the bottom.  A
     pass walks with sigma mod p^top and scans only v < top: a nonzero
@@ -678,22 +686,17 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
         raise ArgumentError(f"n={n} needs at least {sc.t + 2} digits in base {p}")
     span = s - sc.t
     tail = d.digits[sc.t + 1:]
-    prefixes = itertools.accumulate(tail, lambda value, b: value * p + b,
-                                    initial=sc.root_digits.value)
-    vs = _DECIDED.first((k, p, value) for value in itertools.islice(prefixes, 1, None))
-    if vs is not None:
-        return ExpansionVerdict(exact_valuation=sc.U + vs - k * s)
+    sigma = _leaf_sigma(k, p, sc.root_digits.value, tail)
+    if sigma is not None:
+        return ExpansionVerdict(exact_valuation=sc.U + vp_int(sigma, p) - k * s)
     top = min(_FIRST_PASS, span)
     while True:
         node = _WalkNode.root(k, p, top)
         for v, b in enumerate(tail[:top]):
             node = node.child(b)
             acc = node.sigma
-            if acc:
-                vs = vp_int(acc, p)
-                if vs <= v:
-                    _DECIDED.record([((k, p, node.value), vs)])
-                    return ExpansionVerdict(exact_valuation=sc.U + vs - k * s)
+            if acc and vp_int(acc, p) <= v:
+                return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
         if top == span:
             return ExpansionVerdict(lower_bound=span - k * s + sc.U)
         top = 2 * top if 8 * top <= span else span

@@ -35,7 +35,7 @@ from .core import (
     EngineDisagreement,
     StructureConstants,
 )
-from .expansion import _DECIDED, _WalkNode
+from .expansion import _WalkNode, _record_leaves
 from .valuation import _ScaledHRow
 
 __all__ = [
@@ -120,12 +120,10 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     and u < max_depth, so the walk carries sigma mod p^max(max_depth, 1):
     exactly the digits the deepest test reads, and no more.
 
-    A leaf at level u + 1 has vp(sigma) = u exactly, since its parent's
-    sigma and the term it adds both vanish mod p^u.  Once the walk (and,
-    in dual mode, the check) is done, an "expansion" or "both" build
-    records each leaf with that valuation in vp_H_expansion's
-    decided-prefix store; a "stirling" build computes no sigma and records
-    nothing.
+    Once the walk (and, in dual mode, the check) is done, an "expansion"
+    or "both" build records each leaf's value and sigma residue in
+    vp_H_expansion's decided-prefix store; a "stirling" build computes no
+    sigma and records nothing.
     """
     if engine not in ("stirling", "expansion", "both"):
         raise ArgumentError(f"unknown engine {engine!r}")
@@ -140,7 +138,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     # (value, digits, threshold, expansion verdict) of each dual-checked child
     checked: list[tuple[int, DigitString, int, bool]] = []
     child_counts: list[int] = []  # member children of each expanded node
-    decided: list[tuple[tuple[int, int, int], int]] = []  # ((k, p, value), vp(sigma)) per leaf
+    decided: list[tuple[int, int]] = []  # (value, sigma) of each leaf
 
     # Child values rise across a level and from level to level, and the
     # threshold falls with depth, so one row with the first level's
@@ -167,7 +165,8 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                     next_frontier.append(child)
                 else:
                     leaves.append(child.digits)
-                    decided.append(((k, p, child.value), u))
+                    if engine != "stirling":
+                        decided.append((child.value, child.sigma))
             child_counts.append(len(next_frontier) - before)
         levels.append([node.digits for node in next_frontier])
         frontier = next_frontier
@@ -184,8 +183,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                     f"engines disagree on {digits}: "
                     f"expansion={member_exp}, stirling={member_st}"
                 )
-    if engine != "stirling":
-        _DECIDED.record(decided)
+    _record_leaves(k, p, decided)
 
     return PTree(
         p=p,

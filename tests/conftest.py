@@ -17,18 +17,3 @@ def _empty_decided_prefix_store():
     yield
     vp_H_expansion.cache_clear()
 
-
-@pytest.fixture
-def monkeypatch(monkeypatch):
-    """pytest's monkeypatch, whose setattr also empties the decided-prefix
-    store: calls made under a patch (a walk at another precision, a
-    counting fold, another first pass) walk with the patched code instead
-    of reading records made before it."""
-    setattr_ = monkeypatch.setattr
-
-    def setattr_and_clear(*args, **kwargs):
-        setattr_(*args, **kwargs)
-        vp_H_expansion.cache_clear()
-
-    monkeypatch.setattr = setattr_and_clear
-    return monkeypatch

@@ -28,7 +28,7 @@ from padicharm.checks import (
 )
 from padicharm import checks
 from padicharm.core import ArgumentError, a_p_set, a_p_set_by_filter, bp_count, free_p, vp_int
-from padicharm.expansion import h_p_mod
+from padicharm.expansion import ExpansionVerdict, h_p_mod
 from padicharm.core import structure_constants, to_digits, vp
 from padicharm.valuation import exact_H_table
 
@@ -367,6 +367,27 @@ def test_corollary_2adic_seeded():
     assert report.observed["matched"] >= 10  # prefix cases are always included
     assert report.observed["mismatched"] > 100
     assert report.observed["exact_crossed"] > 20
+
+
+def test_corollary_2adic_fails_on_a_record_off_by_one(monkeypatch):
+    # The check's samples run through the leaves f_sequence records, so
+    # their verdicts are read from the recorded sigma.  With no exact
+    # cross at all, a sigma recorded with one power of 2 too many must
+    # still fail the check.
+    from padicharm.expansion import _DECIDED, vp_H_expansion
+
+    monkeypatch.setattr(checks, "DEFAULT_EXACT_CAP", 1)
+    assert check_corollary_2adic(S=14, sample_count=50, seed=0).passed
+    assert vp_H_expansion.cache_info().hits > 0
+    vp_H_expansion.cache_clear()
+    record = _DECIDED.record
+    monkeypatch.setattr(_DECIDED, "record",
+                        lambda items: record((key, 2 * sigma) for key, sigma in items))
+    report = check_corollary_2adic(S=14, sample_count=50, seed=0)
+    assert not report.passed
+    assert report.witness["exact"] is None
+    r, s = report.witness["first_mismatch"], len(report.witness["digits"]) - 1
+    assert report.witness["verdict"] == str(ExpansionVerdict(exact_valuation=r - 2 * s + 1))
 
 
 def test_corollary_2adic_handpicked_cases():

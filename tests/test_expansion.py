@@ -594,6 +594,7 @@ def test_derived_walk_precision_needs_no_extra_digits(monkeypatch):
             (tree.levels, tree.leaves)
             for tree in (build_tree(p, k, depth, engine="expansion") for p, k, depth in trees)
         ]
+        vp_H_expansion.cache_clear()  # every call walks, not reads the builds' leaves
         return shapes, [vp_H_expansion(n, k, p) for n, k, p in inputs]
 
     derived = run()
@@ -801,23 +802,27 @@ def test_decided_prefix_lookup_on_the_T22_chain():
 def test_decided_prefix_records_are_first_decisions():
     for p, k, depth in [(3, 4, 32), (5, 2, 32), (2, 2, 40), (7, 5, 12)]:
         build_tree(p, k, depth, engine="expansion")
+    entries = expansion._DECIDED.entries
+    recorded = dict(entries)
+    assert len(recorded) > 1000
     rng = random.Random(7)
     for _ in range(300):
         p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 6)
         vp_H_expansion(extend(rng, structure_constants(k, p).root_digits, rng.randint(1, 40)), k, p)
-    entries = expansion._DECIDED.entries
-    assert len(entries) > 1000
-    for (k, p, value), vs in entries.items():
+    assert entries == recorded  # calls read records and write none
+    for (k, p, value), sigma in entries.items():
         root_len = structure_constants(k, p).t + 1
         depth = len(to_digits(value, p)) - root_len
         # every proper prefix is a member, so sigma vanishes mod p^(depth - 1)
-        assert vs == depth - 1, (k, p, value)
+        assert vp_int(sigma, p) == depth - 1, (k, p, value)
         for j in range(1, depth):
             assert (k, p, value // p ** j) not in entries, (k, p, value, j)
 
 
 def test_decided_prefix_store_records_the_leaves_of_walked_builds_only(monkeypatch):
-    build_tree(3, 3, engine="stirling")
+    with monkeypatch.context() as patch:  # a stirling build computes no sigma to record
+        patch.setattr(_WalkNode, "sigma", property(lambda node: pytest.fail("sigma read")))
+        build_tree(3, 3, engine="stirling")
     assert vp_H_expansion.cache_info().currsize == 0
     for engine in ("expansion", "both"):
         vp_H_expansion.cache_clear()
@@ -832,6 +837,7 @@ def test_decided_prefix_store_records_the_leaves_of_walked_builds_only(monkeypat
             return True
 
     monkeypatch.setattr("padicharm.tree._ScaledHRow", Contrary)
+    vp_H_expansion.cache_clear()
     with pytest.raises(EngineDisagreement):
         build_tree(3, 3)
     assert vp_H_expansion.cache_info().currsize == 0  # a refuted build records nothing
@@ -858,13 +864,16 @@ def test_decided_prefix_eviction_keeps_answers_exact(monkeypatch):
 
 def test_decided_prefix_cache_info_counts_hits_and_misses():
     assert vp_H_expansion.cache_info() == (0, 0, 65536, 0)
-    vp_H_expansion(5, 2, 2)  # <1,0,1> decides at depth 2
-    assert vp_H_expansion.cache_info() == (0, 1, 65536, 1)
-    vp_H_expansion(5, 2, 2)
-    vp_H_expansion(11, 2, 2)  # <1,0,1,1> runs through <1,0,1>
-    assert vp_H_expansion.cache_info() == (2, 1, 65536, 1)
-    assert vp_H_expansion(6, 2, 2).lower_bound == -1  # a member: walked, not recorded
-    assert vp_H_expansion.cache_info() == (2, 2, 65536, 1)
+    vp_H_expansion(5, 2, 2)  # <1,0,1>: walked, and a walk records nothing
+    assert vp_H_expansion.cache_info() == (0, 1, 65536, 0)
+    tree = build_tree(2, 2, 4, engine="expansion")
+    assert [leaf.value for leaf in tree.leaves] == [2, 7, 12, 26]
+    assert vp_H_expansion.cache_info() == (0, 1, 65536, 4)
+    vp_H_expansion(5, 2, 2)  # <1,0,1> runs through the leaf <1,0>
+    vp_H_expansion(14, 2, 2)  # <1,1,1,0> through <1,1,1>
+    assert vp_H_expansion.cache_info() == (2, 1, 65536, 4)
+    assert vp_H_expansion(13, 2, 2).lower_bound == -2  # <1,1,0,1> is a node: walked
+    assert vp_H_expansion.cache_info() == (2, 2, 65536, 4)
     vp_H_expansion.cache_clear()
     assert vp_H_expansion.cache_info() == (0, 0, 65536, 0)
 
