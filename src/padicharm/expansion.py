@@ -31,17 +31,21 @@ children's block sums, mod p^(M - d) (at least p^1), and the precision a
 walk carries shrinks as it goes deeper.
 
 M is derived from the decisions a walk makes, with no guard digits.  A tree
-build reads sigma mod p^(u+1) at depth u + 1 <= max_depth, so it carries
-M = max(max_depth, 1).  vp_H_expansion reads whether vp(sigma) <= v at
-depth v + 1 <= s - t, and a walk carrying M digits decides that exactly
-for every v < M.  So it walks in passes, each scanning only v < M, and
-stops at the first pass that pins the valuation: M starts at 16, doubles
-while 8M <= s - t, then becomes s - t (one pass when s - t <= 16).  The
-index that decides a call is usually shallow, so most calls never carry
-all s - t digits, and the block stores build their entries at the
-smaller M.  A residue that keeps those digits decides each test exactly,
-and the tests pin the rule: either walk one digit short changes tree
-levels and valuations.
+build reads sigma mod p^(u+1) at depth u + 1 <= max_depth, and a walk
+carrying M digits gives that residue exactly for every u < M.  So it
+roots its walk at M = min(16, max(max_depth, 1)), which decides every
+tree that closes by depth 16 whatever max_depth is, and a frontier still
+alive at level M lifts once, straight to M = max(max_depth, 1): _lift
+re-walks only the frontier's ancestors from a root at the new reach.
+vp_H_expansion reads whether vp(sigma) <= v at depth v + 1 <= s - t, and
+a walk carrying M digits decides that exactly for every v < M.  So it
+walks in passes, each scanning only v < M, and stops at the first pass
+that pins the valuation: M starts at 16, doubles while 8M <= s - t, then
+becomes s - t (one pass when s - t <= 16).  The index that decides a
+call is usually shallow, so most calls never carry all s - t digits, and
+the block stores build their entries at the smaller M.  A residue that
+keeps those digits decides each test exactly, and the tests pin the
+rule: either walk one digit short changes tree levels and valuations.
 
 Reciprocal power sums over the coprime sequence c_p are the workhorse.
 The sequence is periodic in blocks of p - 1 consecutive units, so a
@@ -76,11 +80,13 @@ decided-prefix store maps (k, p, leaf value) to the leaf's sigma residue,
 which the build already holds; build_tree records its leaves through
 _record_leaves, and vp_H_expansion looks up every prefix of n before it
 walks and answers a hit with vp_int of the stored sigma and no walk.  The
-residue is kept mod p^max_depth, past its valuation depth - 1, so the hit
-computes the valuation the walk through that leaf would.  It is exact at
-any precision: sigma at depth d reads only the first t + 1 + d digits of
-n, and at most one prefix of n can be a leaf.  The store is an LRU bounded
-like recip_power_sum's, exposed as vp_H_expansion.cache_info/cache_clear.
+residue is kept mod p^M, M the reach of the walk that decided the leaf,
+and a leaf at depth d is decided only at a reach M >= d, past its
+valuation d - 1; so the hit computes the valuation the walk through that
+leaf would.  It is exact at any precision: sigma at depth d reads only
+the first t + 1 + d digits of n, and at most one prefix of n can be a
+leaf.  The store is an LRU bounded like recip_power_sum's, exposed as
+vp_H_expansion.cache_info/cache_clear.
 """
 
 from __future__ import annotations
@@ -505,8 +511,10 @@ class _WalkNode:
     reads h' at depth v <= top only, budget U + v <= U + top, so every
     table is pruned to that limit (_add_group) and is never widened or
     refolded.  h_prime past the reach raises PrecisionError, since the
-    pruned table would read 0 there.  Once a node holds both it lets go
-    of its parent, so a walk keeps only its frontier alive.
+    pruned table would read 0 there; a walk that must go deeper is lifted
+    to a larger reach (_lift), which builds new nodes.  Once a node holds
+    both it lets go of its parent, so a walk keeps only its frontier
+    alive.
 
     sigma is kept mod p^top, top the root's precision.  The h_p term of a
     child of a depth-d node enters sigma times p^d, so only its residue
@@ -591,6 +599,31 @@ class _WalkNode:
         return self._dp
 
 
+def _lift(frontier: list[_WalkNode], top: int) -> list[_WalkNode]:
+    """The nodes of frontier, one level of a walk in increasing value
+    order, re-walked from a root that keeps sigma mod p^top.
+
+    Only the ancestors of the frontier are walked, each shared prefix
+    once, and each of them computes its sigma and its table before its
+    children exist, so no sigma recurses up a long chain.  The lifted
+    frontier nodes fold their own groups when their children read them.
+    """
+    first = frontier[0]
+    p = first.digits.p
+    root = _WalkNode.root(first.k, p, top)
+    level = {root.value: root}
+    for shift in range(first.depth - 1, -1, -1):
+        above, level = level, {}
+        for node in frontier:
+            value = node.value // p ** shift
+            if value not in level:
+                level[value] = child = above[value // p].child(value % p)
+                if shift:
+                    child.sigma
+                    child._table()
+    return list(level.values())
+
+
 def h_p_mod(prefix: DigitString, k: int, M: int) -> int:
     """h_prime of the parent plus the unit times the block reciprocal sum.
 
@@ -636,14 +669,16 @@ class ExpansionVerdict:
         return v
 
 
-# The first pass of vp_H_expansion carries this many digits.  A walk
-# node's cost grows with the walk's reach, which sizes its pruned h'
-# table, but slowly: per node on cold stores, a walk at 16 digits costs
-# 1.0-1.5x one at 1 digit, and at 64 digits 2.2-4.7x, over p, k in
-# (2, 2), (3, 3), (3, 6), (5, 2).  Passes at 1, 2, 4 and 8 digits would
-# each repeat the shallow nodes at nearly full cost; first passes of 8 and
-# 32 digits both ran deep-expansion's operations slower than 16, and
-# CHANGES.md has the timings.
+# The first pass of vp_H_expansion, and the first reach of a tree build's
+# walk, carry this many digits.  A walk node's cost grows with the walk's
+# reach, which sizes its pruned h' table, but slowly: per node on cold
+# stores, a walk at 16 digits costs 1.0-1.5x one at 1 digit, and at 64
+# digits 2.2-4.7x, over p, k in (2, 2), (3, 3), (3, 6), (5, 2).  Passes at
+# 1, 2, 4 and 8 digits would each repeat the shallow nodes at nearly full
+# cost; first passes of 8 and 32 digits both ran deep-expansion's
+# operations slower than 16, and CHANGES.md has the timings.  A tree that
+# closes within 16 levels, as 7 of deep-expansion's 8 do, never carries
+# more digits than that, whatever its cap.
 _FIRST_PASS = 16
 
 

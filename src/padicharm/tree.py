@@ -7,8 +7,10 @@ when vp(H(child_value, k)) clears W - (k-1)s + 1 for its digit length.
 Both tests are implemented; in dual mode they arbitrate each other and
 any mismatch aborts the build with the offending digit string.  The
 expansion test keeps one expansion._WalkNode per frontier entry, so each
-child folds one digit group into its parent's h' table.  The valuation
-test runs on one forward-only scaled Stirling row per build
+child folds one digit group into its parent's h' table.  Its walk starts
+at expansion._FIRST_PASS digits, and a frontier that outlives that reach
+is lifted once to the digits max_depth reads (expansion._lift).  The
+valuation test runs on one forward-only scaled Stirling row per build
 (valuation._ScaledHRow), which children reach in increasing value order.
 In "stirling" mode that row decides membership during the walk; in dual
 mode the walk records each checked child's value, threshold and
@@ -35,7 +37,8 @@ from .core import (
     EngineDisagreement,
     StructureConstants,
 )
-from .expansion import _WalkNode, _record_leaves
+from . import expansion
+from .expansion import _WalkNode, _lift, _record_leaves
 from .valuation import _ScaledHRow
 
 __all__ = [
@@ -117,8 +120,13 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     and the first mismatch raises EngineDisagreement.
 
     A child at level u + 1 is a member when its sigma vanishes mod p^(u+1),
-    and u < max_depth, so the walk carries sigma mod p^max(max_depth, 1):
-    exactly the digits the deepest test reads, and no more.
+    and u < max_depth, so no test reads past p^max(max_depth, 1).  The walk
+    starts at the reach min(_FIRST_PASS, max(max_depth, 1)), which decides
+    every level up to it.  If the frontier is still nonempty at that
+    level, the walk lifts it once, straight to max(max_depth, 1)
+    (expansion._lift), and goes on: a tree that closes within the first
+    reach carries no more digits, whatever max_depth is.  A "stirling"
+    build never lifts.
 
     Once the walk (and, in dual mode, the check) is done, an "expansion"
     or "both" build records each leaf's value and sigma residue in
@@ -129,7 +137,8 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
         raise ArgumentError(f"unknown engine {engine!r}")
     if max_depth < 0:
         raise ArgumentError(f"max_depth must be nonnegative, got {max_depth}")
-    root = _WalkNode.root(k, p, max(max_depth, 1))
+    cap = max(max_depth, 1)
+    root = _WalkNode.root(k, p, min(expansion._FIRST_PASS, cap))
     sc = root.sc
     levels: list[list[DigitString]] = [[root.digits]]
     frontier = [root]
@@ -149,6 +158,8 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
         row = _ScaledHRow(k, p, p ** (len(root.digits) + max_depth) - 1, top_threshold)
 
     for u in range(max_depth):
+        if u == frontier[0].top and engine != "stirling":
+            frontier = _lift(frontier, cap)
         threshold = _membership_threshold(sc, k, len(frontier[0].digits) + 1)
         next_frontier = []
         for node in frontier:
@@ -229,8 +240,9 @@ def f_sequence(S: int) -> FSequence:
     vp(H(<f_0..f_{s-1},b>, 2)) >= 1 - s, i.e. the last digit of the single
     node at level s of the (2, 2) tree, built here by the expansion engine.
     That tree branches exactly once per level; a level of any other size
-    raises EngineDisagreement.  The walk carries sigma mod p^max(S, 1), the
-    precision build_tree derives for depth S.
+    raises EngineDisagreement.  The walk is build_tree's: sigma mod
+    p^min(_FIRST_PASS, max(S, 1)) first, lifted to p^max(S, 1) at the
+    level past that reach.
     """
     if S < 0:
         raise ArgumentError(f"S must be nonnegative, got {S}")

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +144,21 @@ def test_tree_depth_capped_chain(capsys):
     assert [len(level) for level in doc["levels"]] == [1] * 6
     assert doc["status"] == "truncated"
     assert doc["truncated_at"] == 5
+
+
+def test_closed_tree_costs_nothing_for_a_deep_cap(capsys):
+    # T_3(7) closes at depth 11: a cap of 1000 levels must build the same
+    # tree as the default 32, and about as fast, not carry 1000 digits
+    start = time.process_time()
+    rc, out, _ = run(capsys, *"tree --p 3 --k 7 --max-depth 1000 --engine expansion".split())
+    seconds = time.process_time() - start
+    assert rc == 0
+    _, shallow, _ = run(capsys, *"tree --p 3 --k 7 --engine expansion".split())
+    deep, shallow = json.loads(out), json.loads(shallow)
+    for field in ("levels", "leaves", "node_count", "status"):
+        assert deep[field] == shallow[field]
+    assert deep["node_count"] == 43
+    assert seconds < 5  # a walk carrying 1000 digits took over 20 s
 
 
 def test_fseq(capsys):

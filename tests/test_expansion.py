@@ -526,38 +526,106 @@ def test_walk_matches_from_scratch_dp(p, k, data):
 
 
 def test_walk_folds_each_node_once(monkeypatch):
-    # The root folds its own digits, and every node the walk expands below
-    # it folds exactly one group onto its parent's table: no prefix is
-    # ever folded again.
-    folds, groups = [], []
+    # Each reach folds the root's own digits once, at U + reach.  In a
+    # pass, every node the walk expands below the root folds exactly one
+    # group onto its parent's table.  A lift folds one group for each
+    # distinct proper prefix of its frontier below the root, and nothing
+    # else: the frontier nodes fold theirs when the next pass expands them.
+    events = []
     real_fold, real_add_group = expansion._fold, expansion._add_group
 
     def fold(prefix, k, limit, M):
-        folds.append((prefix, limit))
+        events.append((prefix, limit))
         return real_fold(prefix, k, limit, M)
 
     def add_group(dp, B, w, *args):
-        groups.append((w, B))
+        events.append((w, B))
         return real_add_group(dp, B, w, *args)
+
+    def group(node):
+        return len(node) - 1, node.value - node.parent().value
 
     monkeypatch.setattr(expansion, "_fold", fold)
     monkeypatch.setattr(expansion, "_add_group", add_group)
-    for p, k, depth in [(3, k, 32) for k in range(2, 9)] + [(2, 2, 64), (3, 14, 20), (7, 5, 12)]:
-        folds.clear()
-        groups.clear()
+    lifted = set()
+    for p, k, depth in [(3, k, 32) for k in range(2, 9)] + [(5, 2, 32), (2, 2, 64),
+                                                            (3, 14, 20), (7, 5, 12)]:
+        events.clear()
         tree = build_tree(p, k, depth, engine="expansion")
         sc = tree.constants
-        assert folds == [(sc.root_digits, sc.U + depth)]
-        expected, value = [], 0
+        root_groups, value = [], 0
         for w, digit in enumerate(sc.root_digits.digits):
-            expected.append((w, value * (p - 1) + digit))
+            root_groups.append((w, value * (p - 1) + digit))
             value = value * p + digit
-        # the nodes of levels 1 .. depth - 1 have children to decide
-        expanded = [node for level in tree.levels[1:depth] for node in level]
-        assert expanded  # every one of these trees expands a depth-1 node
-        expected += [(len(node) - 1, node.value - node.parent().value) for node in expanded]
-        assert len(set(groups)) == len(groups)
-        assert sorted(groups) == sorted(expected)
+        first = min(expansion._FIRST_PASS, depth)
+        reaches = [first]
+        # the nodes of levels 1 .. first - 1 have children to decide
+        expected = [root_groups + [group(node) for level in tree.levels[1:first] for node in level]]
+        # a level below level first means the walk went past its reach and lifted to depth
+        if first < len(tree.levels) - 1:
+            lifted.add((p, k, depth))
+            reaches.append(depth)
+            prefixes, layer = set(), set(tree.levels[first])
+            for _ in range(first - 1):
+                layer = {node.parent() for node in layer}
+                prefixes |= layer
+            expected.append(root_groups + [group(node) for node in prefixes]
+                            + [group(node) for level in tree.levels[first:depth] for node in level])
+        starts = [i for i, event in enumerate(events) if isinstance(event[0], DigitString)]
+        assert [events[i] for i in starts] == [(sc.root_digits, sc.U + r) for r in reaches]
+        for i, j, want in zip(starts, starts[1:] + [len(events)], expected):
+            assert len(set(events[i + 1:j])) == j - i - 1
+            assert sorted(events[i + 1:j]) == sorted(want)
+    assert lifted == {(5, 2, 32), (2, 2, 64), (3, 14, 20)}
+
+
+@pytest.mark.parametrize("engine", ["expansion", "both"])
+def test_lifted_builds_equal_unlifted_ones(monkeypatch, engine):
+    # A first reach of 1 lifts every build that passes level 1; a first
+    # reach of max_depth never lifts.  Both must decide every level, leaf
+    # and recorded valuation as the default schedule does.
+    builds = [(3, k, 32) for k in range(2, 9)] + [(5, 2, 32), (3, 14, 20), (7, 5, 12),
+                                                  (2, 2, 64)]
+
+    def run(first_pass):
+        shapes = []
+        for p, k, depth in builds:
+            monkeypatch.setattr(expansion, "_FIRST_PASS", first_pass or depth)
+            vp_H_expansion.cache_clear()
+            tree = build_tree(p, k, depth, engine=engine)
+            records = {key: vp_int(sigma, key[1]) for key, sigma in expansion._DECIDED.entries.items()}
+            shapes.append((tree.levels, tree.leaves, tree.status, tree.stats, tree.dual_checks,
+                           records))
+        return shapes
+
+    default = run(expansion._FIRST_PASS)
+    assert run(1) == default
+    assert run(None) == default  # None: each build's max_depth
+
+
+def test_tree_reach_schedule(monkeypatch):
+    tops = []
+    root = _WalkNode.root.__func__
+
+    def recording_root(cls, k, p, M):
+        tops.append(M)
+        return root(cls, k, p, M)
+
+    monkeypatch.setattr(_WalkNode, "root", classmethod(recording_root))
+
+    def reaches(build, *args):
+        tops.clear()
+        build(*args)
+        return tops[:]
+
+    assert expansion._FIRST_PASS == 16
+    # T_3(7) closes at depth 11, inside the first reach, whatever the cap
+    assert reaches(build_tree, 3, 7, 32) == [16]
+    assert reaches(build_tree, 3, 7, 1000) == [16]
+    # T_5(2) has a frontier at level 16 and lifts once, straight to the cap
+    assert reaches(build_tree, 5, 2, 32) == [16, 32]
+    assert reaches(f_sequence, 64) == [16, 64]
+    assert reaches(f_sequence, 14) == [14]
 
 
 def test_walk_refuses_to_read_past_its_reach():
