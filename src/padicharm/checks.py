@@ -5,8 +5,10 @@ counts or values, the bound they were held against, and a witness for the
 first failure.  Verdicts never hinge on floating point: thresholds with
 rational exponents (x^0.835 = x^(167/200), y^(2/3)) are compared by exact
 integer powers, and the one genuinely transcendental comparison (the
-exponent maximum over primes) runs at 60+ bits with a guard band that
-escalates precision instead of guessing.
+exponent maximum over primes) ranks the primes that a float screen with
+a stated error bound cannot rule out, in the standard decimal module at
+80+ bits, with a guard band that escalates precision instead of
+guessing.
 
 CHECKS names every check that `padicharm verify` runs, in order, with the
 command-line flags each one reads; the command line derives its names,
@@ -22,6 +24,7 @@ import os
 import random
 import signal
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import BinaryIO, Callable
 
@@ -511,10 +514,26 @@ def _ubound_holds(n: int, k: int, p: int, nu: int) -> bool:
     return lhs < rhs
 
 
+def _root_class(root: int, t: int, p: int, lo: int, x: int):
+    """(n, s) for every n in [lo, x] whose leading t + 1 base-p digits are
+    those of root, by increasing n, where s + 1 is the digit length of n.
+
+    For each length they form one run, root * p^(s-t) up to
+    (root + 1) * p^(s-t) - 1; lo >= p * root puts every run at s > t.
+    """
+    for s in range(t + 1, ilog(x, p) + 1):
+        start = root * p ** (s - t)
+        for n in range(max(start, lo), min(start + p ** (s - t), x + 1)):
+            yield n, s
+
+
 def check_ubound(p: int = 3, k: int = 2, x: int = 729) -> CheckReport:
     """Upper-bound mechanism on [(k-1)p, x]: leaf exits force the strict
     inequality, violators stay inside the tree, and the violator count is
-    at most 3 x^0.835."""
+    at most 3 x^0.835.
+
+    Only the n that extend the root digits of k - 1 are tested, and each
+    is read as an integer: its digits 0..r are n // p^(s-r)."""
     sc = structure_constants(k, p)
     if x < (k - 1) * p:
         raise ArgumentError(f"x must be at least (k-1)p = {(k - 1) * p}")
@@ -522,18 +541,14 @@ def check_ubound(p: int = 3, k: int = 2, x: int = 729) -> CheckReport:
     tree = build_tree(p, k, max_depth=depth)
     nodes = tree.node_values()
     vals = vp_H_sweep(x, k, p)
-    root = sc.root_digits
+    powers = [p ** i for i in range(ilog(x, p) + 1)]
     exceptions = []
     leaf_exits = 0
     full_chain = 0
     witness = None
-    for n in range((k - 1) * p, x + 1):
-        d = to_digits(n, p)
-        if not d.extends(root):
-            continue
-        s = len(d) - 1
+    for n, s in _root_class(sc.root_digits.value, sc.t, p, (k - 1) * p, x):
         exit_at = next(
-            (r for r in range(sc.t + 1, s + 1) if n // p ** (s - r) not in nodes),
+            (r for r in range(sc.t + 1, s + 1) if n // powers[s - r] not in nodes),
             None,
         )
         holds = _ubound_holds(n, k, p, vals[n])
@@ -705,39 +720,65 @@ def _primes_upto(n: int) -> list[int]:
 
 # p59-exponent escalates precision while a comparison lies this close to a tie
 _P59_GUARD = 1e-6
+# decimal digits carried beyond those of the working bits
+_P59_GUARD_DIGITS = 5
+
+# Bound on |_p59_g_float(p) - g(p)| for p < 2^32, with a margin of 2^6:
+# x = (p - 2)/2 is exact, the rounded exponent 2/3 and pow put a relative
+# error of at most (ln x + 4) * 2^-53 <= 2^-48 on the curve, log adds an
+# ulp, and dividing by log p >= log 3 leaves less than 2^-46.
+_P59_FLOAT_ERR = 2.0 ** -40
+
+
+def _p59_g_float(p: int) -> float:
+    """g(p) = log_p(min(ceil(p/2), 3((p-2)/2)^(2/3) + 2)) in double precision."""
+    m = min(-(-p // 2), 3 * ((p - 2) / 2) ** (2 / 3) + 2)
+    return math.log(m) / math.log(p)
+
+
+def _p59_g_decimal(p: int) -> Decimal:
+    """g(p) in the current decimal context."""
+    curve = 3 * (Decimal(p - 2) / 2) ** (Decimal(2) / 3) + 2
+    return min(Decimal(-(-p // 2)), curve).ln() / Decimal(p).ln()
+
+
+def _p59_screen(primes: list[int]) -> list[int]:
+    """The primes whose float g lies within 2 * _P59_FLOAT_ERR of the
+    second-largest float.
+
+    Every float is within _P59_FLOAT_ERR of its g, so these include the
+    two primes with the largest g: the true runner-up b has
+    g(b) >= min(g(q1), g(q2)) over the primes q1, q2 of the top two
+    floats, so its float is at least the second-largest minus twice the
+    bound, and so is the float of the argmax.
+    """
+    floats = [_p59_g_float(p) for p in primes]
+    cut = sorted(floats)[-2] - 2 * _P59_FLOAT_ERR
+    return [p for p, g in zip(primes, floats) if g >= cut]
 
 
 def check_p59_exponent(prime_bound: int = 1000) -> CheckReport:
     """The per-prime exponent log_p(min(3((p-2)/2)^(2/3)+2, ceil(p/2)))
     peaks at p = 59 and stays below 0.835.
 
-    Evaluated with mpmath at 80+ bits; any comparison landing inside the
-    guard band escalates precision instead of deciding.
+    A double-precision screen keeps only the primes whose exponent can be
+    among the top two (_p59_screen); those are ranked with the standard
+    decimal module at the digits of 80 bits plus guard digits.  Any
+    comparison landing inside the guard band doubles the bits, up to
+    4096, instead of deciding.
     """
-    import mpmath  # only this check needs it; kept out of package import time
-
     if prime_bound < 59:
         raise ArgumentError(f"prime_bound must be at least 59, got {prime_bound}")
-    primes = _primes_upto(prime_bound)
-
-    def g_values(prec: int) -> list[tuple[object, int]]:
-        with mpmath.workprec(prec):
-            out = []
-            for p in primes:
-                cap = mpmath.mpf(-(-p // 2))
-                curve = 3 * mpmath.power(mpmath.mpf(p - 2) / 2, mpmath.mpf(2) / 3) + 2
-                m = min(cap, curve)
-                out.append((mpmath.log(m) / mpmath.log(p) if p > 2 else mpmath.mpf(0), p))
-        return out
+    survivors = _p59_screen(_primes_upto(prime_bound))
 
     prec = 80
     while True:
-        vals = g_values(prec)
-        ranked = sorted(vals, key=lambda t: (-t[0], t[1]))
-        (g_top, p_top), (g_second, _) = ranked[0], ranked[1]
-        margin_ok = (
-            float(g_top - g_second) > _P59_GUARD and abs(float(g_top) - 0.835) > _P59_GUARD
-        )
+        with localcontext() as ctx:
+            ctx.prec = math.ceil(prec * math.log10(2)) + _P59_GUARD_DIGITS
+            ranked = sorted((-_p59_g_decimal(p), p) for p in survivors)
+            (neg_top, p_top), (neg_second, _) = ranked[:2]
+            g_top, gap = -neg_top, neg_second - neg_top
+        margin_ok = float(gap) > _P59_GUARD and abs(float(g_top) - 0.835) > _P59_GUARD
         if margin_ok:
             break
         prec *= 2
@@ -747,7 +788,7 @@ def check_p59_exponent(prime_bound: int = 1000) -> CheckReport:
     return CheckReport(
         claim_id="p59-exponent",
         parameters={"prime_bound": prime_bound, "precision_bits": prec},
-        observed={"argmax": p_top, "g_max": float(g_top), "runner_up_gap": float(g_top - g_second)},
+        observed={"argmax": p_top, "g_max": float(g_top), "runner_up_gap": float(gap)},
         bound=0.835,
         passed=passed,
         witness=None if passed else {"argmax": p_top, "g_max": float(g_top)},

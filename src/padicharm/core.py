@@ -273,9 +273,11 @@ def a_p_set(n: int, v: int, p: int) -> list[int]:
 
     Built from the coprime block of the length-(v+1) digit prefix: with
     scale = p^(s-v) and head = n // scale (the value of that prefix), the
-    slice is {j * scale : 1 <= j <= head, p does not divide j}.  The list
-    of all multiples j * scale is made by range() and every p-th entry
-    (j divisible by p) is deleted by one slice deletion, so no member
+    slice is {j * scale : 1 <= j <= head, p does not divide j}.  At
+    p = 2 that is every odd j, one range() of step 2 * scale.  Otherwise
+    the list of all multiples j * scale is made by range() and every p-th
+    entry (j divisible by p) is deleted by one slice deletion, which
+    times faster than interleaving p - 1 ranges.  Either way no member
     passes through Python-level code.  The direct filter
     a_p_set_by_filter must give the same answer.
     """
@@ -283,6 +285,8 @@ def a_p_set(n: int, v: int, p: int) -> list[int]:
     if not 0 <= v <= s:
         raise ArgumentError(f"v must lie in [0, {s}], got {v}")
     scale = p ** (s - v)
+    if p == 2:
+        return list(range(scale, n + 1, 2 * scale))
     out = list(range(scale, n // scale * scale + 1, scale))
     del out[p - 1::p]
     return out

@@ -271,11 +271,11 @@ class _ScaledHRow:
     reduces the slots, multiplies P by the packed block polynomial (the
     slot width also holds the k + 1 products below (p^A)^2 that make a
     slot of that product, S >= 2*bits(p^A) + bits(k+1) + 1), reduces
-    again, and takes a + p^e as one ordinary step.  Everything else, and
-    every advance by less than p^2 (so all of vp_H_sweep), runs the
-    per-step loop, and so does a whole row with n_max <= p*L*A, which
-    would spend more on building H_1..H_L than the steps cost.  Each
-    residue is the same integer mod p^A either way.
+    again, and takes a + p^e as one ordinary step.  Everything else,
+    every advance by less than p^2, and vp_H_sweep, which reads Z_k after
+    every step, run the per-step loop, and so does a whole row with
+    n_max <= p*L*A, which would spend more on building H_1..H_L than the
+    steps cost.  Each residue is the same integer mod p^A either way.
     """
 
     def __init__(self, k: int, p: int, n_max: int, v_max: int) -> None:
@@ -330,9 +330,14 @@ class _ScaledHRow:
         self._step(n)
         return (self.packed >> self.S * self.k) % self.mod
 
-    def _step(self, n: int) -> None:
-        """Multiply in the factors of self.n + 1, ..., n one at a time."""
+    def _step(self, n: int, vals: dict[int, int | None] | None = None) -> None:
+        """Multiply in the factors of self.n + 1, ..., n one at a time.
+
+        With vals, also read Z_k after each factor m: vals[m] is what
+        self.vp(m) gives, vp(H(m, k)) if it lies below v_max, else None.
+        """
         p, S, mask, scale = self.p, self.S, self.mask, self.scale
+        top, mod, kL = S * self.k, self.mod, self.kL
         packed, pending = self.packed, self.pending
         for m in range(self.n + 1, n + 1):
             u, v = m, 0
@@ -344,6 +349,10 @@ class _ScaledHRow:
             if pending == _REDUCE_EVERY:
                 packed = self._reduced(packed)
                 pending = 0
+            if vals is not None:
+                # slot k is congruent to Z_k mod p^A, reduced or not
+                residue = (packed >> top) % mod
+                vals[m] = vp_int(residue, p) - kL if residue else None
         self.packed, self.pending, self.n = packed, pending, n
 
     def _block(self, e: int, c: int) -> None:
@@ -442,11 +451,13 @@ def vp_H(n: int, k: int, p: int) -> int:
 def vp_H_sweep(n_max: int, k: int, p: int) -> dict[int, int]:
     """vp(H(n, k)) for every n in [k, n_max] from one shared row sweep.
 
-    Advances one scaled row (_ScaledHRow) with v_max = (k+1)(L+1) + 8,
-    L = ilog_p(n_max): the row's slot width is dominated by
-    R * bits(2*n_max), not by its digits, so a sweep gains nothing from a
-    smaller start.  Any valuation at or above v_max falls back to vp_H, so
-    results always agree with vp_H.
+    Steps one scaled row (_ScaledHRow) with v_max = (k+1)(L+1) + 8,
+    L = ilog_p(n_max), through every integer up to n_max in one call of
+    its per-step loop, which reads Z_k after each step from k on.  The
+    row's slot width is dominated by R * bits(2*n_max), not by its
+    digits, so a sweep gains nothing from a smaller start.  Any valuation
+    at or above v_max falls back to vp_H, so results always agree with
+    vp_H.
     """
     if k < 1:
         raise ArgumentError(f"k must be positive, got {k}")
@@ -460,8 +471,9 @@ def vp_H_sweep(n_max: int, k: int, p: int) -> dict[int, int]:
             "a sweep steps through every integer up to n_max"
         )
     row = _ScaledHRow(k, p, n_max, (k + 1) * (ilog(n_max, p) + 1) + 8)
-    out: dict[int, int] = {}
-    for n in range(k, n_max + 1):
-        val = row.vp(n)
-        out[n] = val if val is not None else vp_H(n, k, p)
+    row._step(k - 1)
+    out: dict[int, int | None] = {}
+    row._step(n_max, out)
+    for n in [n for n, val in out.items() if val is None]:
+        out[n] = vp_H(n, k, p)
     return out

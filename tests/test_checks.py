@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,8 @@ from padicharm.checks import (
     _le_cpi_bound,
     _lt_harm_bound,
     _lt_p_0835,
+    _p59_g_decimal,
+    _p59_g_float,
     check_corollary_2adic,
     check_cpicong,
     check_harm_count_suite,
@@ -29,8 +32,10 @@ from padicharm.checks import (
 from padicharm import checks
 from padicharm.core import ArgumentError, a_p_set, a_p_set_by_filter, bp_count, free_p, vp_int
 from padicharm.expansion import ExpansionVerdict, h_p_mod
-from padicharm.core import structure_constants, to_digits, vp
-from padicharm.valuation import exact_H_table
+from padicharm.core import ilog, structure_constants, to_digits, vp
+from padicharm.report import CheckReport
+from padicharm.tree import build_tree
+from padicharm.valuation import exact_H_table, vp_H_sweep
 
 
 def test_exact_threshold_helpers():
@@ -412,6 +417,65 @@ def test_ubound_exhaustive(p, k, x):
     assert report.observed["leaf_exits"] + report.observed["full_chain"] == report.observed["tested"]
 
 
+def _ubound_report_by_digit_scan(p, k, x):
+    """check_ubound's report, each n read through its DigitString."""
+    sc = structure_constants(k, p)
+    nodes = build_tree(p, k, max_depth=ilog(x, p) - sc.t + 1).node_values()
+    vals = vp_H_sweep(x, k, p)
+    exceptions, leaf_exits, full_chain, witness = [], 0, 0, None
+    for n in range((k - 1) * p, x + 1):
+        d = to_digits(n, p)
+        if not d.extends(sc.root_digits):
+            continue
+        s = len(d) - 1
+        exit_at = next(
+            (r for r in range(sc.t + 1, s + 1) if d.prefix(r + 1).value not in nodes), None
+        )
+        holds = checks._ubound_holds(n, k, p, vals[n])
+        if exit_at is not None:
+            leaf_exits += 1
+            if not holds:
+                witness = {"n": n, "vp": vals[n], "exit_at": exit_at,
+                           "reason": "leaf exit must satisfy the bound"}
+                break
+        else:
+            full_chain += 1
+            if not holds:
+                exceptions.append(n)
+    count_ok = _le_3x_0835(len(exceptions), x)
+    if witness is None and not count_ok:
+        witness = {"reason": "exception count exceeds 3x^0.835", "count": len(exceptions)}
+    return CheckReport(
+        claim_id="ubound",
+        parameters={"p": p, "k": k, "x": x},
+        observed={"tested": leaf_exits + full_chain, "leaf_exits": leaf_exits,
+                  "full_chain": full_chain, "exceptions": len(exceptions)},
+        bound=f"3 * {x}^0.835",
+        passed=witness is None and count_ok,
+        witness=witness,
+    )
+
+
+def _ubound_grid():
+    # x at p^j - 1, p^j and p^j + 1, where the digit length of n changes;
+    # k = 4 and 10 have two- and three-digit roots in base 3
+    for p, ks, top in [(2, range(2, 7), 1024), (3, range(2, 7), 729), (5, range(2, 7), 625),
+                       (7, range(2, 7), 343), (3, (4, 10), 2187)]:
+        for k in ks:
+            q = p
+            while q <= top:
+                for x in (q - 1, q, q + 1):
+                    if x >= (k - 1) * p:
+                        yield p, k, x
+                q *= p
+
+
+def test_ubound_equals_a_digit_string_scan():
+    for p, k, x in _ubound_grid():
+        want = _ubound_report_by_digit_scan(p, k, x).to_json()
+        assert check_ubound(p, k, x).to_json() == want, (p, k, x)
+
+
 def test_ubound_rejects_small_x():
     with pytest.raises(ValueError):
         check_ubound(3, 4, 5)
@@ -474,12 +538,71 @@ def test_p59_exponent():
 
 
 def test_p59_g2_is_zero():
-    import mpmath
-
     # the capped term is 1 at p = 2, so the exponent vanishes
-    assert math.isclose(
-        float(min(3 * mpmath.power(0, mpmath.mpf(2) / 3) + 2, 1)), 1.0
+    assert _p59_g_float(2) == 0.0
+    with localcontext() as ctx:
+        ctx.prec = 30
+        assert _p59_g_decimal(2) == 0
+
+
+def _g_by_decimal(primes, digits=40):
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return {p: _p59_g_decimal(p) for p in primes}
+
+
+def test_p59_floats_lie_within_the_stated_error():
+    primes = checks._primes_upto(20_000)
+    exact = _g_by_decimal(primes)
+    worst = max(abs(Decimal(_p59_g_float(p)) - exact[p]) for p in primes)
+    assert worst <= Decimal(checks._P59_FLOAT_ERR) / 64
+
+
+def test_p59_screen_keeps_the_top_two_for_every_bound_to_3000():
+    # the screen's input changes only at a prime, so bounds 59, 61, ...
+    # stand for every prime_bound in 59..3000
+    primes = checks._primes_upto(3000)
+    exact = _g_by_decimal(primes)
+    for i in range(primes.index(59), len(primes)):
+        head = primes[: i + 1]
+        top_two = sorted(head, key=lambda p: (-exact[p], p))[:2]
+        survivors = checks._p59_screen(head)
+        assert set(top_two) <= set(survivors), primes[i]
+        assert len(survivors) < 5
+
+
+def _p59_report_by_mpmath(prime_bound):
+    """The p59-exponent report with every g in mpmath at 80+ bits."""
+    mpmath = pytest.importorskip("mpmath")
+    primes = checks._primes_upto(prime_bound)
+    prec = 80
+    while True:
+        with mpmath.workprec(prec):
+            vals = []
+            for p in primes:
+                cap = mpmath.mpf(-(-p // 2))
+                curve = 3 * mpmath.power(mpmath.mpf(p - 2) / 2, mpmath.mpf(2) / 3) + 2
+                vals.append((mpmath.log(min(cap, curve)) / mpmath.log(p), p))
+            (g_top, p_top), (g_second, _) = sorted(vals, key=lambda t: (-t[0], t[1]))[:2]
+            gap = g_top - g_second
+        if float(gap) > 1e-6 and abs(float(g_top) - 0.835) > 1e-6:
+            break
+        prec *= 2
+    passed = p_top == 59 and float(g_top) < 0.835
+    return CheckReport(
+        claim_id="p59-exponent",
+        parameters={"prime_bound": prime_bound, "precision_bits": prec},
+        observed={"argmax": p_top, "g_max": float(g_top), "runner_up_gap": float(gap)},
+        bound=0.835,
+        passed=passed,
+        witness=None if passed else {"argmax": p_top, "g_max": float(g_top)},
     )
+
+
+@pytest.mark.parametrize("prime_bound", [59, 60, 100, 200, 1000, 5000])
+def test_p59_report_equals_an_mpmath_reference(prime_bound):
+    want = _p59_report_by_mpmath(prime_bound).to_json()
+    assert check_p59_exponent(prime_bound).to_json() == want
 
 
 def test_monitor_lower_bound_window_monotone():

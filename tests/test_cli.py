@@ -631,16 +631,28 @@ def test_internal_value_error_exits_1_with_a_traceback():
     assert "usage error" not in proc.stderr
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # only the p59-exponent check needs mpmath; it is imported there
+def test_p59_exponent_runs_where_mpmath_cannot_be_imported():
+    # padicharm needs only the standard library; a None entry in
+    # sys.modules makes every import of mpmath raise ImportError
     import padicharm
 
     src = os.path.dirname(os.path.dirname(padicharm.__file__))
-    script = "import sys, padicharm.cli\nprint('mpmath' in sys.modules)\n"
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import padicharm.cli as cli\n"
+        "sys.exit(cli.main(['verify', 'p59-exponent']))\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        '{"bound": 0.835, "claim_id": "p59-exponent", "observed": {"argmax": 59, '
+        '"g_max": 0.8340563694875432, "runner_up_gap": 0.0015399426604084162}, '
+        '"parameters": {"precision_bits": 80, "prime_bound": 1000}, "passed": true, '
+        '"seed": null, "witness": null}\n'
+    )
 
 
 def test_only_verify_loads_the_check_table():

@@ -275,6 +275,13 @@ def test_a_p_set_matches_definition_up_to_1e5(n_p):
     _assert_slices_match_definition(*n_p)
 
 
+def test_a_p_set_at_2_equals_filter_up_to_4096():
+    # at p = 2 the slice is one range of step 2 * scale, with no deletion
+    for n in range(1, 4097):
+        for v in range(ilog(n, 2) + 1):
+            assert a_p_set(n, v, 2) == a_p_set_by_filter(n, v, 2), (n, v)
+
+
 def test_a_p_set_rejects_bad_v():
     with pytest.raises(ValueError):
         a_p_set(7, 3, 2)

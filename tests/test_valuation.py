@@ -269,6 +269,59 @@ def test_vp_H_sweep_falls_back_to_vp_H(monkeypatch):
     assert fallbacks == 3  # vp_2(H(n, 1)) = -ilog_2(n) never falls back
 
 
+def _sweep_grid():
+    # each (p, k) gets n_max = k, a run across the first _REDUCE_EVERY
+    # boundary, and one seeded n_max up to 3000
+    rng = random.Random(23)
+    for p in (2, 3, 5, 7):
+        for k in range(1, 7):
+            for n_max in (k, k + _REDUCE_EVERY + 1, rng.randint(k, 3000)):
+                yield p, k, n_max
+
+
+def test_vp_H_sweep_equals_single_calls_on_a_seeded_grid():
+    # single values are compared at every n up to 100 and at 30 seeded n
+    # above, each end of the run included
+    rng = random.Random(2023)
+    for p, k, n_max in _sweep_grid():
+        sweep = vp_H_sweep(n_max, k, p)
+        assert list(sweep) == list(range(k, n_max + 1))
+        ns = set(range(k, min(n_max, 100) + 1)) | {n_max}
+        if n_max > 100:
+            ns |= set(rng.sample(range(101, n_max + 1), min(30, n_max - 100)))
+        for n in sorted(ns):
+            assert sweep[n] == vp_H(n, k, p), (p, k, n_max, n)
+
+
+def test_vp_H_sweep_falls_back_exactly_where_the_row_reads_zero(monkeypatch):
+    # at v_max = 2 - kL every n with vp(H(n, k)) >= 2 - kL, and no other,
+    # goes to vp_H, and the fallbacks' values land in the sweep
+    # (the sweep's row is the first one built; vp_H's rows stay as they are)
+    real_row = valuation._ScaledHRow
+    real_vp_H = valuation.vp_H
+    built, fell_back = [], []
+
+    def row(k, p, n_max, v_max):
+        built.append(v_max)
+        return real_row(k, p, n_max, 2 - k * ilog(n_max, p) if len(built) == 1 else v_max)
+
+    def logged_vp_H(n, k, p):
+        fell_back.append(n)
+        return real_vp_H(n, k, p)
+
+    monkeypatch.setattr(valuation, "_ScaledHRow", row)
+    monkeypatch.setattr(valuation, "vp_H", logged_vp_H)
+    for p, k, n_max in [(2, 2, 200), (3, 3, 150), (5, 1, 130), (7, 2, 120)]:
+        built.clear()
+        fell_back.clear()
+        sweep = vp_H_sweep(n_max, k, p)
+        exact = {n: exact_vp_H(n, k, p) for n in range(k, n_max + 1)}
+        assert sweep == exact
+        v_max = 2 - k * ilog(n_max, p)
+        assert fell_back == [n for n, v in exact.items() if v >= v_max]
+        assert fell_back
+
+
 def test_vp_H_rejections():
     with pytest.raises(ValueError):
         vp_H(3, 0, 2)
