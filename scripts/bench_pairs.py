@@ -23,7 +23,12 @@ both alike.  Two kinds of pair:
              digits; in deep-expansion they read the leaves those builds
              recorded.  deep-walk is the deep walks no workload reaches:
              fseq --terms 600 and the expansion-only trees T_3(14) at
-             depth 60 and T_7(5) at depth 40.  val-ladder is single
+             depth 60 and T_7(5) at depth 40.  deep-cap is expansion
+             and stirling trees at caps far past the level they close or
+             run to, where a walk pays for the reach it lifts to:
+             T_5(2) at --max-depth 1000 (closes at 18), T_13(8) at 200
+             (closes at 31), the T_2(5) chain at 200 and a stirling T_3(7)
+             at 100 (closes at 11).  val-ladder is single
              values, which no perfbench workload asks for above n = 3000:
              val --p 3 --k 3 at n = 10^7, 10^15, 10^30, 10^60 with methods
              stirling, expansion and both, then val --p 2 --k 2 --method
@@ -72,12 +77,19 @@ sys.dont_write_bytecode = True  # nor does this script's own import of workloads
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
 import workloads  # noqa: E402
 
-# perfbench workloads, deep-expansion's calls alone, the deep walks and the val ladder
+# perfbench workloads, deep-expansion's calls alone, the deep walks, the deep
+# caps and the val ladder
 OPS_GROUPS = ("tree-dual", "verify-suite", "deep-expansion", "vpx-walks", "deep-walk",
-              "val-ladder")
+              "deep-cap", "val-ladder")
 OPS_SEED = 1  # the seed of the workloads' operations
-DEEP_WALK = ("fseq --terms 600", "tree --p 3 --k 14 --max-depth 60 --engine expansion",
-             "tree --p 7 --k 5 --max-depth 40 --engine expansion")
+FIXED_OPS = {
+    "deep-walk": ("fseq --terms 600", "tree --p 3 --k 14 --max-depth 60 --engine expansion",
+                  "tree --p 7 --k 5 --max-depth 40 --engine expansion"),
+    "deep-cap": ("tree --p 5 --k 2 --max-depth 1000 --engine expansion",
+                 "tree --p 13 --k 8 --max-depth 200 --engine expansion",
+                 "tree --p 2 --k 5 --max-depth 200 --engine expansion",
+                 "tree --p 3 --k 7 --max-depth 100 --engine stirling"),
+}
 LADDER_N = (10 ** 7, 10 ** 15, 10 ** 30, 10 ** 60)
 LADDER_METHODS = ("stirling", "expansion", "both")
 CHAIN_DIGITS = (100, 300)
@@ -110,8 +122,8 @@ SIDES = ("parent", "change")
 def ops_commands(group: str) -> list[list[str]]:
     if group == "val-ladder":
         return val_ladder()
-    if group == "deep-walk":
-        return [argv.split() for argv in DEEP_WALK]
+    if group in FIXED_OPS:
+        return [argv.split() for argv in FIXED_OPS[group]]
     if group == "vpx-walks":
         return [argv for argv in ops_commands("deep-expansion") if argv[0] == "vpx"]
     return [op["argv"] if "argv" in op else ["vpx", *map(str, op["vpx"])]
@@ -126,7 +138,7 @@ def val_ladder() -> list[list[str]]:
 
     out = [["val", "--p", "3", "--k", "3", "--n", str(n), "--method", method]
            for n in LADDER_N for method in LADDER_METHODS]
-    bits = str(f_sequence(max(CHAIN_DIGITS) - 1))
+    bits = "".join(map(str, f_sequence(max(CHAIN_DIGITS) - 1)))
     out += [["val", "--p", "2", "--k", "2", "--n", str(int(bits[:d], 2)), "--method", "expansion"]
             for d in CHAIN_DIGITS]
     return out

@@ -33,7 +33,6 @@ from .expansion import (
 from .report import CheckReport
 from .tree import (
     ChildStats,
-    FSequence,
     PTree,
     build_tree,
     f_sequence,

@@ -443,7 +443,7 @@ def check_corollary_2adic(
         raise ArgumentError(
             f"need S >= 1 and sample_count >= 0, got S={S}, sample_count={sample_count}"
         )
-    bits = f_sequence(S).bits
+    bits = f_sequence(S)
     rng = random.Random(seed)
     # random draws almost never match the whole bit prefix, so the prefixes
     # themselves are added as systematic full-match cases

@@ -229,7 +229,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_fseq(args) -> int:
-    print(json.dumps(str(f_sequence(args.terms))))
+    print(json.dumps("".join(map(str, f_sequence(args.terms)))))
     return 0
 
 

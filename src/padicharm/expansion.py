@@ -30,22 +30,23 @@ node enters it times p^d, so that node folds its table, and its
 children's block sums, mod p^(M - d) (at least p^1), and the precision a
 walk carries shrinks as it goes deeper.
 
-M is derived from the decisions a walk makes, with no guard digits.  A tree
-build reads sigma mod p^(u+1) at depth u + 1 <= max_depth, and a walk
-carrying M digits gives that residue exactly for every u < M.  So it
-roots its walk at M = min(16, max(max_depth, 1)), which decides every
-tree that closes by depth 16 whatever max_depth is, and a frontier still
-alive at level M lifts once, straight to M = max(max_depth, 1): _lift
-re-walks only the frontier's ancestors from a root at the new reach.
-vp_H_expansion reads whether vp(sigma) <= v at depth v + 1 <= s - t, and
-a walk carrying M digits decides that exactly for every v < M.  So it
-walks in passes, each scanning only v < M, and stops at the first pass
-that pins the valuation: M starts at 16, doubles while 8M <= s - t, then
-becomes s - t (one pass when s - t <= 16).  The index that decides a
-call is usually shallow, so most calls never carry all s - t digits, and
-the block stores build their entries at the smaller M.  A residue that
-keeps those digits decides each test exactly, and the tests pin the
-rule: either walk one digit short changes tree levels and valuations.
+M is derived from the decisions a walk makes, with no guard digits.  A
+walk whose tests read up to span digits (tree levels 1..max_depth, or the
+indices v < s - t of vp_H_expansion) decides exactly every test of depth
+at most M, its reach, and reads no deeper.  Every walk keeps one reach
+schedule, _next_reach: it starts at M = min(16, span), and when it reaches
+depth M with something still to decide, it lifts (_lift: re-walks only
+the ancestors of what is still alive, from a root at the new reach) to
+2M while 8M <= span, else to span.  A walk therefore carries the digits
+of the depth where it stops, rounded up the schedule, not the span: a tree
+that closes by depth 16 carries 16 digits whatever max_depth is, and a
+vp_H_expansion call that decides at a shallow index never carries all
+s - t digits, and the block stores build their entries at the smaller M.
+Doubling keeps what the shallower reaches cost small beside the last one,
+and the jump from at most span/8 to span saves the reaches between.  A
+residue that keeps those digits decides each test exactly, and the tests
+pin the rule: either walk one digit short changes tree levels and
+valuations.
 
 Reciprocal power sums over the coprime sequence c_p are the workhorse.
 The sequence is periodic in blocks of p - 1 consecutive units, so a
@@ -669,17 +670,25 @@ class ExpansionVerdict:
         return v
 
 
-# The first pass of vp_H_expansion, and the first reach of a tree build's
-# walk, carry this many digits.  A walk node's cost grows with the walk's
-# reach, which sizes its pruned h' table, but slowly: per node on cold
-# stores, a walk at 16 digits costs 1.0-1.5x one at 1 digit, and at 64
-# digits 2.2-4.7x, over p, k in (2, 2), (3, 3), (3, 6), (5, 2).  Passes at
-# 1, 2, 4 and 8 digits would each repeat the shallow nodes at nearly full
-# cost; first passes of 8 and 32 digits both ran deep-expansion's
-# operations slower than 16, and CHANGES.md has the timings.  A tree that
-# closes within 16 levels, as 7 of deep-expansion's 8 do, never carries
-# more digits than that, whatever its cap.
+# Every walk, a tree build's and vp_H_expansion's, first carries this many
+# digits.  A walk node's cost grows with the walk's reach, which sizes its
+# pruned h' table, but slowly: per node on cold stores, a walk at 16 digits
+# costs 1.0-1.5x one at 1 digit, and at 64 digits 2.2-4.7x, over p, k in
+# (2, 2), (3, 3), (3, 6), (5, 2).  Reaches of 1, 2, 4 and 8 digits would
+# each repeat the shallow nodes at nearly full cost; first reaches of 8 and
+# 32 digits both ran deep-expansion's operations slower than 16, and
+# CHANGES.md has the timings.  A tree that closes within 16 levels, as 7 of
+# deep-expansion's 8 do, never carries more digits than that, whatever its
+# cap.
 _FIRST_PASS = 16
+
+
+def _next_reach(top: int, span: int) -> int:
+    """The reach a walk whose tests read up to span digits lifts to from
+    reach top, or starts at when top is 0 (module docstring)."""
+    if not top:
+        return min(_FIRST_PASS, span)
+    return 2 * top if 8 * top <= span else span
 
 
 @_DECIDED.serves
@@ -699,16 +708,15 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     walk.  A call records nothing.  cache_info() counts the calls a record
     answered as hits and those that walked as misses.
 
-    The scan runs in passes that escalate precision from the bottom.  A
-    pass walks with sigma mod p^top and scans only v < top: a nonzero
-    residue below p^top has sigma's true valuation, and a zero one clears
-    every index, so each of its verdicts equals that of a walk at the full
-    p^(s - t).  top starts at min(_FIRST_PASS, s - t) and doubles while
-    8*top <= s - t, then jumps to s - t; only that last pass returns the
-    lower bound.  A pass walks only down to the node that decides, so most
-    calls end in the first pass, far below s - t digits.  A tree member
-    fails every pass, and the jump from at most (s - t)/8 digits keeps what
-    its failed passes cost small beside its last one.
+    The walk escalates precision from the bottom.  It carries sigma mod
+    p^top, top its reach: a nonzero residue below p^top has sigma's true
+    valuation, and a zero one clears every index, so each verdict at v < top
+    equals that of a walk at the full p^(s - t).  When the path reaches
+    depth top, the walk lifts that node to the next reach (_next_reach with
+    span s - t, module docstring) and goes on down the path; the indices it
+    has decided stay decided.  The walk ends at the node that decides, so
+    most calls stop within the first reach, far below s - t digits; a tree
+    member lifts at every reach up to s - t.
     """
     d = to_digits(n, p)
     sc = structure_constants(k, p)
@@ -724,14 +732,12 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     sigma = _leaf_sigma(k, p, sc.root_digits.value, tail)
     if sigma is not None:
         return ExpansionVerdict(exact_valuation=sc.U + vp_int(sigma, p) - k * s)
-    top = min(_FIRST_PASS, span)
-    while True:
-        node = _WalkNode.root(k, p, top)
-        for v, b in enumerate(tail[:top]):
-            node = node.child(b)
-            acc = node.sigma
-            if acc and vp_int(acc, p) <= v:
-                return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
-        if top == span:
-            return ExpansionVerdict(lower_bound=span - k * s + sc.U)
-        top = 2 * top if 8 * top <= span else span
+    node = _WalkNode.root(k, p, _next_reach(0, span))
+    for v, b in enumerate(tail):
+        if v == node.top:
+            node = _lift([node], _next_reach(node.top, span))[0]
+        node = node.child(b)
+        acc = node.sigma
+        if acc and vp_int(acc, p) <= v:
+            return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
+    return ExpansionVerdict(lower_bound=span - k * s + sc.U)

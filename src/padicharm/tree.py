@@ -8,14 +8,15 @@ Both tests are implemented; in dual mode they arbitrate each other and
 any mismatch aborts the build with the offending digit string.  The
 expansion test keeps one expansion._WalkNode per frontier entry, so each
 child folds one digit group into its parent's h' table.  Its walk starts
-at expansion._FIRST_PASS digits, and a frontier that outlives that reach
-is lifted once to the digits max_depth reads (expansion._lift).  The
-valuation test runs on one forward-only scaled Stirling row per build
-(valuation._ScaledHRow), which children reach in increasing value order.
-In "stirling" mode that row decides membership during the walk; in dual
-mode the walk records each checked child's value, threshold and
-expansion verdict, and the row, sized for the largest recorded value,
-re-decides them after the walk.
+at expansion._FIRST_PASS digits, and a frontier that outlives its reach is
+lifted (expansion._lift) by the one reach schedule every digit walk keeps
+(expansion._next_reach).  The valuation test runs on a forward-only scaled
+Stirling row (valuation._ScaledHRow), which children reach in increasing
+value order.  In "stirling" mode that row decides membership during the
+walk, sized for the children of the walk's reach and replaced when the
+walk lifts; in dual mode the walk records each checked child's value,
+threshold and expansion verdict, and one row, sized for the largest
+recorded value, re-decides them after the walk.
 The branch bits f_sequence are the levels of the (2, 2) tree, which has
 exactly one node per level.
 
@@ -37,14 +38,12 @@ from .core import (
     EngineDisagreement,
     StructureConstants,
 )
-from . import expansion
-from .expansion import _WalkNode, _lift, _record_leaves
+from .expansion import _WalkNode, _lift, _next_reach, _record_leaves
 from .valuation import _ScaledHRow
 
 __all__ = [
     "ChildStats",
     "PTree",
-    "FSequence",
     "build_tree",
     "f_sequence",
 ]
@@ -112,21 +111,23 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     engine "expansion" tests membership through the weighted h_p sums,
     "stirling" through the running Stirling row, "both" runs the two and
     aborts on mismatch.  Children are evaluated in increasing value order,
-    so one forward-only row serves the whole build.  In "stirling" mode the
-    row decides each child as the walk reaches it.  In dual mode the
-    expansion verdict drives the walk, which records (value, digits,
-    threshold, verdict) for every child up to DUAL_VALUE_CAP; afterwards
-    one row sized for the last recorded value re-decides them in order,
-    and the first mismatch raises EngineDisagreement.
+    so a forward-only row serves them.  In "stirling" mode the row decides
+    each child as the walk reaches it.  In dual mode the expansion verdict
+    drives the walk, which records (value, digits, threshold, verdict) for
+    every child up to DUAL_VALUE_CAP; afterwards one row sized for the last
+    recorded value re-decides them in order, and the first mismatch raises
+    EngineDisagreement.
 
     A child at level u + 1 is a member when its sigma vanishes mod p^(u+1),
-    and u < max_depth, so no test reads past p^max(max_depth, 1).  The walk
-    starts at the reach min(_FIRST_PASS, max(max_depth, 1)), which decides
-    every level up to it.  If the frontier is still nonempty at that
-    level, the walk lifts it once, straight to max(max_depth, 1)
-    (expansion._lift), and goes on: a tree that closes within the first
-    reach carries no more digits, whatever max_depth is.  A "stirling"
-    build never lifts.
+    and u < max_depth, so no test reads past p^span, span = max(max_depth,
+    1).  The walk starts at the reach _next_reach(0, span), which decides
+    every level up to it, and each time its frontier is still nonempty at
+    the level of its reach it lifts the frontier to _next_reach(reach,
+    span) (expansion._lift) and goes on: a tree carries the digits of the
+    level it closes at, rounded up the reach schedule, whatever max_depth
+    is.  A "stirling" build lifts its row instead of its walk nodes, whose
+    sigma it never reads: each row reaches every child of the current
+    reach, and a lift replaces it with one sized for the next.
 
     Once the walk (and, in dual mode, the check) is done, an "expansion"
     or "both" build records each leaf's value and sigma residue in
@@ -137,8 +138,9 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
         raise ArgumentError(f"unknown engine {engine!r}")
     if max_depth < 0:
         raise ArgumentError(f"max_depth must be nonnegative, got {max_depth}")
-    cap = max(max_depth, 1)
-    root = _WalkNode.root(k, p, min(expansion._FIRST_PASS, cap))
+    span = max(max_depth, 1)
+    reach = _next_reach(0, span)
+    root = _WalkNode.root(k, p, reach)
     sc = root.sc
     levels: list[list[DigitString]] = [[root.digits]]
     frontier = [root]
@@ -150,16 +152,20 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     decided: list[tuple[int, int]] = []  # (value, sigma) of each leaf
 
     # Child values rise across a level and from level to level, and the
-    # threshold falls with depth, so one row with the first level's
-    # threshold as v_max decides every Stirling test.  In "stirling" mode
-    # it must reach any child of max_depth levels.
+    # threshold falls with depth, so a row with the first level's threshold
+    # as v_max decides every Stirling test.  A "stirling" row must reach any
+    # child of the current reach: digit length len(root) + reach at most.
     top_threshold = _membership_threshold(sc, k, len(root.digits) + 1)
     if engine == "stirling":
-        row = _ScaledHRow(k, p, p ** (len(root.digits) + max_depth) - 1, top_threshold)
+        row = _ScaledHRow(k, p, p ** (len(root.digits) + reach) - 1, top_threshold)
 
     for u in range(max_depth):
-        if u == frontier[0].top and engine != "stirling":
-            frontier = _lift(frontier, cap)
+        if u == reach:
+            reach = _next_reach(reach, span)
+            if engine == "stirling":
+                row = _ScaledHRow(k, p, p ** (len(root.digits) + reach) - 1, top_threshold)
+            else:
+                frontier = _lift(frontier, reach)
         threshold = _membership_threshold(sc, k, len(frontier[0].digits) + 1)
         next_frontier = []
         for node in frontier:
@@ -214,35 +220,15 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     )
 
 
-@dataclass(frozen=True)
-class FSequence:
-    """The 2-adic branch bits: the unique surviving digit per level."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.bits or self.bits[0] != 1:
-            raise ArgumentError("bit sequence must start with 1")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ArgumentError("bits must be 0 or 1")
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-def f_sequence(S: int) -> FSequence:
+def f_sequence(S: int) -> tuple[int, ...]:
     """Bits f_0..f_S for p = 2, k = 2.
 
     f_s is the digit b that keeps the membership inequality
     vp(H(<f_0..f_{s-1},b>, 2)) >= 1 - s, i.e. the last digit of the single
     node at level s of the (2, 2) tree, built here by the expansion engine.
     That tree branches exactly once per level; a level of any other size
-    raises EngineDisagreement.  The walk is build_tree's: sigma mod
-    p^min(_FIRST_PASS, max(S, 1)) first, lifted to p^max(S, 1) at the
-    level past that reach.
+    raises EngineDisagreement.  The walk is build_tree's, lifted along the
+    reach schedule, at most to p^max(S, 1).
     """
     if S < 0:
         raise ArgumentError(f"S must be nonnegative, got {S}")
@@ -253,4 +239,4 @@ def f_sequence(S: int) -> FSequence:
             f"T_2(2) level sizes {sizes} are not one node per level down to "
             f"depth {S}; branching invariant broken"
         )
-    return FSequence(tree.levels[-1][0].digits)
+    return tree.levels[-1][0].digits

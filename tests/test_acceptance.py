@@ -79,8 +79,8 @@ def test_c03_lengyel_identity():
 
 def test_c04_f_sequence_and_corollary():
     t0 = time.time()
-    bits = f_sequence(20)
-    ok = str(bits)[:3] == "110" and len(bits) == 21
+    bits = "".join(map(str, f_sequence(20)))
+    ok = bits[:3] == "110" and len(bits) == 21
     report = check_corollary_2adic(S=14, sample_count=500, seed=SEED)
     ok = ok and report.passed
     announce(

@@ -526,11 +526,11 @@ def test_walk_matches_from_scratch_dp(p, k, data):
 
 
 def test_walk_folds_each_node_once(monkeypatch):
-    # Each reach folds the root's own digits once, at U + reach.  In a
-    # pass, every node the walk expands below the root folds exactly one
+    # Each reach folds the root's own digits once, at U + reach.  At a
+    # reach, every node the walk expands below the root folds exactly one
     # group onto its parent's table.  A lift folds one group for each
     # distinct proper prefix of its frontier below the root, and nothing
-    # else: the frontier nodes fold theirs when the next pass expands them.
+    # else: the frontier nodes fold theirs when the walk expands them.
     events = []
     real_fold, real_add_group = expansion._fold, expansion._add_group
 
@@ -547,9 +547,9 @@ def test_walk_folds_each_node_once(monkeypatch):
 
     monkeypatch.setattr(expansion, "_fold", fold)
     monkeypatch.setattr(expansion, "_add_group", add_group)
-    lifted = set()
+    lifts = {}
     for p, k, depth in [(3, k, 32) for k in range(2, 9)] + [(5, 2, 32), (2, 2, 64),
-                                                            (3, 14, 20), (7, 5, 12)]:
+                                                            (3, 14, 20), (7, 5, 12), (3, 9, 128)]:
         events.clear()
         tree = build_tree(p, k, depth, engine="expansion")
         sc = tree.constants
@@ -557,35 +557,39 @@ def test_walk_folds_each_node_once(monkeypatch):
         for w, digit in enumerate(sc.root_digits.digits):
             root_groups.append((w, value * (p - 1) + digit))
             value = value * p + digit
-        first = min(expansion._FIRST_PASS, depth)
-        reaches = [first]
-        # the nodes of levels 1 .. first - 1 have children to decide
-        expected = [root_groups + [group(node) for level in tree.levels[1:first] for node in level]]
-        # a level below level first means the walk went past its reach and lifted to depth
-        if first < len(tree.levels) - 1:
-            lifted.add((p, k, depth))
-            reaches.append(depth)
-            prefixes, layer = set(), set(tree.levels[first])
-            for _ in range(first - 1):
+        # a level below the walk's reach means it went past that reach and lifted
+        reaches = [expansion._next_reach(0, depth)]
+        while reaches[-1] < len(tree.levels) - 1:
+            reaches.append(expansion._next_reach(reaches[-1], depth))
+        if len(reaches) > 1:
+            lifts[p, k, depth] = len(reaches) - 1
+        expected = []
+        for start, reach in zip([0] + reaches, reaches):
+            # the lift re-walks the ancestors of level start, and the nodes of
+            # levels start .. reach - 1 have children to decide
+            prefixes, layer = set(), set(tree.levels[start])
+            for _ in range(start - 1):
                 layer = {node.parent() for node in layer}
                 prefixes |= layer
             expected.append(root_groups + [group(node) for node in prefixes]
-                            + [group(node) for level in tree.levels[first:depth] for node in level])
+                            + [group(node) for level in tree.levels[max(start, 1):reach]
+                               for node in level])
         starts = [i for i, event in enumerate(events) if isinstance(event[0], DigitString)]
         assert [events[i] for i in starts] == [(sc.root_digits, sc.U + r) for r in reaches]
         for i, j, want in zip(starts, starts[1:] + [len(events)], expected):
             assert len(set(events[i + 1:j])) == j - i - 1
             assert sorted(events[i + 1:j]) == sorted(want)
-    assert lifted == {(5, 2, 32), (2, 2, 64), (3, 14, 20)}
+    assert lifts == {(5, 2, 32): 1, (2, 2, 64): 1, (3, 14, 20): 1, (3, 9, 128): 2}
 
 
 @pytest.mark.parametrize("engine", ["expansion", "both"])
 def test_lifted_builds_equal_unlifted_ones(monkeypatch, engine):
     # A first reach of 1 lifts every build that passes level 1; a first
     # reach of max_depth never lifts.  Both must decide every level, leaf
-    # and recorded valuation as the default schedule does.
+    # and recorded valuation as the default schedule does, under which
+    # (5, 5, 128) lifts twice, 16 -> 32 -> 128, and closes at depth 36.
     builds = [(3, k, 32) for k in range(2, 9)] + [(5, 2, 32), (3, 14, 20), (7, 5, 12),
-                                                  (2, 2, 64)]
+                                                  (2, 2, 64), (5, 5, 128)]
 
     def run(first_pass):
         shapes = []
@@ -623,9 +627,16 @@ def test_tree_reach_schedule(monkeypatch):
     assert reaches(build_tree, 3, 7, 32) == [16]
     assert reaches(build_tree, 3, 7, 1000) == [16]
     # T_5(2) has a frontier at level 16 and lifts once, straight to the cap
+    # since 8 * 16 > 32
     assert reaches(build_tree, 5, 2, 32) == [16, 32]
     assert reaches(f_sequence, 64) == [16, 64]
     assert reaches(f_sequence, 14) == [14]
+    # at a cap of 1000 the reach doubles while 8 * reach <= 1000: T_5(5)
+    # closes at depth 36, T_3(12) at depth 18
+    assert reaches(build_tree, 5, 5, 1000) == [16, 32, 64]
+    assert reaches(build_tree, 3, 12, 1000) == [16, 32]
+    # the chain never closes: 16, 32 since 8 * 16 <= 200, then 200
+    assert reaches(f_sequence, 200) == [16, 32, 200]
 
 
 def test_walk_refuses_to_read_past_its_reach():
@@ -735,7 +746,7 @@ def test_vp_H_expansion_chain_prefixes_keep_the_lower_bound(monkeypatch, first_p
     # every prefix of the T_2(2) chain is a tree node, so every pass fails
     # and only the last one, at s - t digits, returns the bound
     monkeypatch.setattr(expansion, "_FIRST_PASS", first_pass)
-    bits = str(f_sequence(150))
+    bits = "".join(map(str, f_sequence(150)))
     for length in range(2, 152, 10):
         n = int(bits[:length], 2)
         verdict = vp_H_expansion(n, 2, 2)
@@ -758,7 +769,7 @@ def test_vp_H_expansion_pass_schedule(monkeypatch):
         vp_H_expansion(int(bits, 2), 2, 2)
         return tops[:]
 
-    chain = str(f_sequence(199))  # 200 digits, s - t = 199
+    chain = "".join(map(str, f_sequence(199)))  # 200 digits, s - t = 199
     flip = {"0": "1", "1": "0"}
     # the build recorded the chain's leaf at depth 20, which answers with no pass
     assert passes(chain[:20] + flip[chain[20]] + chain[21:]) == []
@@ -854,7 +865,7 @@ def test_decided_prefix_lookup_equals_a_fresh_walk(p, k):
 
 
 def test_decided_prefix_lookup_on_the_T22_chain():
-    chain = str(f_sequence(80))
+    chain = "".join(map(str, f_sequence(80)))
     flip = {"0": "1", "1": "0"}
     rng = random.Random(80)
     # members: chain prefixes, which only the bound decides

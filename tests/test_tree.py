@@ -7,7 +7,6 @@ from padicharm import tree as tree_module
 from padicharm.core import DigitString, EngineDisagreement
 from padicharm.report import CheckReport
 from padicharm.tree import (
-    FSequence,
     PTree,
     build_tree,
     f_sequence,
@@ -158,10 +157,44 @@ def test_dual_row_is_sized_for_the_children_it_checks(monkeypatch, k, largest):
     checked = [ds.value for level in tree.levels[1:] for ds in level]
     checked += [ds.value for ds in tree.leaves]
     assert max(checked) == largest and tree.dual_checks == len(checked)
-    # the stirling engine still sizes its row for any child of max_depth levels
+    # the stirling engine sizes its row for any child of the walk's reach;
+    # these trees close inside the first one
     rows.clear()
     build_tree(3, k, engine="stirling")
-    assert rows == [(3 ** (len(sc.root_digits) + 32) - 1, top)]
+    assert rows == [(3 ** (len(sc.root_digits) + 16) - 1, top)]
+
+
+def test_stirling_row_is_replaced_when_the_walk_lifts(monkeypatch):
+    # T_5(2) outlives level 16, so its walk lifts to the cap: a new row
+    # reaches the children of the new reach, and no walk node computes sigma
+    rows = _recording_rows(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(tree_module._WalkNode, "sigma",
+                      property(lambda node: pytest.fail("sigma read")))
+        tree = build_tree(5, 2, engine="stirling")
+    sc = tree.constants
+    top = tree_module._membership_threshold(sc, 2, len(sc.root_digits) + 1)
+    assert rows == [(5 ** (len(sc.root_digits) + reach) - 1, top) for reach in (16, 32)]
+    ref = build_tree(5, 2, engine="expansion")
+    assert len(tree.levels) > 17 and (tree.levels, tree.leaves) == (ref.levels, ref.leaves)
+
+
+@pytest.mark.parametrize("p, k, engine", [
+    (5, 5, "expansion"), (5, 5, "both"), (3, 12, "expansion"), (3, 12, "both"),
+    (13, 8, "expansion"), (13, 8, "both"), (3, 7, "stirling"),
+])
+def test_a_deep_cap_builds_the_tree_a_shallow_one_closes(p, k, engine):
+    # each tree closes within 40 levels, so a cap of 1000 builds the same
+    # tree; its walk lifts only as deep as the tree lives
+    def shape(tree):
+        return tree.levels, tree.leaves, tree.status, tree.stats, tree.dual_checks
+
+    deep = build_tree(p, k, 1000, engine=engine)
+    assert deep.status == "complete"
+    assert shape(deep) == shape(build_tree(p, k, 40, engine=engine))
+    if engine == "stirling":
+        both = build_tree(p, k, 1000, engine="both")
+        assert shape(deep)[:4] == shape(both)[:4]
 
 
 def test_dual_pass_names_the_first_disagreeing_child(monkeypatch):
@@ -248,9 +281,9 @@ def test_validate_rejects_an_out_of_order_leaf():
 
 
 def test_f_sequence_examples():
-    assert f_sequence(0).bits == (1,)
-    assert f_sequence(2).bits == (1, 1, 0)
-    assert str(f_sequence(2)) == "110"
+    assert f_sequence(0) == (1,)
+    assert f_sequence(2) == (1, 1, 0)
+    assert "".join(map(str, f_sequence(2))) == "110"
 
 
 def test_f_sequence_matches_tree_levels():
@@ -258,13 +291,13 @@ def test_f_sequence_matches_tree_levels():
     tree = build_tree(2, 2, 10)
     assert [len(level) for level in tree.levels] == [1] * 11
     for u, level in enumerate(tree.levels):
-        assert level[0].digits == f.bits[: u + 1]
+        assert level[0].digits == f[: u + 1]
 
 
 def test_f_sequence_deep_bits_are_pinned():
     # f_0..f_300 as the exact-product falling factorials gave them: the
     # block-sum stores and the reduced products must not move a bit
-    bits = str(f_sequence(300))
+    bits = "".join(map(str, f_sequence(300)))
     assert hashlib.sha256(bits.encode()).hexdigest() == (
         "43e1ee9d4c18517f662c6a0308433539b7d95d6eb143c8c4720c07020762da01")
 
@@ -289,8 +322,6 @@ def test_f_sequence_refuses_a_level_without_exactly_one_node(monkeypatch, broken
 
 
 def test_f_sequence_validation():
-    with pytest.raises(ValueError):
-        FSequence((0, 1))
     with pytest.raises(ValueError):
         f_sequence(-1)
 
