@@ -18,6 +18,7 @@ flags and dispatch from that table alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -30,12 +31,12 @@ from typing import BinaryIO, Callable
 
 from .core import (
     ArgumentError,
+    _require_prime,
     a_p_set,
     a_p_set_by_filter,
     bp_count,
     free_p,
     ilog,
-    is_prime,
     structure_constants,
     to_digits,
     vp_factorial,
@@ -46,6 +47,8 @@ from .report import CheckReport
 from .tree import build_tree, f_sequence
 from .valuation import (
     DEFAULT_EXACT_CAP,
+    _H_rows,
+    _stirling_rows,
     exact_H_table,
     integral_pairs,
     stirling,
@@ -129,7 +132,8 @@ def _jp_layer_sums(n_max: int, k: int, p: int, M: int):
 # report order.
 
 def _ratio_section(n_max: int) -> tuple[int, dict | None]:
-    """H(n, k) * n! = s(n+1, k+1)."""
+    """H(n, k) * n! = s(n+1, k+1): the exact Fraction row against the
+    exact Stirling row."""
     checked = 0
     table = exact_H_table(n_max, n_max)
     for n in range(1, n_max + 1):
@@ -318,8 +322,14 @@ def check_structural_identities(
     in a forked child while this process runs the other sections; when
     both halves pass, the child's checked counts are added to these.  Any
     other outcome, or an os.fork that raises OSError, runs the whole check
-    again serially, and that run gives the report or raises.
+    again serially, and that run gives the report or raises.  A non-prime
+    p or a layer k below 2 is refused here, before anything forks.
     """
+    # a section would meet bad input only after the fork
+    for p in (*p_set, *slice_p_set):
+        _require_prime(p)
+    for p, k in itertools.product(layer_p_set, layer_k_set):
+        structure_constants(k, p)  # refuses a non-prime p and k < 2
     params = {
         "p_set": list(p_set),
         "ratio_n_max": ratio_n_max,
@@ -374,22 +384,11 @@ def check_structural_identities(
 # ---------------------------------------------------------------------------
 
 def _exact_H_valuations(ns: set[int], k: int, p: int) -> dict[int, int]:
-    """vp(H(n, k)) = vp(s(n+1, k+1)) - vp(n!) for each n >= k in ns.
-
-    One exact integer row s(n+1, 1..k+1) is advanced by
-    s(n+1, j+1) = n s(n, j+1) + s(n, j), the recurrence of exact_H_table
-    with the denominator n! left unreduced, and read only at the n asked
-    for.
-    """
-    out = {}
-    row = [1] + [0] * k  # s(1, 1..k+1)
-    for n in range(1, max(ns, default=0) + 1):
-        for j in range(k, 0, -1):
-            row[j] = n * row[j] + row[j - 1]
-        row[0] *= n
-        if n in ns:
-            out[n] = vp_int(row[k], p) - vp_factorial(n, p)
-    return out
+    """vp(H(n, k)) = vp(s(n+1, k+1)) - vp(n!) for each n >= k in ns, read
+    off one sweep of the exact Stirling row at the n asked for."""
+    rows = _stirling_rows(max(ns, default=0) + 1, k + 1)
+    return {n: vp_int(row[k + 1], p) - vp_factorial(n, p)
+            for n, row in enumerate(rows, start=-1) if n in ns}
 
 
 def check_lengyel_identity(m_max: int = 12) -> CheckReport:
@@ -588,11 +587,8 @@ def check_ubound(p: int = 3, k: int = 2, x: int = 729) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _harmonic_numbers(n_max: int) -> list[Fraction]:
-    """[H_0, H_1, ..., H_n_max]."""
-    out = [Fraction(0)]
-    for i in range(1, n_max + 1):
-        out.append(out[-1] + Fraction(1, i))
-    return out
+    """[H_0, H_1, ..., H_n_max], column 1 of the exact H rows."""
+    return [row[1] for row in _H_rows(n_max, 1)]
 
 
 def _harm_window_hits(
@@ -611,8 +607,7 @@ _HARM_X_MAX = 400
 
 def check_harm_count_suite(p: int = 3, cases: int = 500, seed: int = 0) -> CheckReport:
     """Seeded batch of harmonic congruence windows for one prime."""
-    if not is_prime(p):
-        raise ArgumentError(f"p must be prime, got {p}")
+    _require_prime(p)
     if cases < 1:
         raise ArgumentError(f"cases must be positive, got {cases}")
     rng = random.Random(seed)
@@ -663,8 +658,7 @@ def check_cpicong(
     ceil(p/2), below 3((p-2)/2)^(2/3) + 2, and no two consecutive window
     lengths may both hit.
     """
-    if not is_prime(p):
-        raise ArgumentError(f"p must be prime, got {p}")
+    _require_prime(p)
     if q_samples < 1 or a_samples < 1:
         raise ArgumentError(
             f"need q_samples >= 1 and a_samples >= 1, got {q_samples}, {a_samples}"

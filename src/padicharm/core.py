@@ -81,8 +81,9 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
+    """The one refusal of a non-prime argument p."""
     if not is_prime(p):
-        raise ArgumentError(f"modulus must be prime, got {p}")
+        raise ArgumentError(f"p must be prime, got {p}")
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,8 @@ from .core import (
     DigitString,
     PrecisionError,
     StructureConstants,
+    _require_prime,
     bp_count,
-    is_prime,
     pi_p_mod,
     structure_constants,
     to_digits,
@@ -349,8 +349,7 @@ def recip_power_sum(B: int, r: int, p: int, M: int) -> int:
         raise ArgumentError(f"B must be nonnegative, got {B}")
     if r < 1 or M < 1:
         raise ArgumentError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
-    if not is_prime(p):
-        raise ArgumentError(f"p must be prime, got {p}")
+    _require_prime(p)
     return _POWER_SUMS.fetch((B, r, p), (M,), _build_power_sum)[1] % p ** M
 
 
@@ -414,8 +413,7 @@ def recip_esym(B: int, m_max: int, p: int, M: int) -> list[int]:
     """
     if m_max < 0:
         raise ArgumentError(f"m_max must be nonnegative, got {m_max}")
-    if not is_prime(p):
-        raise ArgumentError(f"p must be prime, got {p}")
+    _require_prime(p)
     m_max = min(m_max, B)
     if m_max == 0:
         return [1]
@@ -423,12 +421,15 @@ def recip_esym(B: int, m_max: int, p: int, M: int) -> list[int]:
     return [x % mod for x in _ESYMS.fetch((B, p), (m_max, M), _build_esym)[1][:m_max + 1]]
 
 
-def _require_extension(prefix: DigitString, k: int) -> StructureConstants:
-    sc = structure_constants(k, prefix.p)
-    if not prefix.extends(sc.root_digits):
+def _require_extension(digits: DigitString, k: int, past_root: int) -> StructureConstants:
+    """The structure constants of (p, k), once digits is known to start
+    with the root digits of k - 1 and to run at least past_root digits
+    beyond them: the one refusal of a digit string off the tree."""
+    sc = structure_constants(k, digits.p)
+    if not (digits.extends(sc.root_digits) and len(digits) > sc.t + past_root):
         raise ArgumentError(
-            f"prefix {prefix} does not extend the root digits "
-            f"{sc.root_digits} of k-1"
+            f"{digits} must start with {sc.root_digits}, the digits of "
+            f"k-1={k - 1}, and have at least {sc.t + 1 + past_root} digits"
         )
     return sc
 
@@ -453,7 +454,9 @@ def _add_group(
     m_top = next((min(k - c, B) for c in range(k) if dp[c]
                   and (k - c) * (w + 1) - min(k - c, B) <= limit), 0)
     if m_top:
-        ep = recip_esym(B, m_top, p, M)
+        # m_top <= B; each product below is reduced, so the stored sums
+        # serve unreduced, at their own precision M' >= M
+        ep = _ESYMS.fetch((B, p), (m_top, M), _build_esym)[1]
         mod = p ** M
         for c in range(k):
             top = min(m_top, k - c)
@@ -496,7 +499,7 @@ def h_prime_mod(prefix: DigitString, k: int, M: int) -> int:
     """
     if M < 1:
         raise ArgumentError(f"M must be positive, got {M}")
-    sc = _require_extension(prefix, k)
+    sc = _require_extension(prefix, k, 0)
     budget = sc.U + len(prefix) - sc.t - 1
     return _h_prime(_fold(prefix, k, budget, M), k, budget)
 
@@ -523,7 +526,8 @@ class _WalkNode:
     children's block sums, mod p^M with M = max(top - d, 1), and every
     sigma residue is the one a walk at precision top throughout computes.
     Table entries a fold does not touch keep their parent's larger
-    modulus, so h_prime is exact mod p^M but not always reduced.
+    modulus, and the block sums a node reads from the stores keep theirs,
+    so h_prime and the h_p terms are exact mod p^M but not always reduced.
     """
 
     __slots__ = (
@@ -556,9 +560,11 @@ class _WalkNode:
         return cls(k, sc, M, pi_p_mod(k, p, M), sc.root_digits, sc.root_digits.value, None)
 
     def child(self, b: int) -> "_WalkNode":
+        """Child b; b is not checked, since every walk passes a base-p digit."""
+        p = self.digits.p
         return _WalkNode(
-            self.k, self.sc, self.top, self.pi, self.digits.child(b),
-            self.value * self.digits.p + b, self,
+            self.k, self.sc, self.top, self.pi, DigitString._trusted(p, self.digits.digits + (b,)),
+            self.value * p + b, self,
         )
 
     @property
@@ -574,8 +580,8 @@ class _WalkNode:
             p = self.digits.p
             mod = p ** parent.M
             base = parent.value * (p - 1)
-            # siblings share the base block sum through recip_power_sum's store
-            block = recip_power_sum(base, 1, p, parent.M)
+            # siblings share the base block sum through the power-sum store
+            block = _POWER_SUMS.fetch((base, 1, p), (parent.M,), _build_power_sum)[1]
             for i in range(base + 1, base + self.digits.digits[-1] + 1):
                 block += pow(i + (i - 1) // (p - 1), -1, mod)
             h_p = parent.h_prime + self.pi * block
@@ -631,11 +637,7 @@ def h_p_mod(prefix: DigitString, k: int, M: int) -> int:
     Always a residue (never needs to invert a multiple of p), which is the
     integrality fact everything downstream leans on.
     """
-    sc = _require_extension(prefix, k)
-    if len(prefix) < sc.t + 2:
-        raise ArgumentError(
-            f"prefix must extend the root by at least one digit, got {prefix}"
-        )
+    _require_extension(prefix, k, 1)
     p = prefix.p
     mod = p ** M
     head = h_prime_mod(prefix.parent(), k, M)
@@ -649,7 +651,7 @@ class ExpansionVerdict:
 
     A lower bound means every computed term vanished to the tail
     threshold; the true valuation is then undetermined by this module
-    alone and equals s - t - k*s + U at least.
+    alone and is at least the tree's membership threshold at n's length.
     """
 
     exact_valuation: int | None = None
@@ -668,6 +670,14 @@ class ExpansionVerdict:
         v = self.exact_valuation if self.is_exact else self.lower_bound
         assert v is not None
         return v
+
+
+def _membership_threshold(sc: StructureConstants, k: int, child_len: int) -> int:
+    """The least vp(H(n, k)) of a tree member n with child_len = s + 1
+    digits, W - (k - 1)s + 1; a walk node with those digits is a member
+    exactly when its sigma vanishes mod p^(s - t)."""
+    s = child_len - 1
+    return sc.W - (k - 1) * s + 1
 
 
 # Every walk, a tree build's and vp_H_expansion's, first carries this many
@@ -700,7 +710,8 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     the first index v where its valuation is exactly v; later terms carry
     at least v + 1 powers of p and cannot disturb it, so the valuation
     U + v - k*s is exact.  If the whole scan, v < s - t, stays above its
-    index, only the tail bound remains.
+    index, n is a full-chain node and only the tail bound remains: the
+    membership threshold at its own length, _membership_threshold.
 
     First it looks up the prefixes of n, depth 1 to s - t, in the
     decided-prefix store (module docstring): a leaf that a tree build
@@ -719,25 +730,21 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     member lifts at every reach up to s - t.
     """
     d = to_digits(n, p)
-    sc = structure_constants(k, p)
-    if not d.extends(sc.root_digits):
-        raise ArgumentError(
-            f"digit string of n={n} does not start with the digits of k-1={k - 1}"
-        )
+    sc = _require_extension(d, k, 1)
     s = len(d) - 1
-    if s < sc.t + 1:
-        raise ArgumentError(f"n={n} needs at least {sc.t + 2} digits in base {p}")
     span = s - sc.t
     tail = d.digits[sc.t + 1:]
     sigma = _leaf_sigma(k, p, sc.root_digits.value, tail)
-    if sigma is not None:
-        return ExpansionVerdict(exact_valuation=sc.U + vp_int(sigma, p) - k * s)
-    node = _WalkNode.root(k, p, _next_reach(0, span))
-    for v, b in enumerate(tail):
-        if v == node.top:
-            node = _lift([node], _next_reach(node.top, span))[0]
-        node = node.child(b)
-        acc = node.sigma
-        if acc and vp_int(acc, p) <= v:
-            return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
-    return ExpansionVerdict(lower_bound=span - k * s + sc.U)
+    if sigma is None:
+        node = _WalkNode.root(k, p, _next_reach(0, span))
+        for v, b in enumerate(tail):
+            if v == node.top:
+                node = _lift([node], _next_reach(node.top, span))[0]
+            node = node.child(b)
+            if node.sigma % p ** (v + 1):  # vp(sigma) <= v: decided here
+                sigma = node.sigma
+                break
+        else:
+            # every prefix of n was a member, n itself included
+            return ExpansionVerdict(lower_bound=_membership_threshold(sc, k, s + 1))
+    return ExpansionVerdict(exact_valuation=sc.U + vp_int(sigma, p) - k * s)

@@ -38,7 +38,7 @@ from .core import (
     EngineDisagreement,
     StructureConstants,
 )
-from .expansion import _WalkNode, _lift, _next_reach, _record_leaves
+from .expansion import _WalkNode, _lift, _membership_threshold, _next_reach, _record_leaves
 from .valuation import _ScaledHRow
 
 __all__ = [
@@ -98,11 +98,6 @@ class PTree:
 
     def node_values(self) -> set[int]:
         return {ds.value for level in self.levels for ds in level}
-
-
-def _membership_threshold(sc: StructureConstants, k: int, child_len: int) -> int:
-    s = child_len - 1
-    return sc.W - (k - 1) * s + 1
 
 
 def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTree:

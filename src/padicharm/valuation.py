@@ -1,24 +1,31 @@
 """Exact multiple harmonic sums and their p-adic valuations.
 
 H(n, k) sums 1/(i_1 * ... * i_k) over increasing k-tuples from [1, n].
-Two independent routes are provided:
+It meets the unsigned Stirling numbers of the first kind in
+H(n, k) = s(n+1, k+1) / n!, and each side has one exact row here:
 
-  * exact_H: exact Fraction arithmetic via the row recurrence
-    H(n, k) = H(n-1, k) + H(n-1, k-1) / n,
-  * vp_H: bounded-precision modular arithmetic through unsigned Stirling
-    numbers of the first kind, using
-    vp(H(n, k)) = vp(s(n+1, k+1)) - vp(n!).
+  * _H_rows advances the Fraction row H(m, 0..k) by
+    H(m, j) = H(m-1, j) + H(m-1, j-1) / m.  exact_H reads its last row,
+    exact_H_table (and so integral_pairs) every row, and the harm-count
+    check its column 1, the harmonic numbers;
+  * _stirling_rows advances the integer row s(i, 0..k) by
+    s(i+1, j) = s(i, j-1) + i * s(i, j), reduced mod p^M only when asked.
+    stirling and stirling_mod read its last row, and the corollary-2adic
+    check's exact cross reads it at each n it samples.
 
-The modular route advances one running row of s(n+1, j+1), j <= k, with
-the p-part of n! divided out (_ScaledHRow), so its modulus has
-kL + v_max digits, L = ilog_p(n), and grows with log n rather than with
-vp(n!).  Single values (vp_H), scans over increasing n (vp_H_sweep) and
-tree membership (padicharm.tree) all run that row.  A zero residue only
-says the valuation is at least v_max.  vp_H pins a single value from the
-bottom: its row starts at A = kL + v_max = 4 digits, and A doubles while
-the residue is zero.  Near the paper's bound vp(H(n, k)) + kL is small, so
-a few digits usually suffice, and a nonzero residue pins the valuation
-exactly.
+The structural check holds the two rows against each other; neither is
+derived from the other.  vp_H, the bounded-precision route, reads
+vp(H(n, k)) = vp(s(n+1, k+1)) - vp(n!) off a third, scaled row.
+
+That row advances s(n+1, j+1), j <= k, mod p^A with the p-part of n!
+divided out (_ScaledHRow), so its modulus has kL + v_max digits,
+L = ilog_p(n), and grows with log n rather than with vp(n!).  Single values
+(vp_H), scans over increasing n (vp_H_sweep) and tree membership
+(padicharm.tree) all run that row.  A zero residue only says the valuation
+is at least v_max.  vp_H pins a single value from the bottom: its row
+starts at A = kL + v_max = 4 digits, and A doubles while the residue is
+zero.  Near the paper's bound vp(H(n, k)) + kL is small, so a few digits
+usually suffice, and a nonzero residue pins the valuation exactly.
 
 The row packs its k + 1 residues mod p^A into one int, in slots of
 S >= bits(p^A) + R*bits(2*n_max) + 1 bits: a step is two scalar products
@@ -30,8 +37,7 @@ O(p * log_p n) such products and short runs of steps (a row too short to
 repay building those polynomials steps all the way), and vp_H and
 vp_H_with_guard take any n; see _ScaledHRow.  vp_H_sweep reads every n
 in turn, so it still steps through every integer and refuses n_max above
-ROW_CAP.  stirling and stirling_mod run the plain row and serve as
-independent oracles.
+ROW_CAP.  The two exact rows stay its independent oracles.
 
 Exact rationals are fractions.Fraction values and stay normalized.
 """
@@ -42,7 +48,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .core import ArgumentError, SizeCapError, ilog, is_prime, vp_int
+from .core import ArgumentError, SizeCapError, _require_prime, ilog, vp_int
 
 __all__ = [
     "DEFAULT_EXACT_CAP",
@@ -72,6 +78,25 @@ def _check_range(n: int, k: int) -> None:
         raise ArgumentError(f"k must not exceed n, got n={n}, k={k}")
 
 
+def _H_rows(n_max: int, k: int):
+    """The Fraction rows H(m, 0..k), m = 0..n_max, in turn: the one exact
+    H recurrence.  Each row is the same list updated in place, so only one
+    row is alive; read or copy it before asking for the next."""
+    row = [Fraction(1)] + [Fraction(0)] * k
+    yield row
+    for m in range(1, n_max + 1):
+        for j in range(min(k, m), 0, -1):
+            row[j] += row[j - 1] / m
+        yield row
+
+
+def _last(rows):
+    """The last row a row generator yields."""
+    for row in rows:
+        pass
+    return row
+
+
 def exact_H(n: int, k: int) -> Fraction:
     """Exact H(n, k) as a reduced Fraction; H(n, 0) = 1.
 
@@ -81,11 +106,7 @@ def exact_H(n: int, k: int) -> Fraction:
     _check_range(n, k)
     if n > DEFAULT_EXACT_CAP:
         raise SizeCapError(f"n={n} exceeds exact-arithmetic cap {DEFAULT_EXACT_CAP}")
-    row = [Fraction(1)] + [Fraction(0)] * k
-    for m in range(1, n + 1):
-        for j in range(min(k, m), 0, -1):
-            row[j] += row[j - 1] / m
-    return row[k]
+    return _last(_H_rows(n, k))[k]
 
 
 def exact_H_table(n_max: int, k_max: int) -> list[list[Fraction]]:
@@ -95,13 +116,7 @@ def exact_H_table(n_max: int, k_max: int) -> list[list[Fraction]]:
         raise SizeCapError(
             f"n_max={n_max} exceeds exact-arithmetic cap {DEFAULT_EXACT_CAP}"
         )
-    row = [Fraction(1)] + [Fraction(0)] * k_max
-    out = [row[:1]]
-    for m in range(1, n_max + 1):
-        for j in range(min(k_max, m), 0, -1):
-            row[j] += row[j - 1] / m
-        out.append(row[: min(m, k_max) + 1])
-    return out
+    return [row[: min(m, k_max) + 1] for m, row in enumerate(_H_rows(n_max, k_max))]
 
 
 def integral_pairs(n_max: int) -> list[tuple[int, int]]:
@@ -114,25 +129,22 @@ def integral_pairs(n_max: int) -> list[tuple[int, int]]:
             if table[n][k].denominator == 1]
 
 
-def _stirling_row(n: int, k: int, mod: int | None = None) -> list[int]:
-    """Row s(n, 0..k) of unsigned first-kind Stirling numbers.
+def _stirling_rows(n: int, k: int, mod: int | None = None):
+    """The rows s(i, 0..k) of unsigned first-kind Stirling numbers,
+    i = 0..n, in turn, each reduced mod `mod` when one is given.
 
-    Single-row sweep of s(n+1, m) = s(n, m-1) + n * s(n, m); only O(k)
-    residues are alive at any time.
+    The one Stirling recurrence, s(i+1, j) = s(i, j-1) + i * s(i, j).  As
+    in _H_rows each row is the same list updated in place, O(k) integers.
     """
-    row = [0] * (k + 1)
-    row[0] = 1
-    if mod is None:
-        for i in range(n):
-            for m in range(min(k, i + 1), 0, -1):
-                row[m] = row[m - 1] + i * row[m]
-            row[0] = i * row[0]
-    else:
-        for i in range(n):
-            for m in range(min(k, i + 1), 0, -1):
-                row[m] = (row[m - 1] + i * row[m]) % mod
-            row[0] = i * row[0] % mod
-    return row
+    row = [1] + [0] * k
+    yield row
+    for i in range(n):
+        for j in range(min(k, i + 1), 0, -1):
+            row[j] = row[j - 1] + i * row[j]
+        row[0] *= i
+        if mod is not None:
+            row[:] = [x % mod for x in row]
+        yield row
 
 
 def stirling(n: int, k: int) -> int:
@@ -147,20 +159,19 @@ def stirling(n: int, k: int) -> int:
         raise ArgumentError(f"k must lie in [0, {n}], got {k}")
     if n > DEFAULT_EXACT_CAP:
         raise SizeCapError(f"n={n} exceeds exact-arithmetic cap {DEFAULT_EXACT_CAP}")
-    return _stirling_row(n, k)[k]
+    return _last(_stirling_rows(n, k))[k]
 
 
 def stirling_mod(n: int, k: int, p: int, M: int) -> int:
-    """s(n, k) mod p^M by the same single-row sweep, scalar ops only."""
+    """s(n, k) mod p^M by the same row sweep, scalar ops only."""
     if n < 1:
         raise ArgumentError(f"n must be positive, got {n}")
     if not 0 <= k <= n:
         raise ArgumentError(f"k must lie in [0, {n}], got {k}")
     if M < 1:
         raise ArgumentError(f"M must be positive, got {M}")
-    if not is_prime(p):
-        raise ArgumentError(f"modulus base must be prime, got {p}")
-    return _stirling_row(n, k, mod=p ** M)[k]
+    _require_prime(p)
+    return _last(_stirling_rows(n, k, p ** M))[k]
 
 
 # The packed row reduces its slots mod p^A once every this many steps.  On
@@ -432,8 +443,7 @@ def vp_H_with_guard(n: int, k: int, p: int) -> tuple[int, int]:
     if k < 1:
         raise ArgumentError(f"k must be positive, got {k}")
     _check_range(n, k)
-    if not is_prime(p):
-        raise ArgumentError(f"p must be prime, got {p}")
+    _require_prime(p)
     kL = k * ilog(n, p)
     A = 4
     while True:
@@ -463,8 +473,7 @@ def vp_H_sweep(n_max: int, k: int, p: int) -> dict[int, int]:
         raise ArgumentError(f"k must be positive, got {k}")
     if n_max < k:
         raise ArgumentError(f"n_max must be at least k, got {n_max}")
-    if not is_prime(p):
-        raise ArgumentError(f"p must be prime, got {p}")
+    _require_prime(p)
     if n_max > ROW_CAP:
         raise SizeCapError(
             f"n_max={n_max} exceeds the Stirling sweep cap {ROW_CAP}; "

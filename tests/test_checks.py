@@ -232,10 +232,15 @@ def test_structural_slices_of_all_but_the_last_prime_run_in_a_child(monkeypatch,
     _assert_no_child_left()
 
 
-# (slice_p_set, where p = 4 runs): alone, in the child, in the caller
+# (slice_p_set, where p = 4 would run): alone, in the child, in the caller;
+# each is refused before anything forks
 @pytest.mark.parametrize("slice_p_set", [(4,), (4, 5), (2, 3, 4)], ids=str)
-def test_structural_check_rejects_a_composite_slice_modulus(slice_p_set):
-    with pytest.raises(ArgumentError, match=r"^modulus must be prime, got 4$"):
+def test_structural_check_rejects_a_composite_slice_modulus(monkeypatch, slice_p_set):
+    def no_fork():
+        pytest.fail("os.fork called before the composite modulus was refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ArgumentError, match=r"^p must be prime, got 4$"):
         check_structural_identities(**{**_SPLIT_SUITE, "slice_p_set": slice_p_set})
     _assert_no_child_left()
 
@@ -399,6 +404,14 @@ def test_corollary_2adic_handpicked_cases():
     # n = 4 mismatches at r = 1 with s = 2, n = 6 matches through s = 2
     report = check_corollary_2adic(S=2, sample_count=0, seed=0)
     assert report.passed
+
+
+def test_harmonic_numbers_match_a_running_sum():
+    brute = [Fraction(0)]
+    for i in range(1, 301):
+        brute.append(brute[-1] + Fraction(1, i))
+    assert _harmonic_numbers(300) == brute
+    assert _harmonic_numbers(0) == [Fraction(0)]
 
 
 def test_corollary_integer_row_matches_exact_rationals():

@@ -238,6 +238,16 @@ def test_harm_count_refuses_a_non_prime_p(capsys, check, p):
     assert rc == 2 and out == "" and err == f"usage error: p must be prime, got {p}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("tree", "--p", "4", "--k", "2"),
+    ("val", "--p", "4", "--n", "5", "--k", "2"),
+    ("verify", "ubound", "--p", "4"),
+], ids=" ".join)
+def test_commands_refuse_a_non_prime_p_in_one_wording(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and err == "usage error: p must be prime, got 4\n"
+
+
 def readme_text():
     import padicharm
 

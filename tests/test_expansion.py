@@ -788,9 +788,11 @@ def test_vp_H_expansion_pass_schedule(monkeypatch):
 
 
 def test_vp_H_expansion_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^<1,1,0,0>_2 must start with <1,0>_2, the digits "
+                       r"of k-1=2, and have at least 3 digits$"):
         vp_H_expansion(12, 3, 2)  # 12 = <1,1,0,0> does not extend <1,0> = 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^<2>_3 must start with <2>_3, the digits "
+                       r"of k-1=2, and have at least 2 digits$"):
         vp_H_expansion(2, 3, 3)  # needs at least t + 2 digits
 
 

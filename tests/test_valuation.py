@@ -90,10 +90,14 @@ def test_exact_H_rejections():
 
 
 def test_exact_H_table_consistent():
-    table = exact_H_table(20, 4)
-    for n in range(21):
-        for k in range(min(n, 4) + 1):
-            assert table[n][k] == exact_H(n, k)
+    # k_max = 11 > n_max = 6 cuts every row at n
+    for n_max, k_max in [(20, 4), (6, 11)]:
+        table = exact_H_table(n_max, k_max)
+        assert len(table) == n_max + 1
+        for n in range(n_max + 1):
+            assert len(table[n]) == min(n, k_max) + 1
+            for k in range(min(n, k_max) + 1):
+                assert table[n][k] == exact_H(n, k)
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=6))
