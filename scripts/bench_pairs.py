@@ -23,12 +23,16 @@ both alike.  Two kinds of pair:
              digits; in deep-expansion they read the leaves those builds
              recorded.  deep-walk is the deep walks no workload reaches:
              fseq --terms 600 and the expansion-only trees T_3(14) at
-             depth 60 and T_7(5) at depth 40.  deep-cap is expansion
-             and stirling trees at caps far past the level they close or
-             run to, where a walk pays for the reach it lifts to:
-             T_5(2) at --max-depth 1000 (closes at 18), T_13(8) at 200
-             (closes at 31), the T_2(5) chain at 200 and a stirling T_3(7)
-             at 100 (closes at 11).  val-ladder is single
+             depth 60, T_7(5) at depth 40 and T_11(11) at depth 40.
+             deep-cap is expansion and stirling trees at caps far past
+             the level they close or run to, where a walk pays for the
+             reach it lifts to, after one vp_H_expansion call on a
+             1000-digit n whose path leaves T_3(9) at depth 141 (it runs
+             first, so no tree build has recorded its leaf): T_5(2) at
+             --max-depth 1000 (closes at 18), T_13(8) at 200 (closes at
+             31), the T_2(5) chain at 200, a stirling T_3(7) at 100
+             (closes at 11) and T_3(9) at 1000 (closes at 164).
+             val-ladder is single
              values, which no perfbench workload asks for above n = 3000:
              val --p 3 --k 3 at n = 10^7, 10^15, 10^30, 10^60 with methods
              stirling, expansion and both, then val --p 2 --k 2 --method
@@ -69,6 +73,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -84,12 +89,17 @@ OPS_GROUPS = ("tree-dual", "verify-suite", "deep-expansion", "vpx-walks", "deep-
 OPS_SEED = 1  # the seed of the workloads' operations
 FIXED_OPS = {
     "deep-walk": ("fseq --terms 600", "tree --p 3 --k 14 --max-depth 60 --engine expansion",
-                  "tree --p 7 --k 5 --max-depth 40 --engine expansion"),
+                  "tree --p 7 --k 5 --max-depth 40 --engine expansion",
+                  "tree --p 11 --k 11 --max-depth 40 --engine expansion"),
     "deep-cap": ("tree --p 5 --k 2 --max-depth 1000 --engine expansion",
                  "tree --p 13 --k 8 --max-depth 200 --engine expansion",
                  "tree --p 2 --k 5 --max-depth 200 --engine expansion",
-                 "tree --p 3 --k 7 --max-depth 100 --engine stirling"),
+                 "tree --p 3 --k 7 --max-depth 100 --engine stirling",
+                 "tree --p 3 --k 9 --max-depth 1000 --engine expansion"),
 }
+# deep-cap's vp_H_expansion call: n has DEEP_LEAF_DIGITS base-3 digits, the
+# smallest leaf of T_3(9) at depth DEEP_LEAF_DEPTH followed by seeded digits
+DEEP_LEAF_DIGITS, DEEP_LEAF_DEPTH = 1000, 141
 LADDER_N = (10 ** 7, 10 ** 15, 10 ** 30, 10 ** 60)
 LADDER_METHODS = ("stirling", "expansion", "both")
 CHAIN_DIGITS = (100, 300)
@@ -122,6 +132,8 @@ SIDES = ("parent", "change")
 def ops_commands(group: str) -> list[list[str]]:
     if group == "val-ladder":
         return val_ladder()
+    if group == "deep-cap":
+        return [deep_leaf_vpx()] + [argv.split() for argv in FIXED_OPS[group]]
     if group in FIXED_OPS:
         return [argv.split() for argv in FIXED_OPS[group]]
     if group == "vpx-walks":
@@ -130,10 +142,27 @@ def ops_commands(group: str) -> list[list[str]]:
             for op in workloads.make_ops(group, OPS_SEED, workloads.load_golden())]
 
 
-def val_ladder() -> list[list[str]]:
-    # the chain's bits come from this script's own checkout, so both sides
-    # get the same command lines
+def import_own_src() -> None:
+    """Put this script's own checkout's src/ first on the path, so that
+    the commands it derives are the same for both sides."""
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+
+def deep_leaf_vpx() -> list[str]:
+    import_own_src()
+    from padicharm.tree import build_tree
+
+    tree = build_tree(3, 9, DEEP_LEAF_DEPTH, engine="expansion")
+    leaf = next(leaf for leaf in tree.leaves if len(leaf) == len(tree.levels[-1][0]))
+    rng = random.Random(DEEP_LEAF_DIGITS)
+    n = leaf.value
+    for _ in range(DEEP_LEAF_DIGITS - len(leaf)):
+        n = 3 * n + rng.randrange(3)
+    return ["vpx", str(n), "9", "3"]
+
+
+def val_ladder() -> list[list[str]]:
+    import_own_src()
     from padicharm.tree import f_sequence
 
     out = [["val", "--p", "3", "--k", "3", "--n", str(n), "--method", method]

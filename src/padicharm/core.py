@@ -7,6 +7,7 @@ here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -332,6 +333,18 @@ def structure_constants(k: int, p: int) -> StructureConstants:
     t = len(root) - 1
     U = sum(bp_count(root.prefix(v + 1)) * v for v in range(t + 1)) + t + 1
     return StructureConstants(p=p, k=k, t=t, root_digits=root, U=U, W=U - t - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _harmonic_residues(p: int) -> tuple[int, ...]:
+    """H_b = 1 + 1/2 + ... + 1/b mod p for b = 0..p-1 (H_0 = 0): the
+    residues that split a tree node's children (the harmonic rule of
+    expansion).  p is a prime its callers have checked."""
+    h, out = 0, [0]
+    for b in range(1, p):
+        h = (h + pow(b, -1, p)) % p
+        out.append(h)
+    return tuple(out)
 
 
 def pi_p_mod(k: int, p: int, M: int) -> int:

@@ -37,16 +37,41 @@ at most M, its reach, and reads no deeper.  Every walk keeps one reach
 schedule, _next_reach: it starts at M = min(16, span), and when it reaches
 depth M with something still to decide, it lifts (_lift: re-walks only
 the ancestors of what is still alive, from a root at the new reach) to
-2M while 8M <= span, else to span.  A walk therefore carries the digits
-of the depth where it stops, rounded up the schedule, not the span: a tree
-that closes by depth 16 carries 16 digits whatever max_depth is, and a
-vp_H_expansion call that decides at a shallow index never carries all
-s - t digits, and the block stores build their entries at the smaller M.
-Doubling keeps what the shallower reaches cost small beside the last one,
-and the jump from at most span/8 to span saves the reaches between.  A
-residue that keeps those digits decides each test exactly, and the tests
-pin the rule: either walk one digit short changes tree levels and
-valuations.
+min(2M, span).  A walk therefore carries at most twice the digits of the
+depth where it stops, not the span: a tree that closes by depth 16
+carries 16 digits whatever max_depth is, and a vp_H_expansion call that
+decides at a shallow index never carries all s - t digits, and the block
+stores build their entries at the smaller M.  Doubling keeps what the
+shallower reaches cost small beside the last one.  A tree build at p = 2
+is the one exception: by the harmonic rule below, T_2(k) is an infinite
+chain, which outlives every reach below its span, so it starts at span
+and never lifts.  A residue that keeps those digits decides each test
+exactly, and the tests pin the rule: either walk one digit short changes
+tree levels and valuations.
+
+The harmonic rule decides a node's children from one residue, and every
+walk moves down by it: tree builds, lifts and vp_H_expansion.  Let V be
+a member at depth u, so p^u divides sigma(V), and let P(V) be the
+reciprocal sum over its own coprime block, of B = value(V)*(p - 1)
+units.  Child b adds the h_p term
+h'(V) + pi*(P(V) + sum_{i<=b} 1/cp(B + i)) times p^u, and
+cp(B + i) = value(V)*p + i = i (mod p) for 1 <= i <= b < p.  So
+
+    sigma(child b) / p^u = c_V + pi*H_b  (mod p),
+    c_V = sigma(V)/p^u + h'(V) + pi*P(V),  H_b = 1 + 1/2 + ... + 1/b,
+
+and child b is a member, p^(u+1) dividing its sigma, exactly when
+c_V + pi*H_b = 0 (mod p); otherwise its sigma has valuation u.
+_WalkNode.expansion reads one c_V per node and the table of the p
+harmonic residues H_0..H_{p-1} (core._harmonic_residues, H_0 = 0), and
+only the members get a sigma, from the same residue:
+(c_V + pi*sum_{i<=b} 1/(value(V)*p + i)) * p^u, whose tail takes b
+inverses.  No sigma is computed for any other child; the tests keep the
+per-child rule as the oracle of this one.  A node has at most N_p member
+children, N_p the most b < p whose H_b share one residue, which is the
+kind of count that the paper bounds by 3x^0.835 and verify harm-count
+checks.  At p = 2, H_0 = 0 and H_1 = 1, so every node has exactly one
+member child.
 
 Reciprocal power sums over the coprime sequence c_p are the workhorse.
 The sequence is periodic in blocks of p - 1 consecutive units, so a
@@ -77,17 +102,20 @@ A tree build also keeps what it decides.  A leaf is a prefix whose sigma
 has vp(sigma) < depth while every proper prefix was a member (vp(sigma)
 >= depth); then vp(H(n, k)) = U + vp(sigma) - k*s for every n whose
 digits run through it, since each later term carries p^depth.  The
-decided-prefix store maps (k, p, leaf value) to the leaf's sigma residue,
-which the build already holds; build_tree records its leaves through
-_record_leaves, and vp_H_expansion looks up every prefix of n before it
-walks and answers a hit with vp_int of the stored sigma and no walk.  The
-residue is kept mod p^M, M the reach of the walk that decided the leaf,
-and a leaf at depth d is decided only at a reach M >= d, past its
-valuation d - 1; so the hit computes the valuation the walk through that
-leaf would.  It is exact at any precision: sigma at depth d reads only
-the first t + 1 + d digits of n, and at most one prefix of n can be a
-leaf.  The store is an LRU bounded like recip_power_sum's, exposed as
-vp_H_expansion.cache_info/cache_clear.
+decided-prefix store maps (k, p, leaf value) to r * p^u, u the depth of
+the leaf's parent and r the nonzero residue c_V + pi*H_b mod p that made
+it a leaf under the harmonic rule: it has the valuation u of the leaf's
+sigma, which the build never computes.  build_tree records its leaves
+through _record_leaves, and vp_H_expansion looks up every prefix of n
+before it walks and answers a hit with vp_int of the stored residue and
+no walk, the valuation the walk through that leaf would find.  It is
+exact at any precision: sigma at depth d reads only the first t + 1 + d
+digits of n, and at most one prefix of n can be a leaf.  So verify
+corollary-2adic, whose samples run through the leaves that f_sequence
+records, tests the harmonic rule's leaf valuations against the paper's
+branch-bit corollary, and its exact cross against Stirling numbers up to
+DEFAULT_EXACT_CAP is unchanged.  The store is an LRU bounded like
+recip_power_sum's, exposed as vp_H_expansion.cache_info/cache_clear.
 """
 
 from __future__ import annotations
@@ -104,6 +132,7 @@ from .core import (
     DigitString,
     PrecisionError,
     StructureConstants,
+    _harmonic_residues,
     _require_prime,
     bp_count,
     pi_p_mod,
@@ -507,31 +536,33 @@ def h_prime_mod(prefix: DigitString, k: int, M: int) -> int:
 class _WalkNode:
     """One digit prefix on a walk down from the root digits of k - 1.
 
-    depth is v, the number of digits past the root.  sigma (0 at the root)
-    and the h' DP table are computed on first use from the parent: the
-    child's sigma adds its h_p term, which reads the parent's h', and the
-    child's table folds exactly one group, of B = value(parent)*(p-1) + b
-    units, into the parent's.  The walk's reach is known at the root: it
-    reads h' at depth v <= top only, budget U + v <= U + top, so every
-    table is pruned to that limit (_add_group) and is never widened or
-    refolded.  h_prime past the reach raises PrecisionError, since the
-    pruned table would read 0 there; a walk that must go deeper is lifted
-    to a larger reach (_lift), which builds new nodes.  Once a node holds
-    both it lets go of its parent, so a walk keeps only its frontier
-    alive.
+    depth is v, the number of digits past the root.  The h' DP table is
+    computed on first use from the parent: the child's table folds exactly
+    one group, of B = value(parent)*(p-1) + b units, into the parent's.  The
+    walk's reach is known at the root: it reads h' at depth v <= top only,
+    budget U + v <= U + top, so every table is pruned to that limit
+    (_add_group) and is never widened or refolded.  h_prime past the reach
+    raises PrecisionError, since the pruned table would read 0 there; a walk
+    that must go deeper is lifted to a larger reach (_lift), which builds
+    new nodes.  Once a node holds its table it lets go of its parent, so a
+    walk keeps only its frontier alive.
 
-    sigma is kept mod p^top, top the root's precision.  The h_p term of a
-    child of a depth-d node enters sigma times p^d, so only its residue
-    mod p^(top - d) matters: a node at depth d keeps its table, and its
-    children's block sums, mod p^M with M = max(top - d, 1), and every
-    sigma residue is the one a walk at precision top throughout computes.
-    Table entries a fold does not touch keep their parent's larger
-    modulus, and the block sums a node reads from the stores keep theirs,
-    so h_prime and the h_p terms are exact mod p^M but not always reduced.
+    Every walk moves down by expansion, the harmonic rule, and only member
+    nodes have a sigma: 0 at the root, and for a member child the one that
+    expansion derives from its parent's residue.  A child made by child
+    alone, as a "stirling" build makes them, has none.  sigma is kept mod
+    p^top, top the root's precision.  The h_p term of a child of a depth-d
+    node enters sigma times p^d, so only its residue mod p^(top - d)
+    matters: a node at depth d keeps its table, and its children's block
+    sums, mod p^M with M = max(top - d, 1), and every sigma residue is the
+    one a walk at precision top throughout computes.  Table entries a fold
+    does not touch keep their parent's larger modulus, and the block sums
+    a node reads from the stores keep theirs, so h_prime and the residues
+    are exact mod p^M but not always reduced.
     """
 
     __slots__ = (
-        "k", "sc", "top", "M", "pi", "digits", "value", "depth", "_parent", "_sigma", "_dp",
+        "k", "sc", "top", "M", "pi", "digits", "value", "depth", "_parent", "sigma", "_dp",
     )
 
     def __init__(
@@ -543,6 +574,7 @@ class _WalkNode:
         digits: DigitString,
         value: int,
         parent: "_WalkNode | None",
+        sigma: int | None = None,
     ) -> None:
         self.k, self.sc, self.top, self.pi = k, sc, top, pi
         self.digits = digits
@@ -550,21 +582,22 @@ class _WalkNode:
         self.depth = len(digits) - len(sc.root_digits)
         self.M = max(top - self.depth, 1)
         self._parent = parent
-        self._sigma = 0 if parent is None else None
+        self.sigma = sigma
         self._dp = None
 
     @classmethod
     def root(cls, k: int, p: int, M: int) -> "_WalkNode":
         """The root digits of k - 1; sigma is kept mod p^M."""
         sc = structure_constants(k, p)
-        return cls(k, sc, M, pi_p_mod(k, p, M), sc.root_digits, sc.root_digits.value, None)
+        return cls(k, sc, M, pi_p_mod(k, p, M), sc.root_digits, sc.root_digits.value, None, 0)
 
-    def child(self, b: int) -> "_WalkNode":
-        """Child b; b is not checked, since every walk passes a base-p digit."""
+    def child(self, b: int, sigma: int | None = None) -> "_WalkNode":
+        """Child b, with sigma if it is a member (expansion); b is not
+        checked, since every walk passes a base-p digit."""
         p = self.digits.p
         return _WalkNode(
             self.k, self.sc, self.top, self.pi, DigitString._trusted(p, self.digits.digits + (b,)),
-            self.value * p + b, self,
+            self.value * p + b, self, sigma,
         )
 
     @property
@@ -573,23 +606,28 @@ class _WalkNode:
             raise PrecisionError(f"h' at depth {self.depth} is past the walk's reach {self.top}")
         return _h_prime(self._table(), self.k, self.sc.U + self.depth)
 
-    @property
-    def sigma(self) -> int:
-        if self._sigma is None:
-            parent = self._parent
-            p = self.digits.p
-            mod = p ** parent.M
-            base = parent.value * (p - 1)
-            # siblings share the base block sum through the power-sum store
-            block = _POWER_SUMS.fetch((base, 1, p), (parent.M,), _build_power_sum)[1]
-            for i in range(base + 1, base + self.digits.digits[-1] + 1):
-                block += pow(i + (i - 1) // (p - 1), -1, mod)
-            h_p = parent.h_prime + self.pi * block
-            top = p ** self.top
-            self._sigma = (parent.sigma + h_p * pow(p, parent.depth, top)) % top
-            if self._dp is not None:
-                self._parent = None
-        return self._sigma
+    def expansion(self) -> list["_WalkNode | int"]:
+        """Children 0..p-1 of this member node, decided by the harmonic rule
+        (module docstring): member child b as a walk node with its sigma,
+        and a leaf as the residue r * p^u, u this node's depth and r the
+        nonzero residue that decided it.  The rule reads digit u of sigma,
+        so the node must lie above the walk's reach."""
+        p, u = self.digits.p, self.depth
+        if u >= self.top:
+            raise PrecisionError(f"children at depth {u + 1} are past the walk's reach {self.top}")
+        mod = p ** self.M
+        # the block of this node's units; its children add units value*p + i = i (mod p)
+        block = _POWER_SUMS.fetch((self.value * (p - 1), 1, p), (self.M,), _build_power_sum)[1]
+        c = self.sigma // p ** u + self.h_prime + self.pi * block
+        children = []
+        for b, h in enumerate(_harmonic_residues(p)):
+            r = (c + self.pi * h) % p
+            if r:
+                children.append(r * p ** u)
+            else:
+                tail = sum(pow(self.value * p + i, -1, mod) for i in range(1, b + 1))
+                children.append(self.child(b, (c + self.pi * tail) * p ** u % p ** self.top))
+        return children
 
     def _table(self) -> list[list[int]]:
         if self._dp is None:
@@ -601,8 +639,7 @@ class _WalkNode:
                     parent._table(), self.value - parent.value, len(self.digits) - 1,
                     self.k, self.digits.p, self.M, self.sc.U + self.top,
                 )
-                if self._sigma is not None:
-                    self._parent = None
+                self._parent = None
         return self._dp
 
 
@@ -610,10 +647,11 @@ def _lift(frontier: list[_WalkNode], top: int) -> list[_WalkNode]:
     """The nodes of frontier, one level of a walk in increasing value
     order, re-walked from a root that keeps sigma mod p^top.
 
-    Only the ancestors of the frontier are walked, each shared prefix
-    once, and each of them computes its sigma and its table before its
-    children exist, so no sigma recurses up a long chain.  The lifted
-    frontier nodes fold their own groups when their children read them.
+    Only the ancestors of the frontier are expanded, each shared prefix
+    once and each before its children, so no table fold recurses up a long
+    chain; an ancestor's other member children get their sigma but are
+    never expanded.  The lifted frontier nodes fold their own groups when
+    the walk expands them.
     """
     first = frontier[0]
     p = first.digits.p
@@ -621,14 +659,10 @@ def _lift(frontier: list[_WalkNode], top: int) -> list[_WalkNode]:
     level = {root.value: root}
     for shift in range(first.depth - 1, -1, -1):
         above, level = level, {}
-        for node in frontier:
-            value = node.value // p ** shift
-            if value not in level:
-                level[value] = child = above[value // p].child(value % p)
-                if shift:
-                    child.sigma
-                    child._table()
-    return list(level.values())
+        for value in dict.fromkeys(node.value // p ** (shift + 1) for node in frontier):
+            level.update((child.value, child) for child in above[value].expansion()
+                         if isinstance(child, _WalkNode))
+    return [level[node.value] for node in frontier]
 
 
 def h_p_mod(prefix: DigitString, k: int, M: int) -> int:
@@ -693,12 +727,16 @@ def _membership_threshold(sc: StructureConstants, k: int, child_len: int) -> int
 _FIRST_PASS = 16
 
 
-def _next_reach(top: int, span: int) -> int:
+def _next_reach(top: int, span: int, tree_p: int = 0) -> int:
     """The reach a walk whose tests read up to span digits lifts to from
-    reach top, or starts at when top is 0 (module docstring)."""
+    reach top, or starts at when top is 0 (module docstring).  A tree build
+    passes its p as tree_p: every T_2(k) is an infinite chain, so a build at
+    p = 2 would outlive each reach below span, and it starts there."""
+    if tree_p == 2:
+        return span
     if not top:
         return min(_FIRST_PASS, span)
-    return 2 * top if 8 * top <= span else span
+    return min(2 * top, span)
 
 
 @_DECIDED.serves
@@ -706,11 +744,12 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     """vp(H(n, k)) from the digit-local expansion.
 
     Walks one node down the digits of n, so each digit group is folded
-    once, and scans the accumulated weighted sum (the node's sigma) for
-    the first index v where its valuation is exactly v; later terms carry
-    at least v + 1 powers of p and cannot disturb it, so the valuation
-    U + v - k*s is exact.  If the whole scan, v < s - t, stays above its
-    index, n is a full-chain node and only the tail bound remains: the
+    once, and at each depth v decides by the harmonic rule (module
+    docstring) whether the next prefix's sigma vanishes mod p^(v+1).  The
+    first prefix whose sigma does not has valuation exactly v; later terms
+    carry at least v + 1 powers of p and cannot disturb it, so the
+    valuation U + v - k*s is exact.  If every prefix, v < s - t, is a
+    member, n is a full-chain node and only the tail bound remains: the
     membership threshold at its own length, _membership_threshold.
 
     First it looks up the prefixes of n, depth 1 to s - t, in the
@@ -740,9 +779,9 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
         for v, b in enumerate(tail):
             if v == node.top:
                 node = _lift([node], _next_reach(node.top, span))[0]
-            node = node.child(b)
-            if node.sigma % p ** (v + 1):  # vp(sigma) <= v: decided here
-                sigma = node.sigma
+            node = node.expansion()[b]
+            if not isinstance(node, _WalkNode):  # a leaf, vp(sigma) = v: decided here
+                sigma = node
                 break
         else:
             # every prefix of n was a member, n itself included

@@ -6,26 +6,37 @@ weighted sum of its h_p terms gains one more power of p, equivalently
 when vp(H(child_value, k)) clears W - (k-1)s + 1 for its digit length.
 Both tests are implemented; in dual mode they arbitrate each other and
 any mismatch aborts the build with the offending digit string.  The
-expansion test keeps one expansion._WalkNode per frontier entry, so each
-child folds one digit group into its parent's h' table.  Its walk starts
-at expansion._FIRST_PASS digits, and a frontier that outlives its reach is
-lifted (expansion._lift) by the one reach schedule every digit walk keeps
-(expansion._next_reach).  The valuation test runs on a forward-only scaled
-Stirling row (valuation._ScaledHRow), which children reach in increasing
-value order.  In "stirling" mode that row decides membership during the
-walk, sized for the children of the walk's reach and replaced when the
-walk lifts; in dual mode the walk records each checked child's value,
-threshold and expansion verdict, and one row, sized for the largest
-recorded value, re-decides them after the walk.
+expansion test keeps one expansion._WalkNode per frontier entry and
+decides all p children of a node from one residue by the harmonic rule,
+this repository's lemma (expansion module docstring): child b of a
+member V at depth u is a member iff c_V + pi*H_b = 0 (mod p), since the
+block units child b adds are value(V)*p + i = i (mod p), i <= b.  Only
+member children get a walk node, which folds one digit group into its
+parent's h' table.  The walk starts at expansion._FIRST_PASS digits, and
+a frontier that outlives its reach is lifted (expansion._lift) by the
+one reach schedule every digit walk keeps (expansion._next_reach); a
+p = 2 tree is a chain by the same rule and starts at its span.  The
+valuation test runs on a forward-only scaled Stirling row
+(valuation._ScaledHRow), which children reach in increasing value order.
+In "stirling" mode that row decides membership during the walk, sized
+for the children of the walk's reach and replaced when the walk lifts;
+in dual mode the walk records each checked child's value, threshold and
+expansion verdict, and one row, sized for the largest recorded value,
+re-decides them after the walk.
 The branch bits f_sequence are the levels of the (2, 2) tree, which has
-exactly one node per level.
+exactly one node per level, as every T_2(k) does.
 
 Rejected children whose parent is a node are kept as leaves: they pin
 exact valuations for every integer whose digits run through them, and
 every build that walks records them in vp_H_expansion's decided-prefix
 store, which later calls through them read instead of walking.  The
-walk meets children in the order PTree documents and counts each node's
-member children as it goes.
+store holds r * p^u for a leaf under a depth-u node, r the nonzero
+residue that made it a leaf, which has the valuation of the leaf's
+sigma; no leaf computes its sigma.  verify corollary-2adic reads its
+samples through the leaves f_sequence records, so it tests those
+residues, the leaf rule, against the paper's corollary.  The walk meets
+children in the order PTree documents and counts each node's member
+children as it goes.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from .core import (
     DigitString,
     EngineDisagreement,
     StructureConstants,
+    to_digits,
 )
 from .expansion import _WalkNode, _lift, _membership_threshold, _next_reach, _record_leaves
 from .valuation import _ScaledHRow
@@ -108,24 +120,26 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     aborts on mismatch.  Children are evaluated in increasing value order,
     so a forward-only row serves them.  In "stirling" mode the row decides
     each child as the walk reaches it.  In dual mode the expansion verdict
-    drives the walk, which records (value, digits, threshold, verdict) for
-    every child up to DUAL_VALUE_CAP; afterwards one row sized for the last
+    drives the walk, which records (value, threshold, verdict) for every
+    child up to DUAL_VALUE_CAP; afterwards one row sized for the last
     recorded value re-decides them in order, and the first mismatch raises
     EngineDisagreement.
 
     A child at level u + 1 is a member when its sigma vanishes mod p^(u+1),
-    and u < max_depth, so no test reads past p^span, span = max(max_depth,
-    1).  The walk starts at the reach _next_reach(0, span), which decides
-    every level up to it, and each time its frontier is still nonempty at
-    the level of its reach it lifts the frontier to _next_reach(reach,
-    span) (expansion._lift) and goes on: a tree carries the digits of the
-    level it closes at, rounded up the reach schedule, whatever max_depth
-    is.  A "stirling" build lifts its row instead of its walk nodes, whose
+    which _WalkNode.expansion decides from digit u of its parent's sigma
+    by the harmonic rule, and u < max_depth, so no test reads past p^span,
+    span = max(max_depth, 1).  The walk starts at the reach _next_reach(0,
+    span, p), which decides every level up to it, and each time its
+    frontier is still nonempty at the level of its reach it lifts the
+    frontier to _next_reach(reach, span, p) (expansion._lift) and goes on:
+    a tree carries at most twice the digits of the level it closes at,
+    whatever max_depth is, and a p = 2 chain carries span digits from the
+    start.  A "stirling" build lifts its row instead of its walk nodes, whose
     sigma it never reads: each row reaches every child of the current
     reach, and a lift replaces it with one sized for the next.
 
     Once the walk (and, in dual mode, the check) is done, an "expansion"
-    or "both" build records each leaf's value and sigma residue in
+    or "both" build records each leaf's value and residue r * p^u in
     vp_H_expansion's decided-prefix store; a "stirling" build computes no
     sigma and records nothing.
     """
@@ -134,17 +148,17 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     if max_depth < 0:
         raise ArgumentError(f"max_depth must be nonnegative, got {max_depth}")
     span = max(max_depth, 1)
-    reach = _next_reach(0, span)
+    reach = _next_reach(0, span, p)
     root = _WalkNode.root(k, p, reach)
     sc = root.sc
     levels: list[list[DigitString]] = [[root.digits]]
     frontier = [root]
     leaves: list[DigitString] = []
     status = "truncated"
-    # (value, digits, threshold, expansion verdict) of each dual-checked child
-    checked: list[tuple[int, DigitString, int, bool]] = []
+    # (value, threshold, expansion verdict) of each dual-checked child
+    checked: list[tuple[int, int, bool]] = []
     child_counts: list[int] = []  # member children of each expanded node
-    decided: list[tuple[int, int]] = []  # (value, sigma) of each leaf
+    decided: list[tuple[int, int]] = []  # (value, residue r * p^u) of each leaf
 
     # Child values rise across a level and from level to level, and the
     # threshold falls with depth, so a row with the first level's threshold
@@ -156,7 +170,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
 
     for u in range(max_depth):
         if u == reach:
-            reach = _next_reach(reach, span)
+            reach = _next_reach(reach, span, p)
             if engine == "stirling":
                 row = _ScaledHRow(k, p, p ** (len(root.digits) + reach) - 1, top_threshold)
             else:
@@ -165,20 +179,21 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
         next_frontier = []
         for node in frontier:
             before = len(next_frontier)
-            for b in range(p):
-                child = node.child(b)
+            children = map(node.child, range(p)) if engine == "stirling" else node.expansion()
+            for b, child in enumerate(children):
+                value = node.value * p + b
                 if engine == "stirling":
-                    member = row.vp_at_least(child.value, threshold)
+                    member = row.vp_at_least(value, threshold)
                 else:
-                    member = child.sigma % p ** (u + 1) == 0
-                    if engine == "both" and child.value <= DUAL_VALUE_CAP:
-                        checked.append((child.value, child.digits, threshold, member))
+                    member = isinstance(child, _WalkNode)
+                    if engine == "both" and value <= DUAL_VALUE_CAP:
+                        checked.append((value, threshold, member))
                 if member:
                     next_frontier.append(child)
                 else:
-                    leaves.append(child.digits)
+                    leaves.append(node.digits.child(b))
                     if engine != "stirling":
-                        decided.append((child.value, child.sigma))
+                        decided.append((value, child))
             child_counts.append(len(next_frontier) - before)
         levels.append([node.digits for node in next_frontier])
         frontier = next_frontier
@@ -188,11 +203,11 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
 
     if checked:
         row = _ScaledHRow(k, p, checked[-1][0], top_threshold)
-        for value, digits, threshold, member_exp in checked:
+        for value, threshold, member_exp in checked:
             member_st = row.vp_at_least(value, threshold)
             if member_exp != member_st:
                 raise EngineDisagreement(
-                    f"engines disagree on {digits}: "
+                    f"engines disagree on {to_digits(value, p)}: "
                     f"expansion={member_exp}, stirling={member_st}"
                 )
     _record_leaves(k, p, decided)

@@ -112,6 +112,8 @@ def exact_H(n: int, k: int) -> Fraction:
 def exact_H_table(n_max: int, k_max: int) -> list[list[Fraction]]:
     """Rows H(n, 0..min(n, k_max)) for n = 0..n_max, one shared sweep."""
     _check_range(n_max, 0)
+    if k_max < 0:
+        raise ArgumentError(f"k_max must be nonnegative, got {k_max}")
     if n_max > DEFAULT_EXACT_CAP:
         raise SizeCapError(
             f"n_max={n_max} exceeds exact-arithmetic cap {DEFAULT_EXACT_CAP}"

@@ -12,6 +12,7 @@ from padicharm.core import (
     DigitString,
     EngineDisagreement,
     PrecisionError,
+    _harmonic_residues,
     bp_count,
     cp,
     structure_constants,
@@ -395,12 +396,29 @@ def test_recip_esym_rejects_composite_p():
 
 # --- h_prime / h_p / sigma --------------------------------------------------
 
-def walk(prefix, k, M):
-    """The digit walk's node at prefix, reached digit by digit from the root."""
-    node = _WalkNode.root(k, prefix.p, M)
+def per_child_sigma(node, sigma, b):
+    """The sigma mod p^top of child b of node, a walk node whose own sigma
+    is sigma, by the per-child rule that the harmonic rule replaced: add the
+    child's h_p term, node's h' plus pi times the reciprocal sum over the
+    child's whole block, times p^depth.  The oracle of _WalkNode.expansion."""
+    p = node.digits.p
+    h_p = node.h_prime + node.pi * recip_power_sum(node.value * (p - 1) + b, 1, p, node.top)
+    return (sigma + h_p * p ** node.depth) % p ** node.top
+
+
+def oracle_sigmas(prefix, k, M):
+    """per_child_sigma of each prefix of prefix past the root, in turn, on
+    a walk at precision M through any digits, members or not."""
+    node, sigma, out = _WalkNode.root(k, prefix.p, M), 0, []
     for b in prefix.digits[len(node.digits):]:
+        sigma = per_child_sigma(node, sigma, b)
+        out.append(sigma)
         node = node.child(b)
-    return node
+    return out
+
+
+def walk_sigma(prefix, k, M):
+    return oracle_sigmas(prefix, k, M)[-1]
 
 
 def test_h_prime_examples():
@@ -475,16 +493,21 @@ def test_h_p_matches_fraction_oracle_and_is_integral(p, k):
 def test_sigma_examples():
     # frozen from the Fraction oracle: sigma(<1,1>_2) = 4/3, ord 2
     assert ref_sigma(DigitString(2, (1, 1)), 2) == Fraction(4, 3)
-    s = walk(DigitString(2, (1, 1)), 2, 5).sigma
+    s = walk_sigma(DigitString(2, (1, 1)), 2, 5)
     assert s == 12 and vp_int(s, 2) == 2
     # sigma(<1,1,0>_2) = 76/15, ord 2
     assert ref_sigma(DigitString(2, (1, 1, 0)), 2) == Fraction(76, 15)
-    s = walk(DigitString(2, (1, 1, 0)), 2, 5).sigma
+    s = walk_sigma(DigitString(2, (1, 1, 0)), 2, 5)
     assert s == 20 and vp_int(s, 2) == 2
     # sigma(<1,1,1>_2) = 562/105 carries only one factor of 2
     assert ref_sigma(DigitString(2, (1, 1, 1)), 2) == Fraction(562, 105)
-    s = walk(DigitString(2, (1, 1, 1)), 2, 5).sigma
+    s = walk_sigma(DigitString(2, (1, 1, 1)), 2, 5)
     assert vp_int(s, 2) == 1
+    # the walk gives the members <1,1> and <1,1,0> those sigmas, and the
+    # leaf <1,1,1> a residue of that valuation
+    node = _WalkNode.root(2, 2, 5).expansion()[1]
+    assert node.sigma == 12 and node.expansion()[0].sigma == 20
+    assert vp_int(node.expansion()[1], 2) == 1
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (3, 3)])
@@ -494,7 +517,7 @@ def test_sigma_matches_fraction_oracle(p, k):
         prefix = _random_prefix(rng, p, k, 2).child(rng.randrange(p))
         if prefix.value > 230:
             continue
-        assert walk(prefix, k, 6).sigma == frac_mod(ref_sigma(prefix, k), p, 6)
+        assert walk_sigma(prefix, k, 6) == frac_mod(ref_sigma(prefix, k), p, 6)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(min_value=2, max_value=5), st.data())
@@ -506,8 +529,8 @@ def test_walk_matches_from_scratch_dp(p, k, data):
     depth = data.draw(st.integers(min_value=sc.U + 1, max_value=sc.U + 2), label="depth")
     path = data.draw(st.lists(st.integers(0, p - 1), min_size=depth, max_size=depth), label="path")
     # A node's table is exact mod p^(its precision), max(M - depth, 1);
-    # sigma is compared at the root's full precision M, whose reach
-    # covers the path.
+    # the per-child sigma oracle, which reads the walk's tables, is compared
+    # at the root's full precision M, whose reach covers the path.
     M = data.draw(st.integers(min_value=depth, max_value=depth + 4), label="M")
     mod = p ** M
     node = _WalkNode.root(k, p, M)
@@ -519,8 +542,9 @@ def test_walk_matches_from_scratch_dp(p, k, data):
         if node.value <= 2000:  # the streamed oracle is linear in the value
             assert node.h_prime % node_mod == h_prime_streamed(node.digits, k, node.M)
         child = node.child(b)
+        oracle = per_child_sigma(node, sigma, b)
         sigma = (sigma + h_p_mod(child.digits, k, M) * p ** node.depth) % mod
-        assert child.sigma == sigma, child.digits
+        assert oracle == sigma, child.digits
         node = child
     assert node.h_prime % p ** node.M == h_prime_mod(node.digits, k, node.M)
 
@@ -558,9 +582,9 @@ def test_walk_folds_each_node_once(monkeypatch):
             root_groups.append((w, value * (p - 1) + digit))
             value = value * p + digit
         # a level below the walk's reach means it went past that reach and lifted
-        reaches = [expansion._next_reach(0, depth)]
+        reaches = [expansion._next_reach(0, depth, p)]
         while reaches[-1] < len(tree.levels) - 1:
-            reaches.append(expansion._next_reach(reaches[-1], depth))
+            reaches.append(expansion._next_reach(reaches[-1], depth, p))
         if len(reaches) > 1:
             lifts[p, k, depth] = len(reaches) - 1
         expected = []
@@ -579,7 +603,8 @@ def test_walk_folds_each_node_once(monkeypatch):
         for i, j, want in zip(starts, starts[1:] + [len(events)], expected):
             assert len(set(events[i + 1:j])) == j - i - 1
             assert sorted(events[i + 1:j]) == sorted(want)
-    assert lifts == {(5, 2, 32): 1, (2, 2, 64): 1, (3, 14, 20): 1, (3, 9, 128): 2}
+    # T_3(9) outlives the cap: 16 -> 32 -> 64 -> 128; the T_2(2) chain starts at its cap
+    assert lifts == {(5, 2, 32): 1, (3, 14, 20): 1, (3, 9, 128): 3}
 
 
 @pytest.mark.parametrize("engine", ["expansion", "both"])
@@ -587,7 +612,7 @@ def test_lifted_builds_equal_unlifted_ones(monkeypatch, engine):
     # A first reach of 1 lifts every build that passes level 1; a first
     # reach of max_depth never lifts.  Both must decide every level, leaf
     # and recorded valuation as the default schedule does, under which
-    # (5, 5, 128) lifts twice, 16 -> 32 -> 128, and closes at depth 36.
+    # (5, 5, 128) lifts twice, 16 -> 32 -> 64, and closes at depth 36.
     builds = [(3, k, 32) for k in range(2, 9)] + [(5, 2, 32), (3, 14, 20), (7, 5, 12),
                                                   (2, 2, 64), (5, 5, 128)]
 
@@ -626,33 +651,91 @@ def test_tree_reach_schedule(monkeypatch):
     # T_3(7) closes at depth 11, inside the first reach, whatever the cap
     assert reaches(build_tree, 3, 7, 32) == [16]
     assert reaches(build_tree, 3, 7, 1000) == [16]
-    # T_5(2) has a frontier at level 16 and lifts once, straight to the cap
-    # since 8 * 16 > 32
+    # T_5(2) has a frontier at level 16 and lifts once, to 2 * 16 = the cap
     assert reaches(build_tree, 5, 2, 32) == [16, 32]
-    assert reaches(f_sequence, 64) == [16, 64]
+    # a p = 2 tree is a chain, so its walk starts at the cap
+    assert reaches(f_sequence, 64) == [64]
     assert reaches(f_sequence, 14) == [14]
-    # at a cap of 1000 the reach doubles while 8 * reach <= 1000: T_5(5)
-    # closes at depth 36, T_3(12) at depth 18
+    # the reach doubles up to the cap: T_5(5) closes at depth 36, T_3(12)
+    # at depth 18, T_3(9) at depth 164
     assert reaches(build_tree, 5, 5, 1000) == [16, 32, 64]
     assert reaches(build_tree, 3, 12, 1000) == [16, 32]
-    # the chain never closes: 16, 32 since 8 * 16 <= 200, then 200
-    assert reaches(f_sequence, 200) == [16, 32, 200]
+    assert reaches(build_tree, 3, 9, 200) == [16, 32, 64, 128, 200]
+    # the chain never closes, and it never lifts
+    assert reaches(f_sequence, 200) == [200]
+    assert reaches(build_tree, 2, 5, 40) == [40]
 
 
 def test_walk_refuses_to_read_past_its_reach():
     # A walk carrying sigma mod p^M reads h' down to depth M; deeper, its
-    # tables have dropped the budgets, so h' must raise, not read 0.
+    # tables have dropped the budgets, so h' must raise, not read 0.  The
+    # harmonic rule reads digit u of a depth-u node's sigma, so a node at
+    # depth M cannot decide its children.
     for p, k, M in [(2, 2, 1), (2, 2, 6), (3, 3, 4), (5, 2, 3)]:
         node = _WalkNode.root(k, p, M)
         for _ in range(M):
             node = node.child(p - 1)
         assert node.h_prime % p ** node.M == h_prime_mod(node.digits, k, node.M)
-        deeper = node.child(p - 1)
-        deeper.sigma  # reads h' at depth M
         with pytest.raises(PrecisionError):
-            deeper.h_prime
+            node.child(p - 1).h_prime
         with pytest.raises(PrecisionError):
-            deeper.child(0).sigma
+            node.expansion()
+
+
+def harmonic_residues(p):
+    """H_b mod p for b = 0..p-1, from exact Fractions."""
+    out, h = [], Fraction(0)
+    for b in range(p):
+        if b:
+            h += Fraction(1, b)
+        out.append(h.numerator * pow(h.denominator, -1, p) % p)
+    return out
+
+
+def most_harmonic_repeats(p):
+    """N_p, the most b in 0..p-1 whose H_b share one residue mod p."""
+    residues = harmonic_residues(p)
+    return max(map(residues.count, residues))
+
+
+def test_harmonic_residues_and_their_repeats():
+    for p in (2, 3, 5, 7, 11, 13):
+        assert list(_harmonic_residues(p)) == harmonic_residues(p)
+    assert [most_harmonic_repeats(p) for p in (2, 3, 5, 7, 11, 13)] == [1, 2, 2, 2, 4, 4]
+
+
+@pytest.mark.parametrize("p, k, depth", [(3, k, 32) for k in range(2, 9)]
+                         + [(5, 2, 32), (7, 5, 40), (13, 4, 40)])
+def test_harmonic_rule_decides_every_child_as_sigma_does(p, k, depth):
+    # The oracle is the per-child sigma rule: child b of a member at depth u
+    # is a member iff its sigma vanishes mod p^(u+1).  The harmonic rule
+    # (_WalkNode.expansion) must split every child of every node the same
+    # way, give each member the oracle's sigma, and record for each leaf a
+    # residue with the oracle sigma's valuation, u.  One walk at the full
+    # reach, so nothing lifts.
+    tree = build_tree(p, k, depth, engine="expansion")
+    recorded = {key[2]: sigma for key, sigma in expansion._DECIDED.entries.items()
+                if key[:2] == (k, p)}
+    frontier, levels, leaves = [_WalkNode.root(k, p, depth)], [], []
+    for u in range(depth + 1):
+        levels.append([node.digits for node in frontier])
+        if not frontier or u == depth:
+            break
+        next_frontier = []
+        for node in frontier:
+            for b, child in enumerate(node.expansion()):
+                oracle = per_child_sigma(node, node.sigma, b)
+                if isinstance(child, _WalkNode):
+                    assert oracle % p ** (u + 1) == 0 and child.sigma == oracle, child.digits
+                    next_frontier.append(child)
+                else:
+                    assert vp_int(child, p) == vp_int(oracle, p) == u, (node.digits, b)
+                    assert recorded.pop(node.value * p + b) == child
+                    leaves.append(node.digits.child(b))
+        frontier = next_frontier
+    assert (levels, leaves) == (tree.levels, tree.leaves)
+    assert recorded == {}  # every leaf recorded, and nothing else
+    assert tree.stats.max_children <= most_harmonic_repeats(p)
 
 
 def test_derived_walk_precision_needs_no_extra_digits(monkeypatch):
@@ -704,10 +787,7 @@ def top_down_verdict(n, k, p):
     d = to_digits(n, p)
     sc = structure_constants(k, p)
     s = len(d) - 1
-    node = _WalkNode.root(k, p, s - sc.t)
-    for v, b in enumerate(d.digits[sc.t + 1:]):
-        node = node.child(b)
-        acc = node.sigma
+    for v, acc in enumerate(oracle_sigmas(d, k, s - sc.t)):
         if acc and vp_int(acc, p) <= v:
             return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
     return ExpansionVerdict(lower_bound=(s - sc.t) - k * s + sc.U)
@@ -775,15 +855,15 @@ def test_vp_H_expansion_pass_schedule(monkeypatch):
     assert passes(chain[:20] + flip[chain[20]] + chain[21:]) == []
     vp_H_expansion.cache_clear()  # the schedule below is that of walks
     assert expansion._FIRST_PASS == 16
-    # no index decides: 16, then 32 since 8*16 <= 199, then 199 since 8*32 > 199
-    assert passes(chain) == [16, 32, 199]
-    assert passes(chain[:100]) == [16, 99]
+    # no index decides: the reach doubles from 16 up to 199
+    assert passes(chain) == [16, 32, 64, 128, 199]
+    assert passes(chain[:100]) == [16, 32, 64, 99]
     assert passes(chain[:12]) == [11]
     # leaving the chain at depth 20 decides v = 19, past the first pass
     assert passes(chain[:20] + flip[chain[20]] + chain[21:]) == [16, 32]
     assert passes(chain[:5] + flip[chain[5]] + chain[6:]) == [16]
     monkeypatch.setattr(expansion, "_FIRST_PASS", 1)
-    assert passes(chain) == [1, 2, 4, 8, 16, 32, 199]
+    assert passes(chain) == [1, 2, 4, 8, 16, 32, 64, 128, 199]
     assert passes(chain[:5] + flip[chain[5]] + chain[6:]) == [1, 2, 4, 8]
 
 
@@ -902,7 +982,7 @@ def test_decided_prefix_records_are_first_decisions():
 
 def test_decided_prefix_store_records_the_leaves_of_walked_builds_only(monkeypatch):
     with monkeypatch.context() as patch:  # a stirling build computes no sigma to record
-        patch.setattr(_WalkNode, "sigma", property(lambda node: pytest.fail("sigma read")))
+        patch.setattr(_WalkNode, "expansion", lambda node: pytest.fail("sigma computed"))
         build_tree(3, 3, engine="stirling")
     assert vp_H_expansion.cache_info().currsize == 0
     for engine in ("expansion", "both"):

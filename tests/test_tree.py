@@ -87,6 +87,15 @@ def test_t22_is_a_single_chain(t22):
     assert stats.determined == 12
 
 
+@pytest.mark.parametrize("k", range(2, 16))
+def test_t2k_is_a_chain(k):
+    # H_0 = 0 and H_1 = 1 mod 2, so each node has exactly one member child
+    tree = build_tree(2, k, 100, engine="expansion")
+    assert tree.status == "truncated"
+    assert [len(level) for level in tree.levels] == [1] * 101
+    assert (tree.stats.min_children, tree.stats.max_children, tree.stats.determined) == (1, 1, 100)
+
+
 def test_t32_complete_with_8_nodes(t32):
     assert t32.status == "complete"
     assert t32.node_count == 8
@@ -169,8 +178,8 @@ def test_stirling_row_is_replaced_when_the_walk_lifts(monkeypatch):
     # reaches the children of the new reach, and no walk node computes sigma
     rows = _recording_rows(monkeypatch)
     with monkeypatch.context() as patch:
-        patch.setattr(tree_module._WalkNode, "sigma",
-                      property(lambda node: pytest.fail("sigma read")))
+        patch.setattr(tree_module._WalkNode, "expansion",
+                      lambda node: pytest.fail("sigma computed"))
         tree = build_tree(5, 2, engine="stirling")
     sc = tree.constants
     top = tree_module._membership_threshold(sc, 2, len(sc.root_digits) + 1)

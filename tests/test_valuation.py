@@ -100,6 +100,12 @@ def test_exact_H_table_consistent():
                 assert table[n][k] == exact_H(n, k)
 
 
+def test_exact_H_table_refuses_a_negative_k_max():
+    with pytest.raises(ValueError, match=r"^k_max must be nonnegative, got -1$"):
+        exact_H_table(3, -1)
+    assert exact_H_table(3, 0) == [[1], [1], [1], [1]]
+
+
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=6))
 def test_exact_H_positive(n, k):
     if k <= n:
