@@ -32,6 +32,13 @@ both alike.  Two kinds of pair:
              --max-depth 1000 (closes at 18), T_13(8) at 200 (closes at
              31), the T_2(5) chain at 200, a stirling T_3(7) at 100
              (closes at 11) and T_3(9) at 1000 (closes at 164).
+             deep-memory is one expansion-only build of T_7(15) at
+             depth 300 (31 767 nodes, 187 978 leaves), alone in its
+             interpreter so the peak RSS is its own, listed as "build
+             7 15 300 expansion": build_tree is called in process and
+             prints its node and leaf counts, since printing the tree's
+             JSON would hold every leaf's digits at once and that, not
+             the build, would set the peak.
              val-ladder is single
              values, which no perfbench workload asks for above n = 3000:
              val --p 3 --k 3 at n = 10^7, 10^15, 10^30, 10^60 with methods
@@ -42,13 +49,16 @@ both alike.  Two kinds of pair:
              extend the root digits of k - 1 in base 3, so its expansion
              call exits 2.
              The first call of each interpreter is cold.  Each call's
-             stdout is hashed so both sides can be compared byte for byte.
+             stdout is hashed so both sides can be compared byte for byte,
+             and a build call's counts are also kept as printed.
+             Each call also records the interpreter's peak RSS so far
+             (ru_maxrss) after it returns.
 
-For every metric, and for each ops group's total over its calls, it
-writes the median and quartiles of each side, the change/parent ratio of
-each pair and of the medians, and the number of pairs in which the
-change was lower (faster), to BENCH_<label>.json in
-the change checkout.  The schema is that of BENCH_row-blocks.json plus
+For every metric, for each ops group's total over its calls and for the
+group's peak RSS (its last call's ru_maxrss), it writes the median and
+quartiles of each side, the change/parent ratio of each pair and of the
+medians, and the number of pairs in which the change was lower (faster),
+to BENCH_<label>.json in the change checkout.  The schema is that of BENCH_row-blocks.json plus
 the per-pair ratios.  A run that exits non-zero or prints no JSON result
 is recorded as it is (its exit code and an empty result) and the pairs go
 on; it shows up as all_operations_correct / all_exit_0 false.
@@ -85,7 +95,7 @@ import workloads  # noqa: E402
 # perfbench workloads, deep-expansion's calls alone, the deep walks, the deep
 # caps and the val ladder
 OPS_GROUPS = ("tree-dual", "verify-suite", "deep-expansion", "vpx-walks", "deep-walk",
-              "deep-cap", "val-ladder")
+              "deep-cap", "deep-memory", "val-ladder")
 OPS_SEED = 1  # the seed of the workloads' operations
 FIXED_OPS = {
     "deep-walk": ("fseq --terms 600", "tree --p 3 --k 14 --max-depth 60 --engine expansion",
@@ -96,6 +106,7 @@ FIXED_OPS = {
                  "tree --p 2 --k 5 --max-depth 200 --engine expansion",
                  "tree --p 3 --k 7 --max-depth 100 --engine stirling",
                  "tree --p 3 --k 9 --max-depth 1000 --engine expansion"),
+    "deep-memory": ("build 7 15 300 expansion",),
 }
 # deep-cap's vp_H_expansion call: n has DEEP_LEAF_DIGITS base-3 digits, the
 # smallest leaf of T_3(9) at depth DEEP_LEAF_DEPTH followed by seeded digits
@@ -105,24 +116,32 @@ LADDER_METHODS = ("stirling", "expansion", "both")
 CHAIN_DIGITS = (100, 300)
 
 # Run in a fresh interpreter: time each cli.main call (or, for "vpx N K P",
-# each vp_H_expansion call) after the import.
+# each vp_H_expansion call, and for "build P K DEPTH ENGINE", each
+# build_tree call) after the import, and read the peak RSS after it.
 OPS_CHILD = r"""
-import contextlib, hashlib, io, json, sys, time
-from padicharm import cli, expansion
+import contextlib, hashlib, io, json, resource, sys, time
+from padicharm import cli, expansion, tree
 out = []
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         t0 = time.perf_counter()
+        rc = 0
         if argv[0] == "vpx":
             v = expansion.vp_H_expansion(*map(int, argv[1:]))
             print(json.dumps([v.exact_valuation, v.lower_bound]), end="")
-            rc = 0
+        elif argv[0] == "build":
+            t = tree.build_tree(*map(int, argv[1:4]), engine=argv[4])
+            print(json.dumps({"nodes": t.node_count, "leaves": len(t.leaves)}), end="")
         else:
             rc = cli.main(argv)
         s = time.perf_counter() - t0
-    out.append({"rc": rc, "seconds": s,
-                "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()})
+    rec = {"rc": rc, "seconds": s,
+           "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+           "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+    if argv[0] == "build":
+        rec["stdout"] = buf.getvalue()
+    out.append(rec)
 print(json.dumps(out))
 """
 
@@ -150,13 +169,15 @@ def import_own_src() -> None:
 
 def deep_leaf_vpx() -> list[str]:
     import_own_src()
+    from padicharm.core import ilog
     from padicharm.tree import build_tree
 
     tree = build_tree(3, 9, DEEP_LEAF_DEPTH, engine="expansion")
-    leaf = next(leaf for leaf in tree.leaves if len(leaf) == len(tree.levels[-1][0]))
+    # the smallest leaf as long as the deepest level's nodes, of `length` digits
+    length = ilog(tree.levels[-1][0], 3) + 1
+    n = next(leaf for leaf in tree.leaves if ilog(leaf, 3) + 1 == length)
     rng = random.Random(DEEP_LEAF_DIGITS)
-    n = leaf.value
-    for _ in range(DEEP_LEAF_DIGITS - len(leaf)):
+    for _ in range(DEEP_LEAF_DIGITS - length):
         n = 3 * n + rng.randrange(3)
     return ["vpx", str(n), "9", "3"]
 
@@ -239,8 +260,8 @@ def run_ops(root: str, commands: list[list[str]]) -> list[dict]:
     if proc.returncode == 0 and isinstance(result, list) and len(result) == len(commands):
         return result
     print(f"# ops child in {root} failed: exit {proc.returncode}", file=sys.stderr, flush=True)
-    return [{"rc": proc.returncode or 1, "seconds": None, "stdout_sha256": None}
-            for _ in commands]
+    return [{"rc": proc.returncode or 1, "seconds": None, "maxrss_mb": None,
+             "stdout_sha256": None} for _ in commands]
 
 
 def compare(parent: list, change: list, unit: str = "", won: str = "pairs_change_lower") -> dict:
@@ -324,6 +345,10 @@ def main(argv=None) -> int:
                 totals[s].append(None if None in xs else sum(xs))
         summary["ops"][group]["total"] = compare(*totals.values(), unit="_s",
                                                  won="pairs_change_faster")
+        peaks = {s: [[r["maxrss_mb"] for r in ops_runs
+                      if (r["group"], r["side"], r["pair"]) == (group, s, pair)][-1]
+                     for pair in range(1, pairs + 1)] for s in SIDES}
+        summary["ops"][group]["peak_rss_mb"] = compare(*peaks.values())
     for workload, _ in args.perfbench:
         runs = {s: [r for r in perfbench_runs if r["workload"] == workload and r["side"] == s]
                 for s in SIDES}
@@ -344,8 +369,9 @@ def main(argv=None) -> int:
         "commands": {
             "ops": "python3 -c OPS_CHILD (scripts/bench_pairs.py) with PYTHONPATH=SIDE/src: "
                    "one fresh interpreter per side, group and pair runs padicharm.cli.main on "
-                   "the group's commands in turn; seconds are the in-process wall time of "
-                   "each main() call, after import: "
+                   "the group's commands in turn (vp_H_expansion on a vpx, build_tree on a "
+                   "build); seconds are the in-process wall time of each call, after import, "
+                   "and maxrss_mb the interpreter's ru_maxrss after it: "
                    + "; ".join(f"{group}: " + ", ".join(" ".join(a) for a in ops_commands(group))
                                for group, _ in args.ops),
             "perfbench": "python3 perfbench/run.py --workload W --seed S --seconds T "

@@ -120,10 +120,22 @@ def _parse_record(line: bytes, path: str, lineno: int) -> CacheRecord:
     return rec
 
 
+def _digits(tree: PTree) -> dict[int, list[int]]:
+    """The digits of each node and leaf of tree, keyed by its value in
+    tree order; each list is its parent's plus one digit."""
+    p = tree.p
+    digits = {tree.levels[0][0]: list(tree.constants.root_digits.digits)}
+    for level in [*tree.levels[1:], tree.leaves]:
+        for value in level:
+            digits[value] = [*digits[value // p], value % p]
+    return digits
+
+
 def tree_document(tree: PTree) -> dict:
     """JSON-ready view of a built tree in its own order, byte-stable;
     "built_at" stays null until the next ptree format bump."""
     stats = tree.stats
+    digits = _digits(tree)
     return {
         "format": "ptree-v1",
         "version": __version__,
@@ -139,8 +151,8 @@ def tree_document(tree: PTree) -> dict:
         "status": tree.status,
         "truncated_at": tree.truncated_at,
         "node_count": tree.node_count,
-        "levels": [[list(ds.digits) for ds in level] for level in tree.levels],
-        "leaves": [list(ds.digits) for ds in tree.leaves],
+        "levels": [[digits[value] for value in level] for level in tree.levels],
+        "leaves": [digits[value] for value in tree.leaves],
         "child_stats": {
             "min_children": stats.min_children,
             "max_children": stats.max_children,
@@ -151,20 +163,17 @@ def tree_document(tree: PTree) -> dict:
     }
 
 
-def _label(digits: tuple[int, ...], p: int) -> str:
-    sep = "" if p <= 10 else "."
-    return sep.join(str(d) for d in digits)
-
-
 def tree_dot(tree: PTree) -> str:
     """DOT text: one box per digit string, leaves dashed, in tree order."""
     p = tree.p
-    nodes = [ds for level in tree.levels for ds in level]
+    sep = "" if p <= 10 else "."
+    label = {value: sep.join(map(str, d)) for value, d in _digits(tree).items()}
+    nodes = [value for level in tree.levels for value in level]
     lines = ["digraph ptree {", "  node [shape=box];"]
-    lines += [f'  "{_label(ds.digits, p)}";' for ds in nodes]
-    lines += [f'  "{_label(ds.digits, p)}" [style=dashed];' for ds in tree.leaves]
-    for ds in nodes[1:] + tree.leaves:
-        lines.append(f'  "{_label(ds.parent().digits, p)}" -> "{_label(ds.digits, p)}";')
+    lines += [f'  "{label[value]}";' for value in nodes]
+    lines += [f'  "{label[value]}" [style=dashed];' for value in tree.leaves]
+    for value in nodes[1:] + tree.leaves:
+        lines.append(f'  "{label[value // p]}" -> "{label[value]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

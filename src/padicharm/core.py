@@ -92,7 +92,7 @@ class DigitString:
     """Big-endian base-p digit vector with nonzero leading digit.
 
     The constructor validates; strings derived from a valid one (prefix,
-    parent, child, to_digits) are built by _trusted, which does not.
+    parent, to_digits) are built by _trusted, which does not.
     """
 
     p: int
@@ -140,11 +140,6 @@ class DigitString:
         if len(self.digits) < 2:
             raise ArgumentError("a single digit has no parent")
         return DigitString._trusted(self.p, self.digits[:-1])
-
-    def child(self, digit: int) -> "DigitString":
-        if not 0 <= digit < self.p:
-            raise ArgumentError(f"digit must lie in [0, {self.p - 1}], got {digit}")
-        return DigitString._trusted(self.p, self.digits + (digit,))
 
     def extends(self, other: "DigitString") -> bool:
         return (

@@ -101,21 +101,22 @@ cache_info/cache_clear.
 A tree build also keeps what it decides.  A leaf is a prefix whose sigma
 has vp(sigma) < depth while every proper prefix was a member (vp(sigma)
 >= depth); then vp(H(n, k)) = U + vp(sigma) - k*s for every n whose
-digits run through it, since each later term carries p^depth.  The
-decided-prefix store maps (k, p, leaf value) to r * p^u, u the depth of
-the leaf's parent and r the nonzero residue c_V + pi*H_b mod p that made
-it a leaf under the harmonic rule: it has the valuation u of the leaf's
-sigma, which the build never computes.  build_tree records its leaves
-through _record_leaves, and vp_H_expansion looks up every prefix of n
-before it walks and answers a hit with vp_int of the stored residue and
-no walk, the valuation the walk through that leaf would find.  It is
-exact at any precision: sigma at depth d reads only the first t + 1 + d
-digits of n, and at most one prefix of n can be a leaf.  So verify
-corollary-2adic, whose samples run through the leaves that f_sequence
-records, tests the harmonic rule's leaf valuations against the paper's
-branch-bit corollary, and its exact cross against Stirling numbers up to
-DEFAULT_EXACT_CAP is unchanged.  The store is an LRU bounded like
-recip_power_sum's, exposed as vp_H_expansion.cache_info/cache_clear.
+digits run through it, since each later term carries p^depth.  Under the
+harmonic rule a child of a depth-u node is a leaf exactly when its
+residue c_V + pi*H_b mod p is nonzero, and then vp(sigma) = u: the
+residue carries nothing more, so the walk returns None for a leaf and
+never computes its sigma.  The decided-prefix store maps (k, p, leaf
+value) to that u, a small int.  build_tree records its leaves there, and
+vp_H_expansion looks up every prefix of n before it walks and answers a
+hit with U + u - k*s and no walk, the valuation the walk through that
+leaf would find.  It is exact at any precision: sigma at depth d reads
+only the first t + 1 + d digits of n, and at most one prefix of n can be
+a leaf.  So verify corollary-2adic, whose samples run through the leaves
+that f_sequence records, still tests the harmonic rule's leaf decisions
+against the paper's branch-bit corollary, and its exact cross against
+Stirling numbers up to DEFAULT_EXACT_CAP is unchanged.  The store is an
+LRU bounded like recip_power_sum's, exposed as
+vp_H_expansion.cache_info/cache_clear.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ class _Store:
     """A bounded LRU map from a block key to the block's value at the
     largest grades asked for so far: the precision M and, for symmetric
     sums, the degree m.  The decided-prefix store is a plain bounded LRU
-    map, written by record and read by _leaf_sigma.
+    map from a leaf to its parent's depth, written by record and read by
+    _leaf_depth.
 
     A request whose grades the entry covers is served from it; the caller
     reduces the value mod p^M and cuts it to the terms it asked for.  A
@@ -222,29 +224,23 @@ _WEIGHTS = _Store(256)
 _INDEX_SUMS = _Store(512)
 _POWER_SUMS = _Store(65536)
 _ESYMS = _Store(4096)
-# the sigma residue of each tree leaf, keyed (k, p, leaf value)
+# the depth u of each tree leaf's parent, vp of the leaf's sigma, keyed (k, p, leaf value)
 _DECIDED = _Store(65536)
 
 
-def _record_leaves(k: int, p: int, leaves) -> None:
-    """Record each (value, sigma) of leaves, the leaf prefixes of one
-    T_p(k) build with their sigma residues, in the decided-prefix store."""
-    _DECIDED.record(((k, p, value), sigma) for value, sigma in leaves)
-
-
-def _leaf_sigma(k: int, p: int, value: int, digits) -> int | None:
-    """The stored sigma of the first recorded leaf among the prefixes that
+def _leaf_depth(k: int, p: int, value: int, digits) -> int | None:
+    """The stored u of the first recorded leaf among the prefixes that
     value, a node of T_p(k), gains digit by digit, which becomes the most
     recently used record; None if none is recorded.  One hit or one miss
     either way."""
     entries = _DECIDED.entries
     for b in digits:
         value = value * p + b
-        sigma = entries.pop((k, p, value), None)
-        if sigma is not None:
-            entries[k, p, value] = sigma
+        u = entries.pop((k, p, value), None)
+        if u is not None:
+            entries[k, p, value] = u
             _DECIDED.hits += 1
-            return sigma
+            return u
     _DECIDED.misses += 1
     return None
 
@@ -536,12 +532,14 @@ def h_prime_mod(prefix: DigitString, k: int, M: int) -> int:
 class _WalkNode:
     """One digit prefix on a walk down from the root digits of k - 1.
 
-    depth is v, the number of digits past the root.  The h' DP table is
+    A node is its integer value and its depth v, the number of digits past
+    the root; it reads p from sc and holds no digits.  The h' DP table is
     computed on first use from the parent: the child's table folds exactly
-    one group, of B = value(parent)*(p-1) + b units, into the parent's.  The
-    walk's reach is known at the root: it reads h' at depth v <= top only,
-    budget U + v <= U + top, so every table is pruned to that limit
-    (_add_group) and is never widened or refolded.  h_prime past the reach
+    one group, of B = value(parent)*(p-1) + b = value - value(parent)
+    units, into the parent's.  The walk's reach is known at the root: it
+    reads h' at depth v <= top only, budget U + v <= U + top, so every
+    table is pruned to that limit (_add_group) and is never widened or
+    refolded.  h_prime past the reach
     raises PrecisionError, since the pruned table would read 0 there; a walk
     that must go deeper is lifted to a larger reach (_lift), which builds
     new nodes.  Once a node holds its table it lets go of its parent, so a
@@ -561,9 +559,7 @@ class _WalkNode:
     are exact mod p^M but not always reduced.
     """
 
-    __slots__ = (
-        "k", "sc", "top", "M", "pi", "digits", "value", "depth", "_parent", "sigma", "_dp",
-    )
+    __slots__ = ("k", "sc", "top", "M", "pi", "value", "depth", "_parent", "sigma", "_dp")
 
     def __init__(
         self,
@@ -571,16 +567,15 @@ class _WalkNode:
         sc: StructureConstants,
         top: int,
         pi: int,
-        digits: DigitString,
         value: int,
+        depth: int,
         parent: "_WalkNode | None",
         sigma: int | None = None,
     ) -> None:
         self.k, self.sc, self.top, self.pi = k, sc, top, pi
-        self.digits = digits
         self.value = value
-        self.depth = len(digits) - len(sc.root_digits)
-        self.M = max(top - self.depth, 1)
+        self.depth = depth
+        self.M = max(top - depth, 1)
         self._parent = parent
         self.sigma = sigma
         self._dp = None
@@ -589,16 +584,13 @@ class _WalkNode:
     def root(cls, k: int, p: int, M: int) -> "_WalkNode":
         """The root digits of k - 1; sigma is kept mod p^M."""
         sc = structure_constants(k, p)
-        return cls(k, sc, M, pi_p_mod(k, p, M), sc.root_digits, sc.root_digits.value, None, 0)
+        return cls(k, sc, M, pi_p_mod(k, p, M), sc.root_digits.value, 0, None, 0)
 
     def child(self, b: int, sigma: int | None = None) -> "_WalkNode":
         """Child b, with sigma if it is a member (expansion); b is not
         checked, since every walk passes a base-p digit."""
-        p = self.digits.p
-        return _WalkNode(
-            self.k, self.sc, self.top, self.pi, DigitString._trusted(p, self.digits.digits + (b,)),
-            self.value * p + b, self, sigma,
-        )
+        return _WalkNode(self.k, self.sc, self.top, self.pi, self.value * self.sc.p + b,
+                         self.depth + 1, self, sigma)
 
     @property
     def h_prime(self) -> int:
@@ -606,13 +598,13 @@ class _WalkNode:
             raise PrecisionError(f"h' at depth {self.depth} is past the walk's reach {self.top}")
         return _h_prime(self._table(), self.k, self.sc.U + self.depth)
 
-    def expansion(self) -> list["_WalkNode | int"]:
+    def expansion(self) -> list["_WalkNode | None"]:
         """Children 0..p-1 of this member node, decided by the harmonic rule
         (module docstring): member child b as a walk node with its sigma,
-        and a leaf as the residue r * p^u, u this node's depth and r the
-        nonzero residue that decided it.  The rule reads digit u of sigma,
-        so the node must lie above the walk's reach."""
-        p, u = self.digits.p, self.depth
+        and a leaf as None, since its sigma has valuation u, this node's
+        depth.  The rule reads digit u of sigma, so the node must lie above
+        the walk's reach."""
+        p, u = self.sc.p, self.depth
         if u >= self.top:
             raise PrecisionError(f"children at depth {u + 1} are past the walk's reach {self.top}")
         mod = p ** self.M
@@ -621,9 +613,8 @@ class _WalkNode:
         c = self.sigma // p ** u + self.h_prime + self.pi * block
         children = []
         for b, h in enumerate(_harmonic_residues(p)):
-            r = (c + self.pi * h) % p
-            if r:
-                children.append(r * p ** u)
+            if (c + self.pi * h) % p:
+                children.append(None)
             else:
                 tail = sum(pow(self.value * p + i, -1, mod) for i in range(1, b + 1))
                 children.append(self.child(b, (c + self.pi * tail) * p ** u % p ** self.top))
@@ -632,12 +623,12 @@ class _WalkNode:
     def _table(self) -> list[list[int]]:
         if self._dp is None:
             parent = self._parent
-            if parent is None:
-                self._dp = _fold(self.digits, self.k, self.sc.U + self.top, self.M)
+            if parent is None:  # the root
+                self._dp = _fold(self.sc.root_digits, self.k, self.sc.U + self.top, self.M)
             else:
                 self._dp = _add_group(
-                    parent._table(), self.value - parent.value, len(self.digits) - 1,
-                    self.k, self.digits.p, self.M, self.sc.U + self.top,
+                    parent._table(), self.value - parent.value, self.sc.t + self.depth,
+                    self.k, self.sc.p, self.M, self.sc.U + self.top,
                 )
                 self._parent = None
         return self._dp
@@ -654,14 +645,13 @@ def _lift(frontier: list[_WalkNode], top: int) -> list[_WalkNode]:
     the walk expands them.
     """
     first = frontier[0]
-    p = first.digits.p
+    p = first.sc.p
     root = _WalkNode.root(first.k, p, top)
     level = {root.value: root}
     for shift in range(first.depth - 1, -1, -1):
         above, level = level, {}
         for value in dict.fromkeys(node.value // p ** (shift + 1) for node in frontier):
-            level.update((child.value, child) for child in above[value].expansion()
-                         if isinstance(child, _WalkNode))
+            level.update((child.value, child) for child in above[value].expansion() if child)
     return [level[node.value] for node in frontier]
 
 
@@ -744,23 +734,23 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     """vp(H(n, k)) from the digit-local expansion.
 
     Walks one node down the digits of n, so each digit group is folded
-    once, and at each depth v decides by the harmonic rule (module
-    docstring) whether the next prefix's sigma vanishes mod p^(v+1).  The
-    first prefix whose sigma does not has valuation exactly v; later terms
-    carry at least v + 1 powers of p and cannot disturb it, so the
-    valuation U + v - k*s is exact.  If every prefix, v < s - t, is a
+    once, and at each depth u decides by the harmonic rule (module
+    docstring) whether the next prefix's sigma vanishes mod p^(u+1).  The
+    first prefix whose sigma does not, a leaf, has valuation exactly u;
+    later terms carry at least u + 1 powers of p and cannot disturb it, so
+    the valuation U + u - k*s is exact.  If every prefix, u < s - t, is a
     member, n is a full-chain node and only the tail bound remains: the
     membership threshold at its own length, _membership_threshold.
 
     First it looks up the prefixes of n, depth 1 to s - t, in the
     decided-prefix store (module docstring): a leaf that a tree build
-    recorded answers U + vp(sigma) - k*s from its stored sigma with no
-    walk.  A call records nothing.  cache_info() counts the calls a record
-    answered as hits and those that walked as misses.
+    recorded answers U + u - k*s from its stored u with no walk.  A call
+    records nothing.  cache_info() counts the calls a record answered as
+    hits and those that walked as misses.
 
     The walk escalates precision from the bottom.  It carries sigma mod
     p^top, top its reach: a nonzero residue below p^top has sigma's true
-    valuation, and a zero one clears every index, so each verdict at v < top
+    valuation, and a zero one clears every index, so each verdict at u < top
     equals that of a walk at the full p^(s - t).  When the path reaches
     depth top, the walk lifts that node to the next reach (_next_reach with
     span s - t, module docstring) and goes on down the path; the indices it
@@ -773,17 +763,16 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     s = len(d) - 1
     span = s - sc.t
     tail = d.digits[sc.t + 1:]
-    sigma = _leaf_sigma(k, p, sc.root_digits.value, tail)
-    if sigma is None:
+    u = _leaf_depth(k, p, sc.root_digits.value, tail)
+    if u is None:
         node = _WalkNode.root(k, p, _next_reach(0, span))
-        for v, b in enumerate(tail):
-            if v == node.top:
+        for u, b in enumerate(tail):
+            if u == node.top:
                 node = _lift([node], _next_reach(node.top, span))[0]
             node = node.expansion()[b]
-            if not isinstance(node, _WalkNode):  # a leaf, vp(sigma) = v: decided here
-                sigma = node
+            if node is None:  # a leaf, vp(sigma) = u: decided here
                 break
         else:
             # every prefix of n was a member, n itself included
             return ExpansionVerdict(lower_bound=_membership_threshold(sc, k, s + 1))
-    return ExpansionVerdict(exact_valuation=sc.U + vp_int(sigma, p) - k * s)
+    return ExpansionVerdict(exact_valuation=sc.U + u - k * s)

@@ -1,9 +1,13 @@
 """Level-by-level construction of the digit tree attached to (p, k).
 
-Level u holds digit strings of length t + 1 + u extending the digits of
-k - 1; level 0 is the root alone.  A child joins level u + 1 when the
-weighted sum of its h_p terms gains one more power of p, equivalently
-when vp(H(child_value, k)) clears W - (k-1)s + 1 for its digit length.
+Level u holds the digit strings of length t + 1 + u extending the digits
+of k - 1, each as its integer value; level 0 is the root alone.  A tree
+holds no digits: a node's parent is value // p and its last digit
+value % p, and digits are made only where they are printed
+(cli.tree_document, cli.tree_dot) or named (a disagreement, f_sequence's
+bits).  A child joins level u + 1 when the weighted sum of its h_p terms
+gains one more power of p, equivalently when vp(H(child_value, k))
+clears W - (k-1)s + 1 for its digit length.
 Both tests are implemented; in dual mode they arbitrate each other and
 any mismatch aborts the build with the offending digit string.  The
 expansion test keeps one expansion._WalkNode per frontier entry and
@@ -30,27 +34,21 @@ Rejected children whose parent is a node are kept as leaves: they pin
 exact valuations for every integer whose digits run through them, and
 every build that walks records them in vp_H_expansion's decided-prefix
 store, which later calls through them read instead of walking.  The
-store holds r * p^u for a leaf under a depth-u node, r the nonzero
-residue that made it a leaf, which has the valuation of the leaf's
-sigma; no leaf computes its sigma.  verify corollary-2adic reads its
-samples through the leaves f_sequence records, so it tests those
-residues, the leaf rule, against the paper's corollary.  The walk meets
-children in the order PTree documents and counts each node's member
-children as it goes.
+store holds u for a leaf under a depth-u node, which is the valuation
+of the leaf's sigma by the harmonic rule; no leaf computes its sigma.
+verify corollary-2adic reads its samples through the leaves f_sequence
+records, so it still tests the harmonic rule's leaf decisions against
+the paper's corollary, and its exact cross up to DEFAULT_EXACT_CAP is
+unchanged.  The walk meets children in the order PTree documents and
+counts each node's member children as it goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    ArgumentError,
-    DigitString,
-    EngineDisagreement,
-    StructureConstants,
-    to_digits,
-)
-from .expansion import _WalkNode, _lift, _membership_threshold, _next_reach, _record_leaves
+from .core import ArgumentError, EngineDisagreement, StructureConstants, to_digits
+from .expansion import _DECIDED, _WalkNode, _lift, _membership_threshold, _next_reach
 from .valuation import _ScaledHRow
 
 __all__ = [
@@ -83,17 +81,20 @@ class ChildStats:
 class PTree:
     """Built digit tree: leveled node lists plus rejected children.
 
-    status is "complete" when an empty level was observed (the final empty
-    level is kept in levels), else "truncated" at max_depth.  Each level
-    is in increasing value order, and leaves are in (length, value) order;
-    the tests check this with the tree's other structural axioms.
+    Every node and leaf is the int value of its digit string; its digits
+    are to_digits(value, p), made only where they are printed.  status is
+    "complete" when an empty level was observed (the final empty level is
+    kept in levels), else "truncated" at max_depth.  Each level is in
+    increasing value order, and leaves are in (length, value) order, one
+    flat list; the tests check this with the tree's other structural
+    axioms.
     """
 
     p: int
     k: int
     constants: StructureConstants
-    levels: list[list[DigitString]]
-    leaves: list[DigitString]
+    levels: list[list[int]]
+    leaves: list[int]
     status: str
     max_depth: int
     engine: str
@@ -109,7 +110,7 @@ class PTree:
         return None if self.status == "complete" else len(self.levels) - 1
 
     def node_values(self) -> set[int]:
-        return {ds.value for level in self.levels for ds in level}
+        return set().union(*self.levels)
 
 
 def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTree:
@@ -138,8 +139,9 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     sigma it never reads: each row reaches every child of the current
     reach, and a lift replaces it with one sized for the next.
 
+    The tree keeps each node and leaf as its int value, never its digits.
     Once the walk (and, in dual mode, the check) is done, an "expansion"
-    or "both" build records each leaf's value and residue r * p^u in
+    or "both" build records each leaf's value and its parent's depth u in
     vp_H_expansion's decided-prefix store; a "stirling" build computes no
     sigma and records nothing.
     """
@@ -151,31 +153,31 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     reach = _next_reach(0, span, p)
     root = _WalkNode.root(k, p, reach)
     sc = root.sc
-    levels: list[list[DigitString]] = [[root.digits]]
+    levels = [[root.value]]
     frontier = [root]
-    leaves: list[DigitString] = []
+    leaves: list[int] = []
+    leaf_depths: list[int] = []  # the depth u of each leaf's parent
     status = "truncated"
     # (value, threshold, expansion verdict) of each dual-checked child
     checked: list[tuple[int, int, bool]] = []
     child_counts: list[int] = []  # member children of each expanded node
-    decided: list[tuple[int, int]] = []  # (value, residue r * p^u) of each leaf
 
     # Child values rise across a level and from level to level, and the
     # threshold falls with depth, so a row with the first level's threshold
     # as v_max decides every Stirling test.  A "stirling" row must reach any
     # child of the current reach: digit length len(root) + reach at most.
-    top_threshold = _membership_threshold(sc, k, len(root.digits) + 1)
+    top_threshold = _membership_threshold(sc, k, sc.t + 2)
     if engine == "stirling":
-        row = _ScaledHRow(k, p, p ** (len(root.digits) + reach) - 1, top_threshold)
+        row = _ScaledHRow(k, p, p ** (sc.t + 1 + reach) - 1, top_threshold)
 
     for u in range(max_depth):
         if u == reach:
             reach = _next_reach(reach, span, p)
             if engine == "stirling":
-                row = _ScaledHRow(k, p, p ** (len(root.digits) + reach) - 1, top_threshold)
+                row = _ScaledHRow(k, p, p ** (sc.t + 1 + reach) - 1, top_threshold)
             else:
                 frontier = _lift(frontier, reach)
-        threshold = _membership_threshold(sc, k, len(frontier[0].digits) + 1)
+        threshold = _membership_threshold(sc, k, sc.t + 2 + u)
         next_frontier = []
         for node in frontier:
             before = len(next_frontier)
@@ -185,17 +187,16 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                 if engine == "stirling":
                     member = row.vp_at_least(value, threshold)
                 else:
-                    member = isinstance(child, _WalkNode)
+                    member = child is not None
                     if engine == "both" and value <= DUAL_VALUE_CAP:
                         checked.append((value, threshold, member))
                 if member:
                     next_frontier.append(child)
                 else:
-                    leaves.append(node.digits.child(b))
-                    if engine != "stirling":
-                        decided.append((value, child))
+                    leaves.append(value)
+                    leaf_depths.append(u)
             child_counts.append(len(next_frontier) - before)
-        levels.append([node.digits for node in next_frontier])
+        levels.append([node.value for node in next_frontier])
         frontier = next_frontier
         if not frontier:
             status = "complete"
@@ -210,7 +211,8 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                     f"engines disagree on {to_digits(value, p)}: "
                     f"expansion={member_exp}, stirling={member_st}"
                 )
-    _record_leaves(k, p, decided)
+    if engine != "stirling":
+        _DECIDED.record(((k, p, value), u) for value, u in zip(leaves, leaf_depths))
 
     return PTree(
         p=p,
@@ -249,4 +251,4 @@ def f_sequence(S: int) -> tuple[int, ...]:
             f"T_2(2) level sizes {sizes} are not one node per level down to "
             f"depth {S}; branching invariant broken"
         )
-    return tree.levels[-1][0].digits
+    return to_digits(tree.levels[-1][0], 2).digits

@@ -381,9 +381,9 @@ def test_corollary_2adic_seeded():
 
 def test_corollary_2adic_fails_on_a_record_off_by_one(monkeypatch):
     # The check's samples run through the leaves f_sequence records, so
-    # their verdicts are read from the recorded sigma.  With no exact
-    # cross at all, a sigma recorded with one power of 2 too many must
-    # still fail the check.
+    # their verdicts are read from the recorded depth u, vp(sigma).  With
+    # no exact cross at all, a u recorded one too large must still fail
+    # the check.
     from padicharm.expansion import _DECIDED, vp_H_expansion
 
     monkeypatch.setattr(checks, "DEFAULT_EXACT_CAP", 1)
@@ -392,7 +392,7 @@ def test_corollary_2adic_fails_on_a_record_off_by_one(monkeypatch):
     vp_H_expansion.cache_clear()
     record = _DECIDED.record
     monkeypatch.setattr(_DECIDED, "record",
-                        lambda items: record((key, 2 * sigma) for key, sigma in items))
+                        lambda items: record((key, u + 1) for key, u in items))
     report = check_corollary_2adic(S=14, sample_count=50, seed=0)
     assert not report.passed
     assert report.witness["exact"] is None

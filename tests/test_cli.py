@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from padicharm import checks, cli
 from padicharm.cli import CacheRecord, ValCache, CacheIntegrityError, main
+from padicharm.core import to_digits
+from padicharm.tree import build_tree
 from padicharm.report import CheckReport
 
 
@@ -136,6 +138,33 @@ def test_tree_dot_output(capsys):
     ]
     assert len(node_lines) == 7
     assert '  "11";' in out.splitlines()
+
+
+@pytest.mark.parametrize("p, k, depth, engine", [
+    (2, 3, 20, "both"), (3, 5, 32, "both"), (5, 4, 20, "stirling"), (7, 5, 20, "expansion"),
+    (11, 11, 8, "expansion"), (13, 8, 12, "both"),
+])
+def test_printed_digits_are_those_of_the_tree_ints(p, k, depth, engine):
+    # tree_document and tree_dot spell each node from its parent's
+    # spelling; the oracle spells each int of the PTree on its own
+    tree = build_tree(p, k, depth, engine=engine)
+    nodes = [n for level in tree.levels for n in level]
+    assert len(tree.levels) > 3 and tree.leaves
+
+    def digits(n):
+        return list(to_digits(n, p).digits)
+
+    doc = cli.tree_document(tree)
+    assert doc["levels"] == [[digits(n) for n in level] for level in tree.levels]
+    assert doc["leaves"] == [digits(n) for n in tree.leaves]
+
+    def label(n):
+        return ("" if p <= 10 else ".").join(map(str, digits(n)))
+
+    lines = cli.tree_dot(tree).splitlines()
+    assert [re.findall(r'"([^"]*)"', line) for line in lines[2:-1]] == (
+        [[label(n)] for n in nodes + tree.leaves]
+        + [[label(n // p), label(n)] for n in nodes[1:] + tree.leaves])
 
 
 def test_tree_depth_capped_chain(capsys):

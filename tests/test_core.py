@@ -67,13 +67,13 @@ def test_digit_rejections():
     d = to_digits(7, 3)
     for bad in (-1, 3):
         with pytest.raises(ValueError, match=r"\[0, 2\]"):
-            d.child(bad)
+            DigitString(3, d.digits + (bad,))
 
 
 @given(st.integers(min_value=1, max_value=10 ** 6), st.sampled_from(PRIMES), st.data())
 def test_derived_digit_strings_validate_once(n, p, data):
-    """to_digits checks p once; prefix, parent and child of a valid string
-    check nothing but the new digit, and equal the validated constructor."""
+    """to_digits checks p once; prefix and parent of a valid string check
+    nothing, and equal the validated constructor."""
     import padicharm.core as core
 
     calls = []
@@ -87,8 +87,7 @@ def test_derived_digit_strings_validate_once(n, p, data):
     try:
         d = to_digits(n, p)
         assert calls == [p]
-        b = data.draw(st.integers(min_value=0, max_value=p - 1))
-        derived = [d.child(b), d.prefix(data.draw(st.integers(1, len(d))))]
+        derived = [d.prefix(data.draw(st.integers(1, len(d))))]
         if len(d) > 1:
             derived.append(d.parent())
         assert calls == [p]

@@ -15,6 +15,7 @@ from padicharm.core import (
     _harmonic_residues,
     bp_count,
     cp,
+    ilog,
     structure_constants,
     to_digits,
     vp,
@@ -401,7 +402,7 @@ def per_child_sigma(node, sigma, b):
     is sigma, by the per-child rule that the harmonic rule replaced: add the
     child's h_p term, node's h' plus pi times the reciprocal sum over the
     child's whole block, times p^depth.  The oracle of _WalkNode.expansion."""
-    p = node.digits.p
+    p = node.sc.p
     h_p = node.h_prime + node.pi * recip_power_sum(node.value * (p - 1) + b, 1, p, node.top)
     return (sigma + h_p * p ** node.depth) % p ** node.top
 
@@ -410,7 +411,7 @@ def oracle_sigmas(prefix, k, M):
     """per_child_sigma of each prefix of prefix past the root, in turn, on
     a walk at precision M through any digits, members or not."""
     node, sigma, out = _WalkNode.root(k, prefix.p, M), 0, []
-    for b in prefix.digits[len(node.digits):]:
+    for b in prefix.digits[node.sc.t + 1:]:
         sigma = per_child_sigma(node, sigma, b)
         out.append(sigma)
         node = node.child(b)
@@ -434,6 +435,10 @@ def _random_prefix(rng, p, k, max_extra):
     for _ in range(rng.randint(0, max_extra)):
         digits = digits + (rng.randrange(p),)
     return DigitString(p, digits)
+
+
+def _random_child(rng, prefix):
+    return DigitString(prefix.p, prefix.digits + (rng.randrange(prefix.p),))
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 5), (5, 2)])
@@ -481,7 +486,7 @@ def test_h_p_examples():
 def test_h_p_matches_fraction_oracle_and_is_integral(p, k):
     rng = random.Random(31 * p + k)
     for _ in range(5):
-        prefix = _random_prefix(rng, p, k, 2).child(rng.randrange(p))
+        prefix = _random_child(rng, _random_prefix(rng, p, k, 2))
         if prefix.value > 260:
             continue
         value = ref_h_p(prefix, k)
@@ -503,18 +508,18 @@ def test_sigma_examples():
     assert ref_sigma(DigitString(2, (1, 1, 1)), 2) == Fraction(562, 105)
     s = walk_sigma(DigitString(2, (1, 1, 1)), 2, 5)
     assert vp_int(s, 2) == 1
-    # the walk gives the members <1,1> and <1,1,0> those sigmas, and the
-    # leaf <1,1,1> a residue of that valuation
+    # the walk gives the members <1,1> and <1,1,0> those sigmas, and makes
+    # <1,1,1> a leaf (None) under a node of depth u = 1, that valuation
     node = _WalkNode.root(2, 2, 5).expansion()[1]
     assert node.sigma == 12 and node.expansion()[0].sigma == 20
-    assert vp_int(node.expansion()[1], 2) == 1
+    assert node.expansion()[1] is None and node.depth == 1
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (3, 3)])
 def test_sigma_matches_fraction_oracle(p, k):
     rng = random.Random(17 * p + k)
     for _ in range(4):
-        prefix = _random_prefix(rng, p, k, 2).child(rng.randrange(p))
+        prefix = _random_child(rng, _random_prefix(rng, p, k, 2))
         if prefix.value > 230:
             continue
         assert walk_sigma(prefix, k, 6) == frac_mod(ref_sigma(prefix, k), p, 6)
@@ -537,16 +542,17 @@ def test_walk_matches_from_scratch_dp(p, k, data):
     sigma = 0
     for b in path:
         node_mod = p ** node.M
+        digits = to_digits(node.value, p)
         assert node.M == max(M - node.depth, 1)
-        assert node.h_prime % node_mod == h_prime_mod(node.digits, k, node.M), node.digits
+        assert node.h_prime % node_mod == h_prime_mod(digits, k, node.M), digits
         if node.value <= 2000:  # the streamed oracle is linear in the value
-            assert node.h_prime % node_mod == h_prime_streamed(node.digits, k, node.M)
+            assert node.h_prime % node_mod == h_prime_streamed(digits, k, node.M)
         child = node.child(b)
         oracle = per_child_sigma(node, sigma, b)
-        sigma = (sigma + h_p_mod(child.digits, k, M) * p ** node.depth) % mod
-        assert oracle == sigma, child.digits
+        sigma = (sigma + h_p_mod(to_digits(child.value, p), k, M) * p ** node.depth) % mod
+        assert oracle == sigma, child.value
         node = child
-    assert node.h_prime % p ** node.M == h_prime_mod(node.digits, k, node.M)
+    assert node.h_prime % p ** node.M == h_prime_mod(to_digits(node.value, p), k, node.M)
 
 
 def test_walk_folds_each_node_once(monkeypatch):
@@ -567,7 +573,7 @@ def test_walk_folds_each_node_once(monkeypatch):
         return real_add_group(dp, B, w, *args)
 
     def group(node):
-        return len(node) - 1, node.value - node.parent().value
+        return ilog(node, p), node - node // p
 
     monkeypatch.setattr(expansion, "_fold", fold)
     monkeypatch.setattr(expansion, "_add_group", add_group)
@@ -593,7 +599,7 @@ def test_walk_folds_each_node_once(monkeypatch):
             # levels start .. reach - 1 have children to decide
             prefixes, layer = set(), set(tree.levels[start])
             for _ in range(start - 1):
-                layer = {node.parent() for node in layer}
+                layer = {node // p for node in layer}
                 prefixes |= layer
             expected.append(root_groups + [group(node) for node in prefixes]
                             + [group(node) for level in tree.levels[max(start, 1):reach]
@@ -622,7 +628,7 @@ def test_lifted_builds_equal_unlifted_ones(monkeypatch, engine):
             monkeypatch.setattr(expansion, "_FIRST_PASS", first_pass or depth)
             vp_H_expansion.cache_clear()
             tree = build_tree(p, k, depth, engine=engine)
-            records = {key: vp_int(sigma, key[1]) for key, sigma in expansion._DECIDED.entries.items()}
+            records = dict(expansion._DECIDED.entries)
             shapes.append((tree.levels, tree.leaves, tree.status, tree.stats, tree.dual_checks,
                            records))
         return shapes
@@ -675,7 +681,7 @@ def test_walk_refuses_to_read_past_its_reach():
         node = _WalkNode.root(k, p, M)
         for _ in range(M):
             node = node.child(p - 1)
-        assert node.h_prime % p ** node.M == h_prime_mod(node.digits, k, node.M)
+        assert node.h_prime % p ** node.M == h_prime_mod(to_digits(node.value, p), k, node.M)
         with pytest.raises(PrecisionError):
             node.child(p - 1).h_prime
         with pytest.raises(PrecisionError):
@@ -710,32 +716,40 @@ def test_harmonic_rule_decides_every_child_as_sigma_does(p, k, depth):
     # The oracle is the per-child sigma rule: child b of a member at depth u
     # is a member iff its sigma vanishes mod p^(u+1).  The harmonic rule
     # (_WalkNode.expansion) must split every child of every node the same
-    # way, give each member the oracle's sigma, and record for each leaf a
-    # residue with the oracle sigma's valuation, u.  One walk at the full
-    # reach, so nothing lifts.
+    # way, give each member the oracle's sigma, and record for each leaf
+    # the oracle sigma's valuation, u.  One walk at the full reach, so
+    # nothing lifts.
     tree = build_tree(p, k, depth, engine="expansion")
-    recorded = {key[2]: sigma for key, sigma in expansion._DECIDED.entries.items()
-                if key[:2] == (k, p)}
+    recorded = {key[2]: u for key, u in expansion._DECIDED.entries.items() if key[:2] == (k, p)}
     frontier, levels, leaves = [_WalkNode.root(k, p, depth)], [], []
     for u in range(depth + 1):
-        levels.append([node.digits for node in frontier])
+        levels.append([node.value for node in frontier])
         if not frontier or u == depth:
             break
         next_frontier = []
         for node in frontier:
             for b, child in enumerate(node.expansion()):
                 oracle = per_child_sigma(node, node.sigma, b)
-                if isinstance(child, _WalkNode):
-                    assert oracle % p ** (u + 1) == 0 and child.sigma == oracle, child.digits
+                if child is not None:
+                    assert oracle % p ** (u + 1) == 0 and child.sigma == oracle, child.value
                     next_frontier.append(child)
                 else:
-                    assert vp_int(child, p) == vp_int(oracle, p) == u, (node.digits, b)
-                    assert recorded.pop(node.value * p + b) == child
-                    leaves.append(node.digits.child(b))
+                    assert vp_int(oracle, p) == u, (node.value, b)
+                    assert recorded.pop(node.value * p + b) == u
+                    leaves.append(node.value * p + b)
         frontier = next_frontier
     assert (levels, leaves) == (tree.levels, tree.leaves)
     assert recorded == {}  # every leaf recorded, and nothing else
     assert tree.stats.max_children <= most_harmonic_repeats(p)
+
+
+@pytest.mark.parametrize("p, depth", [(3, 30), (5, 20), (7, 20), (11, 12), (13, 12)])
+def test_some_node_has_n_p_member_children(p, depth):
+    # N_p bounds every node's member children; over k = 2..15 some node of
+    # some T_p(k) reaches it, so the bound is attained, not only kept
+    widest = max(build_tree(p, k, depth, engine="expansion").stats.max_children
+                 for k in range(2, 16))
+    assert widest == most_harmonic_repeats(p)
 
 
 def test_derived_walk_precision_needs_no_extra_digits(monkeypatch):
@@ -915,10 +929,11 @@ def test_vp_H_expansion_exhaustive_small(p, k):
 
 # --- the decided-prefix store -----------------------------------------------
 
-def extend(rng, prefix, extra):
-    """The value of prefix followed by extra seeded digits."""
-    p = prefix.p
-    return DigitString(p, prefix.digits + tuple(rng.randrange(p) for _ in range(extra))).value
+def extend(rng, n, p, extra):
+    """n followed by extra seeded base-p digits."""
+    for _ in range(extra):
+        n = n * p + rng.randrange(p)
+    return n
 
 
 def assert_lookups_equal_fresh_walks(calls, hits):
@@ -938,10 +953,11 @@ def assert_lookups_equal_fresh_walks(calls, hits):
 def test_decided_prefix_lookup_equals_a_fresh_walk(p, k):
     tree = build_tree(p, k, 32, engine="expansion")
     rng = random.Random(37 * p + k)
-    nodes = [ds for level in tree.levels[1:] for ds in level]
+    nodes = [n for level in tree.levels[1:] for n in level]
     # n through a leaf, of up to 30 digits more, is a hit; n ending on a node is not
-    through_leaves = [extend(rng, rng.choice(tree.leaves), rng.randint(0, 30)) for _ in range(25)]
-    on_nodes = [rng.choice(nodes).value for _ in range(5)]
+    through_leaves = [extend(rng, rng.choice(tree.leaves), p, rng.randint(0, 30))
+                      for _ in range(25)]
+    on_nodes = [rng.choice(nodes) for _ in range(5)]
     calls = [(n, k, p) for n in through_leaves + on_nodes]
     assert_lookups_equal_fresh_walks(calls, hits=len(through_leaves))
 
@@ -969,13 +985,14 @@ def test_decided_prefix_records_are_first_decisions():
     rng = random.Random(7)
     for _ in range(300):
         p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 6)
-        vp_H_expansion(extend(rng, structure_constants(k, p).root_digits, rng.randint(1, 40)), k, p)
+        vp_H_expansion(extend(rng, structure_constants(k, p).root_digits.value, p,
+                              rng.randint(1, 40)), k, p)
     assert entries == recorded  # calls read records and write none
-    for (k, p, value), sigma in entries.items():
+    for (k, p, value), u in entries.items():
         root_len = structure_constants(k, p).t + 1
         depth = len(to_digits(value, p)) - root_len
         # every proper prefix is a member, so sigma vanishes mod p^(depth - 1)
-        assert vp_int(sigma, p) == depth - 1, (k, p, value)
+        assert u == depth - 1, (k, p, value)
         for j in range(1, depth):
             assert (k, p, value // p ** j) not in entries, (k, p, value, j)
 
@@ -988,7 +1005,7 @@ def test_decided_prefix_store_records_the_leaves_of_walked_builds_only(monkeypat
     for engine in ("expansion", "both"):
         vp_H_expansion.cache_clear()
         tree = build_tree(3, 3, engine=engine)
-        assert set(expansion._DECIDED.entries) == {(3, 3, leaf.value) for leaf in tree.leaves}
+        assert set(expansion._DECIDED.entries) == {(3, 3, leaf) for leaf in tree.leaves}
 
     class Contrary:  # a row that calls every child a member
         def __init__(self, *args):
@@ -1009,15 +1026,15 @@ def test_decided_prefix_eviction_keeps_answers_exact(monkeypatch):
     tree = build_tree(3, 7, 32, engine="expansion")
     assert len(tree.leaves) > 6
     # the last leaves recorded are kept
-    kept = [(7, 3, leaf.value) for leaf in tree.leaves[-6:]]
+    kept = [(7, 3, leaf) for leaf in tree.leaves[-6:]]
     assert list(expansion._DECIDED.entries) == kept
-    vp_H_expansion(tree.leaves[-6].value, 7, 3)  # a hit makes its record the most recent
+    vp_H_expansion(tree.leaves[-6], 7, 3)  # a hit makes its record the most recent
     assert list(expansion._DECIDED.entries) == kept[1:] + kept[:1]
     build_tree(3, 7, 32, engine="expansion")  # and so does recording it again
     assert list(expansion._DECIDED.entries) == kept
     rng = random.Random(6)
     for _ in range(60):
-        n = extend(rng, rng.choice(tree.leaves), rng.randint(0, 20))
+        n = extend(rng, rng.choice(tree.leaves), 3, rng.randint(0, 20))
         assert vp_H_expansion(n, 7, 3) == top_down_verdict(n, 7, 3), n
         assert vp_H_expansion.cache_info().currsize <= 6
     assert vp_H_expansion.cache_info().hits > 0
@@ -1028,7 +1045,7 @@ def test_decided_prefix_cache_info_counts_hits_and_misses():
     vp_H_expansion(5, 2, 2)  # <1,0,1>: walked, and a walk records nothing
     assert vp_H_expansion.cache_info() == (0, 1, 65536, 0)
     tree = build_tree(2, 2, 4, engine="expansion")
-    assert [leaf.value for leaf in tree.leaves] == [2, 7, 12, 26]
+    assert tree.leaves == [2, 7, 12, 26]
     assert vp_H_expansion.cache_info() == (0, 1, 65536, 4)
     vp_H_expansion(5, 2, 2)  # <1,0,1> runs through the leaf <1,0>
     vp_H_expansion(14, 2, 2)  # <1,1,1,0> through <1,1,1>

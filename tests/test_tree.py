@@ -4,7 +4,7 @@ import random
 import pytest
 
 from padicharm import tree as tree_module
-from padicharm.core import DigitString, EngineDisagreement
+from padicharm.core import EngineDisagreement, ilog, to_digits
 from padicharm.report import CheckReport
 from padicharm.tree import (
     PTree,
@@ -17,15 +17,19 @@ from padicharm.valuation import vp_H
 def validate_ptree(tree: PTree) -> CheckReport:
     """Structural axioms: root present, prefix agreement, parent closure,
     leaf consistency, and the order PTree documents.  Reports the first
-    violation."""
+    violation, naming an offending node or leaf by its digits.  A node of
+    u digits past the root is an int whose first len(root) digits, n //
+    p^u, spell the root, and whose parent is n // p."""
     sc = tree.constants
-    root = sc.root_digits
-    params = {"p": tree.p, "k": tree.k, "levels": len(tree.levels)}
+    p = tree.p
+    root = sc.root_digits.value
+    width = len(sc.root_digits)
+    params = {"p": p, "k": tree.k, "levels": len(tree.levels)}
 
     def fail(axiom: str, detail: str, item=None) -> CheckReport:
         witness = {"axiom": axiom, "detail": detail}
         if item is not None:
-            witness["item"] = str(item)
+            witness["item"] = str(to_digits(item, p))
         return CheckReport(
             claim_id="ptree-axioms",
             parameters=params,
@@ -37,28 +41,28 @@ def validate_ptree(tree: PTree) -> CheckReport:
 
     if not tree.levels or tree.levels[0] != [root]:
         return fail("root", "level 0 must hold exactly the root digits")
-    node_set = {ds for level in tree.levels for ds in level}
+    node_set = {n for level in tree.levels for n in level}
     for u, level in enumerate(tree.levels):
-        for ds in level:
-            if len(ds) != len(root) + u:
-                return fail("levels", f"length mismatch at level {u}", ds)
-            if not ds.extends(root):
-                return fail("prefix-agreement", "node does not extend the root", ds)
-            if u > 0 and ds.parent() not in node_set:
-                return fail("parent-closure", "parent of node is not a node", ds)
+        for n in level:
+            if ilog(n, p) + 1 != width + u:
+                return fail("levels", f"length mismatch at level {u}", n)
+            if n // p ** u != root:
+                return fail("prefix-agreement", "node does not extend the root", n)
+            if u > 0 and n // p not in node_set:
+                return fail("parent-closure", "parent of node is not a node", n)
     if tree.status == "complete" and tree.levels[-1]:
         return fail("completeness", "complete status requires an empty last level")
     for leaf in tree.leaves:
+        past_root = ilog(leaf, p) + 1 - width
         if leaf in node_set:
             return fail("leaves", "leaf is also a node", leaf)
-        if len(leaf) < len(root) + 1 or leaf.parent() not in node_set:
+        if past_root < 1 or leaf // p not in node_set:
             return fail("leaves", "leaf parent is not a node", leaf)
-        if not leaf.extends(root):
+        if leaf // p ** past_root != root:
             return fail("leaves", "leaf does not extend the root", leaf)
-    # equal-length digit strings order by value as their digit tuples do
     for items in (*tree.levels, tree.leaves):
         for a, b in zip(items, items[1:]):
-            if (len(a), a.digits) >= (len(b), b.digits):
+            if (ilog(a, p), a) >= (ilog(b, p), b):
                 return fail("order", "levels must rise in value, leaves in (length, value)", b)
     return CheckReport(
         claim_id="ptree-axioms",
@@ -106,8 +110,7 @@ def test_t32_complete_with_8_nodes(t32):
 
 def test_levels_are_sorted_and_prefix_closed(t32):
     for level in t32.levels:
-        values = [ds.value for ds in level]
-        assert values == sorted(values)
+        assert level == sorted(level)
     report = validate_ptree(t32)
     assert report.passed, report.witness
 
@@ -115,8 +118,8 @@ def test_levels_are_sorted_and_prefix_closed(t32):
 def test_leaves_partition(t32):
     nodes = t32.node_values()
     for leaf in t32.leaves:
-        assert leaf.value not in nodes
-        assert leaf.parent().value in nodes
+        assert leaf not in nodes
+        assert leaf // 3 in nodes
 
 
 def test_engine_modes_agree():
@@ -163,8 +166,8 @@ def test_dual_row_is_sized_for_the_children_it_checks(monkeypatch, k, largest):
     sc = tree.constants
     top = tree_module._membership_threshold(sc, k, len(sc.root_digits) + 1)
     assert rows == [(largest, top)]
-    checked = [ds.value for level in tree.levels[1:] for ds in level]
-    checked += [ds.value for ds in tree.leaves]
+    checked = [n for level in tree.levels[1:] for n in level]
+    checked += tree.leaves
     assert max(checked) == largest and tree.dual_checks == len(checked)
     # the stirling engine sizes its row for any child of the walk's reach;
     # these trees close inside the first one
@@ -210,12 +213,12 @@ def test_dual_pass_names_the_first_disagreeing_child(monkeypatch):
     ref = build_tree(3, 3, engine="expansion")
     leaf = ref.leaves[len(ref.leaves) // 2]
     node = ref.levels[-2][-1]
-    assert leaf.value < node.value
-    _recording_rows(monkeypatch, flip={leaf.value, node.value})
+    assert leaf < node
+    _recording_rows(monkeypatch, flip={leaf, node})
     with pytest.raises(EngineDisagreement) as exc:
         build_tree(3, 3)
     assert str(exc.value) == (
-        f"engines disagree on {leaf}: expansion=False, stirling=True")
+        f"engines disagree on {to_digits(leaf, 3)}: expansion=False, stirling=True")
 
 
 def test_dual_pass_builds_no_row_when_no_child_is_under_the_cap(monkeypatch):
@@ -229,7 +232,7 @@ def test_dual_pass_builds_no_row_when_no_child_is_under_the_cap(monkeypatch):
 
 def test_validate_rejects_missing_parent(t32):
     broken = build_tree(3, 2, 32)
-    broken.levels[2] = [ds for ds in broken.levels[2] if ds != broken.levels[2][0]]
+    broken.levels[2] = broken.levels[2][1:]
     report = validate_ptree(broken)
     assert not report.passed
     assert report.witness["axiom"] == "parent-closure"
@@ -237,7 +240,7 @@ def test_validate_rejects_missing_parent(t32):
 
 def test_validate_rejects_wrong_root():
     tree = build_tree(2, 2, 4)
-    tree.levels[0] = [DigitString(2, (1, 0))]
+    tree.levels[0] = [0b10]
     report = validate_ptree(tree)
     assert not report.passed
 
@@ -264,7 +267,7 @@ def test_walk_child_counts_match_the_levels(p, k, depth):
     tree = build_tree(p, k, depth)
     counts = []
     for u in range(len(tree.levels) - 1):
-        parents = [ds.parent() for ds in tree.levels[u + 1]]
+        parents = [n // p for n in tree.levels[u + 1]]
         counts += [parents.count(node) for node in tree.levels[u]]
     assert (tree.stats.min_children, tree.stats.max_children) == (min(counts), max(counts))
     assert tree.stats.determined == len(counts)
@@ -286,7 +289,7 @@ def test_validate_rejects_an_out_of_order_leaf():
     assert not report.passed
     # the deepest leaf now comes first, so its successor is the first misplaced
     assert report.witness["axiom"] == "order"
-    assert report.witness["item"] == str(broken.leaves[1])
+    assert report.witness["item"] == str(to_digits(broken.leaves[1], 3))
 
 
 def test_f_sequence_examples():
@@ -300,7 +303,7 @@ def test_f_sequence_matches_tree_levels():
     tree = build_tree(2, 2, 10)
     assert [len(level) for level in tree.levels] == [1] * 11
     for u, level in enumerate(tree.levels):
-        assert level[0].digits == f[: u + 1]
+        assert to_digits(level[0], 2).digits == f[: u + 1]
 
 
 def test_f_sequence_deep_bits_are_pinned():
@@ -319,7 +322,7 @@ def test_f_sequence_refuses_a_level_without_exactly_one_node(monkeypatch, broken
         tree = real_build(*args, **kwargs)
         node = tree.levels[2][0]
         if broken == "two nodes":
-            tree.levels[2].append(node.parent().child(1 - node.digits[-1]))
+            tree.levels[2].append(node ^ 1)  # its sibling
         else:
             del tree.levels[2:]
             tree.levels.append([])
@@ -335,10 +338,10 @@ def test_f_sequence_validation():
         f_sequence(-1)
 
 
-def _extend_randomly(rng, digits, p, extra):
+def _extend_randomly(rng, n, p, extra):
     for _ in range(extra):
-        digits = digits + (rng.randrange(p),)
-    return digits
+        n = n * p + rng.randrange(p)
+    return n
 
 
 @pytest.mark.parametrize("p, k, depth", [(2, 2, 12), (3, 2, 32)])
@@ -348,16 +351,15 @@ def test_interior_prefixes_bound_the_valuation(p, k, depth):
     rng = random.Random(2024)
     tree = build_tree(p, k, depth)
     sc = tree.constants
-    nodes = [ds for level in tree.levels[1:] for ds in level]
+    nodes = [n for level in tree.levels[1:] for n in level]
     checked = 0
     while checked < 60:
         node = rng.choice(nodes)
-        digits = _extend_randomly(rng, node.digits, p, rng.randint(0, 3))
-        n = DigitString(p, digits).value
+        n = _extend_randomly(rng, node, p, rng.randint(0, 3))
         if n > 50_000:
             continue
-        r = len(node) - 1
-        s = len(digits) - 1
+        r = ilog(node, p)
+        s = ilog(n, p)
         assert vp_H(n, k, p) >= sc.W + r - k * s + 1
         checked += 1
 
@@ -371,12 +373,11 @@ def test_leaf_prefixes_pin_the_valuation(p, k, depth):
     checked = 0
     while checked < 60:
         leaf = rng.choice(tree.leaves)
-        digits = _extend_randomly(rng, leaf.digits, p, rng.randint(0, 3))
-        n = DigitString(p, digits).value
+        n = _extend_randomly(rng, leaf, p, rng.randint(0, 3))
         if n > 50_000:
             continue
-        r = len(leaf) - 1
-        s = len(digits) - 1
+        r = ilog(leaf, p)
+        s = ilog(n, p)
         assert vp_H(n, k, p) == sc.W + r - k * s
         checked += 1
 
