@@ -3,9 +3,10 @@ trees that organize them, and a verifier for the claims they satisfy."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     ArgumentError,
-    DigitString,
     EngineDisagreement,
     PrecisionError,
     SizeCapError,
@@ -46,4 +47,6 @@ from .valuation import (
     vp_H_sweep,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -188,14 +188,12 @@ def _telescoping_section(p_set: tuple[int, ...], k_max: int) -> tuple[int, dict 
     for p in p_set:
         for k in range(2, k_max + 1):
             sc = structure_constants(k, p)
-            total = sum(
-                bp_count(sc.root_digits.prefix(v + 1)) for v in range(sc.t + 1)
-            )
+            total = sum(bp_count((k - 1) // p ** (sc.t - v), p) for v in range(sc.t + 1))
             if total != k - 1:
                 return checked, {"identity": "block-telescoping", "k": k, "p": p}
             checked += 1
             # top-slice count on digit extensions of the root
-            for extra in (sc.root_digits.value * p, sc.root_digits.value * p * p + 1):
+            for extra in ((k - 1) * p, (k - 1) * p * p + 1):
                 union: set[int] = set()
                 for v in range(sc.t + 1):
                     union.update(a_p_set(extra, v, p))
@@ -216,12 +214,10 @@ def _layer_section(
     for p in p_set:
         for k in k_set:
             sc = structure_constants(k, p)
-            root = sc.root_digits
-            h_p_by_prefix: dict[tuple[int, ...], int] = {}
+            h_p_by_prefix: dict[int, int] = {}
             for n, row, occ in _jp_layer_sums(n_max, k, p, prec):
-                d = to_digits(n, p)
-                s = len(d) - 1
-                if not (d.extends(root) and s >= sc.t + 1):
+                s = ilog(n, p)
+                if s < sc.t + 1 or n // p ** (s - sc.t) != k - 1:
                     continue
                 v_obs = max(u for u in range(len(occ)) if occ[u])
                 if v_obs != k * s - sc.U:
@@ -229,11 +225,11 @@ def _layer_section(
                         "identity": "max-valuation", "n": n, "k": k, "p": p, "observed": v_obs,
                     }
                 for v in range(s - sc.t):
-                    prefix = d.prefix(sc.t + v + 2)
-                    expected = h_p_by_prefix.get(prefix.digits)
+                    prefix = n // p ** (s - sc.t - v - 1)
+                    expected = h_p_by_prefix.get(prefix)
                     if expected is None:
-                        expected = h_p_mod(prefix, k, prec)
-                        h_p_by_prefix[prefix.digits] = expected
+                        expected = h_p_mod(prefix, k, p, prec)
+                        h_p_by_prefix[prefix] = expected
                     if row[v_obs - v] != expected:
                         return checked, {
                             "identity": "valuation-layer-sum",
@@ -456,9 +452,11 @@ def check_corollary_2adic(
     witness = None
 
     for n in samples:
-        d = to_digits(n, 2).digits
-        s = len(d) - 1
-        r = next((i for i in range(1, s + 1) if d[i] != bits[i]), None)
+        s = n.bit_length() - 1
+        # n leaves the chain at its first digit r off bits, the top set bit
+        # of n XOR the chain's prefix of s + 1 digits
+        off = n ^ prefix_values[s - 1]
+        r = s + 1 - off.bit_length() if off else None
         verdict = vp_H_expansion(n, 2, 2)
         if r is None:
             ok = (not verdict.is_exact and verdict.value == 1 - s) or (
@@ -477,7 +475,7 @@ def check_corollary_2adic(
         if not ok:
             witness = {
                 "n": n,
-                "digits": list(d),
+                "digits": list(to_digits(n, 2)),
                 "first_mismatch": r,
                 "verdict": str(verdict),
                 "exact": exact_vals.get(n),
@@ -545,7 +543,7 @@ def check_ubound(p: int = 3, k: int = 2, x: int = 729) -> CheckReport:
     leaf_exits = 0
     full_chain = 0
     witness = None
-    for n, s in _root_class(sc.root_digits.value, sc.t, p, (k - 1) * p, x):
+    for n, s in _root_class(k - 1, sc.t, p, (k - 1) * p, x):
         exit_at = next(
             (r for r in range(sc.t + 1, s + 1) if n // powers[s - r] not in nodes),
             None,

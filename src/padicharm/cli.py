@@ -124,7 +124,7 @@ def _digits(tree: PTree) -> dict[int, list[int]]:
     """The digits of each node and leaf of tree, keyed by its value in
     tree order; each list is its parent's plus one digit."""
     p = tree.p
-    digits = {tree.levels[0][0]: list(tree.constants.root_digits.digits)}
+    digits = {tree.levels[0][0]: list(tree.constants.root_digits)}
     for level in [*tree.levels[1:], tree.leaves]:
         for value in level:
             digits[value] = [*digits[value // p], value % p]
@@ -141,7 +141,7 @@ def tree_document(tree: PTree) -> dict:
         "version": __version__,
         "p": tree.p,
         "k": tree.k,
-        "root": list(tree.constants.root_digits.digits),
+        "root": list(tree.constants.root_digits),
         "t": tree.constants.t,
         "U": tree.constants.U,
         "W": tree.constants.W,
@@ -164,7 +164,7 @@ def tree_document(tree: PTree) -> dict:
 
 
 def tree_dot(tree: PTree) -> str:
-    """DOT text: one box per digit string, leaves dashed, in tree order."""
+    """DOT text: one box per digit prefix, leaves dashed, in tree order."""
     p = tree.p
     sep = "" if p <= 10 else "."
     label = {value: sep.join(map(str, d)) for value, d in _digits(tree).items()}

@@ -1,8 +1,12 @@
-"""Base-p digit strings and the closed-form quantities attached to them.
+"""Base-p digit prefixes and the closed-form quantities attached to them.
 
-Digit vectors are big endian: digits[0] is the most significant digit and
-must be nonzero, so value(<a0,...,av>) = sum_i a_i * p^(v-i).  Everything
-here is a pure function of its inputs.
+A digit prefix is its integer: the prefix of length j + 1 of n, whose
+base-p digits a_0..a_s are big endian with a_0 nonzero, is n // p^(s-j),
+and n extends m exactly when n // p^(s-r) == m, r + 1 the digit length
+of m.
+Digits themselves (to_digits) are made only where they are printed or
+walked.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -10,14 +14,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 __all__ = [
     "ArgumentError",
     "SizeCapError",
     "PrecisionError",
     "EngineDisagreement",
-    "DigitString",
     "StructureConstants",
     "is_prime",
     "to_digits",
@@ -87,72 +89,15 @@ def _require_prime(p: int) -> None:
         raise ArgumentError(f"p must be prime, got {p}")
 
 
-@dataclass(frozen=True)
-class DigitString:
-    """Big-endian base-p digit vector with nonzero leading digit.
+def to_digits(n: int, p: int) -> tuple[int, ...]:
+    """Base-p digits of a positive integer, most significant first.
 
-    The constructor validates; strings derived from a valid one (prefix,
-    parent, to_digits) are built by _trusted, which does not.
-    """
+    Rejects n = 0, which has no digits with a nonzero leading one.
 
-    p: int
-    digits: tuple[int, ...]
-
-    @classmethod
-    def _trusted(cls, p: int, digits: tuple[int, ...]) -> "DigitString":
-        self = object.__new__(cls)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "digits", digits)
-        return self
-
-    def __post_init__(self) -> None:
-        _require_prime(self.p)
-        if not self.digits:
-            raise ArgumentError("digit string must be nonempty")
-        if self.digits[0] == 0:
-            raise ArgumentError("leading digit must be nonzero")
-        if any(not 0 <= d < self.p for d in self.digits):
-            raise ArgumentError(f"digits must lie in [0, {self.p - 1}]: {self.digits}")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
-
-    def __str__(self) -> str:
-        body = ",".join(str(d) for d in self.digits)
-        return f"<{body}>_{self.p}"
-
-    @property
-    def value(self) -> int:
-        acc = 0
-        for d in self.digits:
-            acc = acc * self.p + d
-        return acc
-
-    def prefix(self, length: int) -> "DigitString":
-        if not 1 <= length <= len(self.digits):
-            raise ArgumentError(f"prefix length {length} out of range")
-        return DigitString._trusted(self.p, self.digits[:length])
-
-    def parent(self) -> "DigitString":
-        if len(self.digits) < 2:
-            raise ArgumentError("a single digit has no parent")
-        return DigitString._trusted(self.p, self.digits[:-1])
-
-    def extends(self, other: "DigitString") -> bool:
-        return (
-            self.p == other.p
-            and len(self.digits) >= len(other.digits)
-            and self.digits[: len(other.digits)] == other.digits
-        )
-
-
-def to_digits(n: int, p: int) -> DigitString:
-    """Base-p digit string of a positive integer, most significant first.
-
-    Rejects n = 0 (no digit string with nonzero leading digit exists).
+    >>> to_digits(15, 3)
+    (1, 2, 0)
+    >>> to_digits(7, 2)
+    (1, 1, 1)
     """
     _require_prime(p)
     _require_positive(n)
@@ -160,7 +105,13 @@ def to_digits(n: int, p: int) -> DigitString:
     while n:
         n, d = divmod(n, p)
         digits.append(d)
-    return DigitString._trusted(p, tuple(reversed(digits)))
+    return tuple(reversed(digits))
+
+
+def _spell(n: int, p: int) -> str:
+    """n as <d0,d1,...>_p, the spelling of a prefix in refusals and
+    disagreements."""
+    return f"<{','.join(map(str, to_digits(n, p)))}>_{p}"
 
 
 def _require_positive(n: int) -> None:
@@ -256,13 +207,20 @@ def vp_factorial(n: int, p: int) -> int:
     return (n - _digit_sum(n, p)) // (p - 1)
 
 
-def bp_count(d: DigitString) -> int:
-    """Value of d minus the value of its parent (0 for a missing parent).
+def bp_count(n: int, p: int) -> int:
+    """n minus its parent prefix n // p, which is 0 for a single digit.
 
-    Counts how many new coprime-sequence indices the last digit opens up.
+    Counts how many new coprime-sequence indices the last digit of n opens
+    up: the block of the prefix n is cp(1), ..., cp(bp_count(n, p)).
+
+    >>> bp_count(4, 3)
+    3
+    >>> bp_count(15, 3)
+    10
     """
-    v = d.value
-    return v - v // d.p
+    _require_prime(p)
+    _require_positive(n)
+    return n - n // p
 
 
 def a_p_set(n: int, v: int, p: int) -> list[int]:
@@ -308,14 +266,15 @@ def a_p_set_by_filter(n: int, v: int, p: int) -> list[int]:
 class StructureConstants:
     """Digit-level constants attached to a pair (p, k), k >= 2.
 
-    t is the index of the last digit of k-1, U the weighted block count
-    plus t + 1, and W = U - t - 1 the level offset used by the tree.
+    t is the index of the last digit of k-1, root_digits its digits (the
+    root prefix itself is k - 1), U the weighted block count plus t + 1,
+    and W = U - t - 1 the level offset used by the tree.
     """
 
     p: int
     k: int
     t: int
-    root_digits: DigitString
+    root_digits: tuple[int, ...]
     U: int
     W: int
 
@@ -326,7 +285,7 @@ def structure_constants(k: int, p: int) -> StructureConstants:
         raise ArgumentError(f"k must be at least 2, got {k}")
     root = to_digits(k - 1, p)
     t = len(root) - 1
-    U = sum(bp_count(root.prefix(v + 1)) * v for v in range(t + 1)) + t + 1
+    U = sum(bp_count((k - 1) // p ** (t - v), p) * v for v in range(t + 1)) + t + 1
     return StructureConstants(p=p, k=k, t=t, root_digits=root, U=U, W=U - t - 1)
 
 
@@ -354,7 +313,6 @@ def pi_p_mod(k: int, p: int, M: int) -> int:
     mod = p ** M
     prod = 1
     for v in range(sc.t + 1):
-        count = bp_count(sc.root_digits.prefix(v + 1))
-        for i in range(1, count + 1):
+        for i in range(1, bp_count((k - 1) // p ** (sc.t - v), p) + 1):
             prod = prod * (i + (i - 1) // (p - 1)) % mod  # cp(i, p)
     return pow(prod, -1, mod)

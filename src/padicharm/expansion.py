@@ -1,7 +1,8 @@
 """Digit-local modular expansion of H(n, k).
 
-For a digit prefix a0..a_{t+v} extending the root digits of k - 1, the
-quantities computed here are
+For a digit prefix extending the root digits of k - 1, held as its
+integer (the prefix a0..a_{t+v} of n, s + 1 digits long, is
+n // p^(s-t-v)), the quantities computed here are
 
   h_prime_mod : sum of 1/(j_1 ... j_k) over k-element selections of
       (depth w, unit j) items, j drawn from the coprime block of the
@@ -42,12 +43,13 @@ depth where it stops, not the span: a tree that closes by depth 16
 carries 16 digits whatever max_depth is, and a vp_H_expansion call that
 decides at a shallow index never carries all s - t digits, and the block
 stores build their entries at the smaller M.  Doubling keeps what the
-shallower reaches cost small beside the last one.  A tree build at p = 2
-is the one exception: by the harmonic rule below, T_2(k) is an infinite
-chain, which outlives every reach below its span, so it starts at span
-and never lifts.  A residue that keeps those digits decides each test
-exactly, and the tests pin the rule: either walk one digit short changes
-tree levels and valuations.
+shallower reaches cost small beside the last one.  Walks at p = 2 are the
+one exception: by the harmonic rule below, T_2(k) is an infinite chain,
+which outlives every reach below its span, so a tree build there starts
+at span and never lifts, and a vp_H_expansion path that outlives its
+first reach lifts straight to span.  A residue that keeps those digits
+decides each test exactly, and the tests pin the rule: either walk one
+digit short changes tree levels and valuations.
 
 The harmonic rule decides a node's children from one residue, and every
 walk moves down by it: tree builds, lifts and vp_H_expansion.  Let V be
@@ -130,12 +132,13 @@ from dataclasses import dataclass
 
 from .core import (
     ArgumentError,
-    DigitString,
     PrecisionError,
     StructureConstants,
     _harmonic_residues,
     _require_prime,
+    _spell,
     bp_count,
+    ilog,
     pi_p_mod,
     structure_constants,
     to_digits,
@@ -446,14 +449,15 @@ def recip_esym(B: int, m_max: int, p: int, M: int) -> list[int]:
     return [x % mod for x in _ESYMS.fetch((B, p), (m_max, M), _build_esym)[1][:m_max + 1]]
 
 
-def _require_extension(digits: DigitString, k: int, past_root: int) -> StructureConstants:
-    """The structure constants of (p, k), once digits is known to start
-    with the root digits of k - 1 and to run at least past_root digits
-    beyond them: the one refusal of a digit string off the tree."""
-    sc = structure_constants(k, digits.p)
-    if not (digits.extends(sc.root_digits) and len(digits) > sc.t + past_root):
+def _require_extension(n: int, s: int, k: int, p: int, past_root: int) -> StructureConstants:
+    """The structure constants of (p, k), once the prefix n, of s + 1
+    digits, is known to start with the root digits of k - 1, that is
+    n // p^(s-t) = k - 1, and to run at least past_root digits beyond
+    them: the one refusal of a prefix off the tree."""
+    sc = structure_constants(k, p)
+    if s < sc.t + past_root or n // p ** (s - sc.t) != k - 1:
         raise ArgumentError(
-            f"{digits} must start with {sc.root_digits}, the digits of "
+            f"{_spell(n, p)} must start with {_spell(k - 1, p)}, the digits of "
             f"k-1={k - 1}, and have at least {sc.t + 1 + past_root} digits"
         )
     return sc
@@ -495,15 +499,14 @@ def _add_group(
     return new
 
 
-def _fold(prefix: DigitString, k: int, limit: int, M: int) -> list[list[int]]:
-    """The h' DP table of a whole prefix for budgets up to limit, one
-    _add_group per digit."""
-    p = prefix.p
+def _fold(n: int, s: int, k: int, p: int, limit: int, M: int) -> list[list[int]]:
+    """The h' DP table of the whole prefix n, of s + 1 digits, for budgets
+    up to limit, one _add_group per digit: the group at depth w is the
+    block of the prefix n // p^(s-w)."""
     dp = [[1]] + [[] for _ in range(k)]
-    value = 0
-    for w, digit in enumerate(prefix.digits):
-        parent, value = value, value * p + digit
-        dp = _add_group(dp, value - parent, w, k, p, M, limit)
+    for w in range(s + 1):
+        value = n // p ** (s - w)
+        dp = _add_group(dp, value - value // p, w, k, p, M, limit)
     return dp
 
 
@@ -514,19 +517,21 @@ def _h_prime(table: list[list[int]], k: int, budget: int) -> int:
     return row[budget] if budget < len(row) else 0
 
 
-def h_prime_mod(prefix: DigitString, k: int, M: int) -> int:
-    """Budget-constrained selection sum over the prefix's item pool.
+def h_prime_mod(n: int, k: int, p: int, M: int) -> int:
+    """Budget-constrained selection sum over the item pool of the prefix n.
 
-    Items are pairs (w, j) with w in [0, len(prefix)-1] and j in the
-    coprime block of the length-(w+1) prefix; a selection picks k distinct
-    items whose depths sum to exactly U + v and contributes the product of
-    the modular inverses of its units.  Folds every group from scratch.
+    With s + 1 the digit length of n, items are pairs (w, j) with w in
+    [0, s] and j in the coprime block of the prefix n // p^(s-w); a
+    selection picks k distinct items whose depths sum to exactly U + s - t
+    and contributes the product of the modular inverses of its units.
+    Folds every group from scratch.
     """
     if M < 1:
         raise ArgumentError(f"M must be positive, got {M}")
-    sc = _require_extension(prefix, k, 0)
-    budget = sc.U + len(prefix) - sc.t - 1
-    return _h_prime(_fold(prefix, k, budget, M), k, budget)
+    s = ilog(n, p)
+    sc = _require_extension(n, s, k, p, 0)
+    budget = sc.U + s - sc.t
+    return _h_prime(_fold(n, s, k, p, budget, M), k, budget)
 
 
 class _WalkNode:
@@ -582,9 +587,9 @@ class _WalkNode:
 
     @classmethod
     def root(cls, k: int, p: int, M: int) -> "_WalkNode":
-        """The root digits of k - 1; sigma is kept mod p^M."""
+        """The root, the prefix k - 1; sigma is kept mod p^M."""
         sc = structure_constants(k, p)
-        return cls(k, sc, M, pi_p_mod(k, p, M), sc.root_digits.value, 0, None, 0)
+        return cls(k, sc, M, pi_p_mod(k, p, M), k - 1, 0, None, 0)
 
     def child(self, b: int, sigma: int | None = None) -> "_WalkNode":
         """Child b, with sigma if it is a member (expansion); b is not
@@ -624,7 +629,8 @@ class _WalkNode:
         if self._dp is None:
             parent = self._parent
             if parent is None:  # the root
-                self._dp = _fold(self.sc.root_digits, self.k, self.sc.U + self.top, self.M)
+                self._dp = _fold(self.k - 1, self.sc.t, self.k, self.sc.p,
+                                 self.sc.U + self.top, self.M)
             else:
                 self._dp = _add_group(
                     parent._table(), self.value - parent.value, self.sc.t + self.depth,
@@ -655,17 +661,17 @@ def _lift(frontier: list[_WalkNode], top: int) -> list[_WalkNode]:
     return [level[node.value] for node in frontier]
 
 
-def h_p_mod(prefix: DigitString, k: int, M: int) -> int:
-    """h_prime of the parent plus the unit times the block reciprocal sum.
+def h_p_mod(n: int, k: int, p: int, M: int) -> int:
+    """h_prime of the parent prefix n // p plus the unit times the
+    reciprocal sum over the block of n.
 
     Always a residue (never needs to invert a multiple of p), which is the
     integrality fact everything downstream leans on.
     """
-    _require_extension(prefix, k, 1)
-    p = prefix.p
+    _require_extension(n, ilog(n, p), k, p, 1)
     mod = p ** M
-    head = h_prime_mod(prefix.parent(), k, M)
-    tail = pi_p_mod(k, p, M) * recip_power_sum(bp_count(prefix), 1, p, M)
+    head = h_prime_mod(n // p, k, p, M)
+    tail = pi_p_mod(k, p, M) * recip_power_sum(bp_count(n, p), 1, p, M)
     return (head + tail) % mod
 
 
@@ -717,12 +723,14 @@ def _membership_threshold(sc: StructureConstants, k: int, child_len: int) -> int
 _FIRST_PASS = 16
 
 
-def _next_reach(top: int, span: int, tree_p: int = 0) -> int:
+def _next_reach(top: int, span: int, p: int = 0) -> int:
     """The reach a walk whose tests read up to span digits lifts to from
-    reach top, or starts at when top is 0 (module docstring).  A tree build
-    passes its p as tree_p: every T_2(k) is an infinite chain, so a build at
-    p = 2 would outlive each reach below span, and it starts there."""
-    if tree_p == 2:
+    reach top, or starts at when top is 0 (module docstring).  A walk that
+    follows a chain passes its p: every T_2(k) is an infinite chain, so a
+    tree build at p = 2 would outlive each reach below span, and it starts
+    there, and a vp_H_expansion path at p = 2 that outlives its first reach
+    has followed the chain that far and lifts straight there."""
+    if p == 2:
         return span
     if not top:
         return min(_FIRST_PASS, span)
@@ -756,19 +764,20 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
     span s - t, module docstring) and goes on down the path; the indices it
     has decided stay decided.  The walk ends at the node that decides, so
     most calls stop within the first reach, far below s - t digits; a tree
-    member lifts at every reach up to s - t.
+    member lifts at every reach up to s - t, and at p = 2, where the tree
+    is a chain, from the first reach straight to s - t.
     """
-    d = to_digits(n, p)
-    sc = _require_extension(d, k, 1)
-    s = len(d) - 1
+    digits = to_digits(n, p)
+    s = len(digits) - 1
+    sc = _require_extension(n, s, k, p, 1)
     span = s - sc.t
-    tail = d.digits[sc.t + 1:]
-    u = _leaf_depth(k, p, sc.root_digits.value, tail)
+    tail = digits[sc.t + 1:]
+    u = _leaf_depth(k, p, k - 1, tail)
     if u is None:
         node = _WalkNode.root(k, p, _next_reach(0, span))
         for u, b in enumerate(tail):
             if u == node.top:
-                node = _lift([node], _next_reach(node.top, span))[0]
+                node = _lift([node], _next_reach(node.top, span, p))[0]
             node = node.expansion()[b]
             if node is None:  # a leaf, vp(sigma) = u: decided here
                 break

@@ -1,7 +1,7 @@
 """Level-by-level construction of the digit tree attached to (p, k).
 
-Level u holds the digit strings of length t + 1 + u extending the digits
-of k - 1, each as its integer value; level 0 is the root alone.  A tree
+Level u holds the digit prefixes of length t + 1 + u extending the digits
+of k - 1, each as its integer; level 0 is the root k - 1 alone.  A tree
 holds no digits: a node's parent is value // p and its last digit
 value % p, and digits are made only where they are printed
 (cli.tree_document, cli.tree_dot) or named (a disagreement, f_sequence's
@@ -9,7 +9,7 @@ bits).  A child joins level u + 1 when the weighted sum of its h_p terms
 gains one more power of p, equivalently when vp(H(child_value, k))
 clears W - (k-1)s + 1 for its digit length.
 Both tests are implemented; in dual mode they arbitrate each other and
-any mismatch aborts the build with the offending digit string.  The
+any mismatch aborts the build with the offending prefix.  The
 expansion test keeps one expansion._WalkNode per frontier entry and
 decides all p children of a node from one residue by the harmonic rule,
 this repository's lemma (expansion module docstring): child b of a
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ArgumentError, EngineDisagreement, StructureConstants, to_digits
+from .core import ArgumentError, EngineDisagreement, StructureConstants, _spell, to_digits
 from .expansion import _DECIDED, _WalkNode, _lift, _membership_threshold, _next_reach
 from .valuation import _ScaledHRow
 
@@ -81,7 +81,7 @@ class ChildStats:
 class PTree:
     """Built digit tree: leveled node lists plus rejected children.
 
-    Every node and leaf is the int value of its digit string; its digits
+    Every node and leaf is its digit prefix as an int; its digits
     are to_digits(value, p), made only where they are printed.  status is
     "complete" when an empty level was observed (the final empty level is
     kept in levels), else "truncated" at max_depth.  Each level is in
@@ -208,7 +208,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
             member_st = row.vp_at_least(value, threshold)
             if member_exp != member_st:
                 raise EngineDisagreement(
-                    f"engines disagree on {to_digits(value, p)}: "
+                    f"engines disagree on {_spell(value, p)}: "
                     f"expansion={member_exp}, stirling={member_st}"
                 )
     if engine != "stirling":
@@ -251,4 +251,4 @@ def f_sequence(S: int) -> tuple[int, ...]:
             f"T_2(2) level sizes {sizes} are not one node per level down to "
             f"depth {S}; branching invariant broken"
         )
-    return to_digits(tree.levels[-1][0], 2).digits
+    return to_digits(tree.levels[-1][0], 2)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -97,7 +98,7 @@ def test_structural_check_catches_a_wrong_filter_slice(monkeypatch, at):
 
 
 # (p, prefix digits, first n with that prefix and its slice v); every
-# prefix is shared by several n <= 40
+# prefix is shared by several n <= 40, and h_p_mod reads it as its int
 @pytest.mark.parametrize("p, digits, n, v", [
     (2, (1, 0, 1), 5, 1),
     (2, (1, 1, 0, 1), 13, 2),
@@ -106,16 +107,16 @@ def test_structural_check_catches_a_wrong_filter_slice(monkeypatch, at):
 def test_structural_check_catches_a_wrong_layer_sum(monkeypatch, p, digits, n, v):
     # h_p_mod is computed once per prefix; a wrong value at one prefix must
     # still fail at the first n that reads it
-    def patched(prefix, k, M):
-        real = h_p_mod(prefix, k, M)
-        return real + 1 if prefix.digits == digits else real
+    def patched(prefix, k, p, M):
+        real = h_p_mod(prefix, k, p, M)
+        return real + 1 if to_digits(prefix, p) == digits else real
 
     monkeypatch.setattr(checks, "h_p_mod", patched)
     report = check_structural_identities(
         **{**_SMALL_SUITE, "layer_n_max": 40}, layer_p_set=(p,), layer_k_set=(2,)
     )
     assert not report.passed
-    real = h_p_mod(to_digits(n, p).prefix(len(digits)), 2, 9)
+    real = h_p_mod(n // p ** (len(to_digits(n, p)) - len(digits)), 2, p, 9)
     assert report.witness == {
         "identity": "valuation-layer-sum", "n": n, "k": 2, "p": p, "v": v,
         "tuple_sum": real, "h_p": real + 1,
@@ -171,7 +172,7 @@ _INJECTED = {
                  _LEGENDRE, {"identity": "valuation-slice-filter", "n": 37, "v": 3, "p": 3}),
     "filter-5": ({"a_p_set_by_filter": _drop_one_member(a_p_set_by_filter, (130, 3, 5))}, {},
                  _LEGENDRE, {"identity": "valuation-slice-filter", "n": 130, "v": 3, "p": 5}),
-    "telescoping": ({"bp_count": lambda d: bp_count(d) + (d.p == 3 and d.digits == (2, 1))},
+    "telescoping": ({"bp_count": lambda n, p: bp_count(n, p) + ((p, to_digits(n, p)) == (3, (2, 1)))},
                     {}, _SLICES, {"identity": "block-telescoping", "k": 8, "p": 3}),
     # top-slice counts read a_p_set at n = 73, past this run's slice sweeps
     "top-slice": ({"a_p_set": _drop_one_member(a_p_set, (73, 1, 3))}, {"slice_n_max": 60},
@@ -180,7 +181,7 @@ _INJECTED = {
     "max-valuation": ({"_jp_layer_sums": _extra_top_valuation_at((20, 3, 3))}, {}, _TELESCOPING,
                       {"identity": "max-valuation", "n": 20, "k": 3, "p": 3, "observed": 13}),
     "layer-sum": (
-        {"h_p_mod": lambda d, k, M: h_p_mod(d, k, M) + (d.digits == (1, 1, 0, 1))},
+        {"h_p_mod": lambda n, k, p, M: h_p_mod(n, k, p, M) + (to_digits(n, p) == (1, 1, 0, 1))},
         {}, _TELESCOPING,
         {"identity": "valuation-layer-sum", "n": 13, "k": 2, "p": 2, "v": 2,
          "tuple_sum": 285, "h_p": 286}),
@@ -342,9 +343,8 @@ def test_layer_sums_against_naive_enumeration():
     p, k, M = 2, 2, 8
     mod = p ** M
     for n in (8, 11, 14):
-        d = to_digits(n, p)
         sc = structure_constants(k, p)
-        s = len(d) - 1
+        s = len(to_digits(n, p)) - 1
         buckets = {}
         for combo in combinations(range(1, n + 1), k):
             u = sum(vp_int(i, p) for i in combo)
@@ -353,7 +353,7 @@ def test_layer_sums_against_naive_enumeration():
         v_max = max(buckets)
         assert v_max == k * s - sc.U
         for v in range(s - sc.t):
-            assert buckets[v_max - v] == h_p_mod(d.prefix(sc.t + v + 2), k, M)
+            assert buckets[v_max - v] == h_p_mod(n // p ** (s - sc.t - v - 1), k, p, M)
 
 
 def test_lengyel_identity():
@@ -431,18 +431,19 @@ def test_ubound_exhaustive(p, k, x):
 
 
 def _ubound_report_by_digit_scan(p, k, x):
-    """check_ubound's report, each n read through its DigitString."""
+    """check_ubound's report, each n read through its digits."""
     sc = structure_constants(k, p)
     nodes = build_tree(p, k, max_depth=ilog(x, p) - sc.t + 1).node_values()
     vals = vp_H_sweep(x, k, p)
     exceptions, leaf_exits, full_chain, witness = [], 0, 0, None
     for n in range((k - 1) * p, x + 1):
         d = to_digits(n, p)
-        if not d.extends(sc.root_digits):
+        if d[:sc.t + 1] != sc.root_digits:
             continue
         s = len(d) - 1
         exit_at = next(
-            (r for r in range(sc.t + 1, s + 1) if d.prefix(r + 1).value not in nodes), None
+            (r for r in range(sc.t + 1, s + 1)
+             if functools.reduce(lambda a, b: a * p + b, d[:r + 1]) not in nodes), None
         )
         holds = checks._ubound_holds(n, k, p, vals[n])
         if exit_at is not None:

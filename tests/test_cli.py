@@ -152,7 +152,7 @@ def test_printed_digits_are_those_of_the_tree_ints(p, k, depth, engine):
     assert len(tree.levels) > 3 and tree.leaves
 
     def digits(n):
-        return list(to_digits(n, p).digits)
+        return list(to_digits(n, p))
 
     doc = cli.tree_document(tree)
     assert doc["levels"] == [[digits(n) for n in level] for level in tree.levels]

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicharm.core import (
-    DigitString,
     a_p_set,
     a_p_set_by_filter,
     bp_count,
@@ -25,6 +24,14 @@ from padicharm.core import (
 PRIMES = [2, 3, 5, 7, 59]
 
 
+def value_of(digits, p):
+    """The integer whose base-p digits, most significant first, are digits."""
+    n = 0
+    for d in digits:
+        n = n * p + d
+    return n
+
+
 @pytest.mark.parametrize(
     "n, p, digits",
     [
@@ -36,17 +43,16 @@ PRIMES = [2, 3, 5, 7, 59]
     ],
 )
 def test_digit_examples(n, p, digits):
-    d = to_digits(n, p)
-    assert d.digits == digits
-    assert d.value == n
+    assert to_digits(n, p) == digits
+    assert value_of(digits, p) == n
 
 
 @given(st.integers(min_value=1, max_value=10 ** 5), st.sampled_from(PRIMES))
 def test_roundtrip(n, p):
     d = to_digits(n, p)
-    assert d.digits[0] != 0
-    assert all(0 <= a < p for a in d.digits)
-    assert d.value == n
+    assert d[0] != 0
+    assert all(0 <= a < p for a in d)
+    assert value_of(d, p) == n
 
 
 def test_digit_rejections():
@@ -54,47 +60,12 @@ def test_digit_rejections():
         to_digits(0, 2)
     with pytest.raises(ValueError):
         to_digits(5, 4)
-    with pytest.raises(ValueError):
-        DigitString(3, (0, 1))
-    with pytest.raises(ValueError):
-        DigitString(3, (1, 3))
-    with pytest.raises(ValueError):
-        DigitString(3, ())
-    with pytest.raises(ValueError, match="prime"):
-        DigitString(4, (1, 2))
     with pytest.raises(ValueError, match="prime"):
         to_digits(9, 9)
-    d = to_digits(7, 3)
-    for bad in (-1, 3):
-        with pytest.raises(ValueError, match=r"\[0, 2\]"):
-            DigitString(3, d.digits + (bad,))
-
-
-@given(st.integers(min_value=1, max_value=10 ** 6), st.sampled_from(PRIMES), st.data())
-def test_derived_digit_strings_validate_once(n, p, data):
-    """to_digits checks p once; prefix and parent of a valid string check
-    nothing, and equal the validated constructor."""
-    import padicharm.core as core
-
-    calls = []
-    real = core.is_prime
-
-    def counting(q):
-        calls.append(q)
-        return real(q)
-
-    core.is_prime = counting
-    try:
-        d = to_digits(n, p)
-        assert calls == [p]
-        derived = [d.prefix(data.draw(st.integers(1, len(d))))]
-        if len(d) > 1:
-            derived.append(d.parent())
-        assert calls == [p]
-    finally:
-        core.is_prime = real
-    for e in derived:
-        assert e == DigitString(e.p, e.digits) and hash(e) == hash(DigitString(p, e.digits))
+    with pytest.raises(ValueError, match="prime"):
+        bp_count(7, 4)
+    with pytest.raises(ValueError, match="positive"):
+        bp_count(0, 3)
 
 
 def test_is_prime_small():
@@ -200,7 +171,7 @@ def test_digit_quantities_match_digit_string(n, p):
     # the reference
     d = to_digits(n, p)
     assert ilog(n, p) == len(d) - 1
-    assert vp_factorial(n, p) == (n - sum(d.digits)) // (p - 1)
+    assert vp_factorial(n, p) == (n - sum(d)) // (p - 1)
 
 
 @given(st.integers(min_value=-10 ** 6, max_value=0), st.sampled_from([4, 6, 9, 15, 1]))
@@ -217,11 +188,10 @@ def test_digit_quantities_reject_bad_input(bad_n, not_prime):
 
 
 def test_bp_block_examples():
-    d = DigitString(3, (1, 1))
-    assert bp_count(d) == 3 and [cp(i, 3) for i in range(1, bp_count(d) + 1)] == [1, 2, 4]
-    d = DigitString(2, (1,))
-    assert bp_count(d) == 1 and [cp(i, 2) for i in range(1, bp_count(d) + 1)] == [1]
-    assert bp_count(DigitString(3, (1, 2, 0))) == 10
+    # <1,1>_3 = 4, <1>_2 = 1, <1,2,0>_3 = 15
+    assert bp_count(4, 3) == 3 and [cp(i, 3) for i in range(1, bp_count(4, 3) + 1)] == [1, 2, 4]
+    assert bp_count(1, 2) == 1 and [cp(i, 2) for i in range(1, bp_count(1, 2) + 1)] == [1]
+    assert bp_count(15, 3) == 10
 
 
 @pytest.mark.parametrize(
@@ -290,7 +260,7 @@ def test_a_p_set_rejects_bad_v():
 def test_block_telescoping(p):
     for k in range(2, 201):
         sc = structure_constants(k, p)
-        total = sum(bp_count(sc.root_digits.prefix(v + 1)) for v in range(sc.t + 1))
+        total = sum(bp_count(value_of(sc.root_digits[:v + 1], p), p) for v in range(sc.t + 1))
         assert total == k - 1
 
 
@@ -298,7 +268,7 @@ def test_block_telescoping(p):
 def test_top_slice_count(p):
     for k in range(2, 101):
         sc = structure_constants(k, p)
-        for n in (sc.root_digits.value * p, sc.root_digits.value * p * p + 1):
+        for n in ((k - 1) * p, (k - 1) * p * p + 1):
             union = set()
             for v in range(sc.t + 1):
                 union.update(a_p_set(n, v, p))
@@ -310,7 +280,7 @@ def test_structure_constants_examples():
     assert (sc.t, sc.U, sc.W) == (0, 1, 0)
     sc = structure_constants(5, 3)
     assert (sc.t, sc.U, sc.W) == (1, 5, 3)
-    assert sc.root_digits.digits == (1, 1)
+    assert sc.root_digits == (1, 1) == to_digits(4, 3)
     with pytest.raises(ValueError):
         structure_constants(1, 3)
 
@@ -334,7 +304,7 @@ def test_v_p_max_brute(p, k):
     for extra in range(1, 3):
         s = sc.t + extra
         # largest n with the right digit prefix and s + 1 digits
-        n = (sc.root_digits.value + 1) * p ** extra - 1
+        n = k * p ** extra - 1
         if math.comb(n, k) <= 60_000:
             assert _brute_v_max(n, k, p) == k * s - sc.U
 
@@ -353,7 +323,7 @@ def test_pi_p_mod_is_unit_inverse(p, k):
     sc = structure_constants(k, p)
     prod = 1
     for v in range(sc.t + 1):
-        for i in range(1, bp_count(sc.root_digits.prefix(v + 1)) + 1):
+        for i in range(1, bp_count(value_of(sc.root_digits[:v + 1], p), p) + 1):
             prod = prod * cp(i, p) % mod
     assert prod * pi_p_mod(k, p, M) % mod == 1
     assert pi_p_mod(k, p, M) % p != 0

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padicharm.core import (
-    DigitString,
     EngineDisagreement,
     PrecisionError,
     _harmonic_residues,
@@ -50,32 +49,45 @@ def frac_mod(q: Fraction, p: int, M: int) -> int:
 
 # --- reference oracles, exact Fractions all the way -----------------------
 
-def block(d):
-    """Members cp(1), ..., cp(bp_count(d)) of the coprime block of d."""
-    return [cp(i, d.p) for i in range(1, bp_count(d) + 1)]
+def value_of(digits, p):
+    """The integer whose base-p digits, most significant first, are digits."""
+    n = 0
+    for d in digits:
+        n = n * p + d
+    return n
+
+
+def digit_prefixes(n, p):
+    """The digit prefixes of n, shortest first, each read off its digits."""
+    d = to_digits(n, p)
+    return [value_of(d[:w + 1], p) for w in range(len(d))]
+
+
+def block(n, p):
+    """Members cp(1), ..., cp(bp_count(n, p)) of the coprime block of n."""
+    return [cp(i, p) for i in range(1, bp_count(n, p) + 1)]
 
 
 def ref_pi(k, p):
-    sc = structure_constants(k, p)
     prod = Fraction(1)
-    for v in range(sc.t + 1):
-        for j in block(sc.root_digits.prefix(v + 1)):
+    for head in digit_prefixes(k - 1, p):
+        for j in block(head, p):
             prod /= j
     return prod
 
 
-def ref_items(prefix, k):
-    sc = structure_constants(k, prefix.p)
-    v = len(prefix) - sc.t - 1
+def ref_items(n, k, p):
+    sc = structure_constants(k, p)
+    heads = digit_prefixes(n, p)
     items = []
-    for w in range(sc.t + v + 1):
-        for j in block(prefix.prefix(w + 1)):
+    for w, head in enumerate(heads):
+        for j in block(head, p):
             items.append((w, j))
-    return items, sc.U + v
+    return items, sc.U + len(heads) - sc.t - 1
 
 
-def ref_h_prime(prefix, k):
-    items, budget = ref_items(prefix, k)
+def ref_h_prime(n, k, p):
+    items, budget = ref_items(n, k, p)
     total = Fraction(0)
     for combo in combinations(items, k):
         if sum(w for w, _ in combo) == budget:
@@ -83,16 +95,16 @@ def ref_h_prime(prefix, k):
     return total
 
 
-def h_prime_streamed(prefix, k, M):
-    """h' mod p^M by an item-by-item DP; cost is linear in value(prefix)."""
-    sc = structure_constants(k, prefix.p)
-    p = prefix.p
-    budget = sc.U + len(prefix) - sc.t - 1
+def h_prime_streamed(n, k, p, M):
+    """h' mod p^M by an item-by-item DP; cost is linear in n."""
+    sc = structure_constants(k, p)
+    heads = digit_prefixes(n, p)
+    budget = sc.U + len(heads) - sc.t - 1
     mod = p ** M
     dp = [[0] * (budget + 1) for _ in range(k + 1)]
     dp[0][0] = 1
-    for w in range(len(prefix)):
-        for j in block(prefix.prefix(w + 1)):
+    for w, head in enumerate(heads):
+        for j in block(head, p):
             inv = pow(j, -1, mod)
             for c in range(k - 1, -1, -1):
                 row = dp[c]
@@ -102,18 +114,15 @@ def h_prime_streamed(prefix, k, M):
     return dp[k][budget]
 
 
-def ref_h_p(prefix, k):
-    total = sum((Fraction(1, j) for j in block(prefix)), Fraction(0))
-    return ref_h_prime(prefix.parent(), k) + ref_pi(k, prefix.p) * total
+def ref_h_p(n, k, p):
+    total = sum((Fraction(1, j) for j in block(n, p)), Fraction(0))
+    return ref_h_prime(digit_prefixes(n, p)[-2], k, p) + ref_pi(k, p) * total
 
 
-def ref_sigma(prefix, k):
-    sc = structure_constants(k, prefix.p)
-    u = len(prefix) - sc.t - 2
-    return sum(
-        (ref_h_p(prefix.prefix(sc.t + v + 2), k) * prefix.p ** v for v in range(u + 1)),
-        Fraction(0),
-    )
+def ref_sigma(n, k, p):
+    sc = structure_constants(k, p)
+    heads = digit_prefixes(n, p)[sc.t + 1:]
+    return sum((ref_h_p(head, k, p) * p ** v for v, head in enumerate(heads)), Fraction(0))
 
 
 # --- reciprocal power sums and symmetric sums ------------------------------
@@ -407,38 +416,38 @@ def per_child_sigma(node, sigma, b):
     return (sigma + h_p * p ** node.depth) % p ** node.top
 
 
-def oracle_sigmas(prefix, k, M):
-    """per_child_sigma of each prefix of prefix past the root, in turn, on
-    a walk at precision M through any digits, members or not."""
-    node, sigma, out = _WalkNode.root(k, prefix.p, M), 0, []
-    for b in prefix.digits[node.sc.t + 1:]:
+def oracle_sigmas(n, k, p, M):
+    """per_child_sigma of each prefix of n past the root, in turn, on a
+    walk at precision M through any digits, members or not."""
+    node, sigma, out = _WalkNode.root(k, p, M), 0, []
+    for b in to_digits(n, p)[node.sc.t + 1:]:
         sigma = per_child_sigma(node, sigma, b)
         out.append(sigma)
         node = node.child(b)
     return out
 
 
-def walk_sigma(prefix, k, M):
-    return oracle_sigmas(prefix, k, M)[-1]
+def walk_sigma(n, k, p, M):
+    return oracle_sigmas(n, k, p, M)[-1]
 
 
 def test_h_prime_examples():
-    assert h_prime_mod(DigitString(2, (1,)), 2, 3) == 0
-    assert h_prime_mod(DigitString(2, (1, 1)), 2, 3) == 3
-    brute = ref_h_prime(DigitString(3, (1, 1)), 5)
-    assert h_prime_mod(DigitString(3, (1, 1)), 5, 1) == frac_mod(brute, 3, 1)
+    # <1>_2 = 1, <1,1>_2 = 3, <1,1>_3 = 4
+    assert h_prime_mod(1, 2, 2, 3) == 0
+    assert h_prime_mod(3, 2, 2, 3) == 3
+    brute = ref_h_prime(4, 5, 3)
+    assert h_prime_mod(4, 5, 3, 1) == frac_mod(brute, 3, 1)
 
 
 def _random_prefix(rng, p, k, max_extra):
-    sc = structure_constants(k, p)
-    digits = sc.root_digits.digits
+    n = k - 1
     for _ in range(rng.randint(0, max_extra)):
-        digits = digits + (rng.randrange(p),)
-    return DigitString(p, digits)
+        n = n * p + rng.randrange(p)
+    return n
 
 
-def _random_child(rng, prefix):
-    return DigitString(prefix.p, prefix.digits + (rng.randrange(prefix.p),))
+def _random_child(rng, n, p):
+    return n * p + rng.randrange(p)
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 5), (5, 2)])
@@ -448,12 +457,12 @@ def test_h_prime_three_routes_agree(p, k):
     for _ in range(12):
         prefix = _random_prefix(rng, p, k, 3)
         # the enumeration oracle walks C(value, k) subsets; keep that sane
-        if prefix.value > 260 or math.comb(prefix.value, k) > 300_000:
+        if prefix > 260 or math.comb(prefix, k) > 300_000:
             continue
         M = rng.randint(1, 6)
-        grouped = h_prime_mod(prefix, k, M)
-        streamed = h_prime_streamed(prefix, k, M)
-        brute = frac_mod(ref_h_prime(prefix, k), p, M)
+        grouped = h_prime_mod(prefix, k, p, M)
+        streamed = h_prime_streamed(prefix, k, p, M)
+        brute = frac_mod(ref_h_prime(prefix, k, p), p, M)
         assert grouped == streamed == brute, (prefix, k, M)
         checked += 1
     assert checked >= 3
@@ -466,18 +475,19 @@ def test_h_prime_streamed_agrees_on_larger_prefixes():
         for _ in range(4):
             prefix = _random_prefix(rng, p, k, 7)
             M = 6
-            assert h_prime_mod(prefix, k, M) == h_prime_streamed(prefix, k, M)
+            assert h_prime_mod(prefix, k, p, M) == h_prime_streamed(prefix, k, p, M)
 
 
 def test_h_prime_rejects_wrong_root():
     with pytest.raises(ValueError):
-        h_prime_mod(DigitString(3, (2, 0)), 2, 3)  # root of k-1=1 is <1>
+        h_prime_mod(6, 2, 3, 3)  # 6 = <2,0>_3; the root of k-1=1 is <1>
 
 
 def test_h_p_examples():
-    assert h_p_mod(DigitString(2, (1, 1)), 2, 3) == frac_mod(Fraction(4, 3), 2, 3)
-    assert h_p_mod(DigitString(2, (1, 0)), 2, 3) == 1
-    assert h_p_mod(DigitString(2, (1, 1, 0)), 2, 3) == frac_mod(
+    # <1,1>_2 = 3, <1,0>_2 = 2, <1,1,0>_2 = 6
+    assert h_p_mod(3, 2, 2, 3) == frac_mod(Fraction(4, 3), 2, 3)
+    assert h_p_mod(2, 2, 2, 3) == 1
+    assert h_p_mod(6, 2, 2, 3) == frac_mod(
         Fraction(1, 3) + Fraction(23, 15), 2, 3
     )
 
@@ -486,27 +496,27 @@ def test_h_p_examples():
 def test_h_p_matches_fraction_oracle_and_is_integral(p, k):
     rng = random.Random(31 * p + k)
     for _ in range(5):
-        prefix = _random_child(rng, _random_prefix(rng, p, k, 2))
-        if prefix.value > 260:
+        prefix = _random_child(rng, _random_prefix(rng, p, k, 2), p)
+        if prefix > 260:
             continue
-        value = ref_h_p(prefix, k)
+        value = ref_h_p(prefix, k, p)
         assert value == 0 or vp(value, p) >= 0
         for M in (1, 3, 5):
-            assert h_p_mod(prefix, k, M) == frac_mod(value, p, M)
+            assert h_p_mod(prefix, k, p, M) == frac_mod(value, p, M)
 
 
 def test_sigma_examples():
-    # frozen from the Fraction oracle: sigma(<1,1>_2) = 4/3, ord 2
-    assert ref_sigma(DigitString(2, (1, 1)), 2) == Fraction(4, 3)
-    s = walk_sigma(DigitString(2, (1, 1)), 2, 5)
+    # frozen from the Fraction oracle: sigma(<1,1>_2 = 3) = 4/3, ord 2
+    assert ref_sigma(3, 2, 2) == Fraction(4, 3)
+    s = walk_sigma(3, 2, 2, 5)
     assert s == 12 and vp_int(s, 2) == 2
-    # sigma(<1,1,0>_2) = 76/15, ord 2
-    assert ref_sigma(DigitString(2, (1, 1, 0)), 2) == Fraction(76, 15)
-    s = walk_sigma(DigitString(2, (1, 1, 0)), 2, 5)
+    # sigma(<1,1,0>_2 = 6) = 76/15, ord 2
+    assert ref_sigma(6, 2, 2) == Fraction(76, 15)
+    s = walk_sigma(6, 2, 2, 5)
     assert s == 20 and vp_int(s, 2) == 2
-    # sigma(<1,1,1>_2) = 562/105 carries only one factor of 2
-    assert ref_sigma(DigitString(2, (1, 1, 1)), 2) == Fraction(562, 105)
-    s = walk_sigma(DigitString(2, (1, 1, 1)), 2, 5)
+    # sigma(<1,1,1>_2 = 7) = 562/105 carries only one factor of 2
+    assert ref_sigma(7, 2, 2) == Fraction(562, 105)
+    s = walk_sigma(7, 2, 2, 5)
     assert vp_int(s, 2) == 1
     # the walk gives the members <1,1> and <1,1,0> those sigmas, and makes
     # <1,1,1> a leaf (None) under a node of depth u = 1, that valuation
@@ -519,10 +529,10 @@ def test_sigma_examples():
 def test_sigma_matches_fraction_oracle(p, k):
     rng = random.Random(17 * p + k)
     for _ in range(4):
-        prefix = _random_child(rng, _random_prefix(rng, p, k, 2))
-        if prefix.value > 230:
+        prefix = _random_child(rng, _random_prefix(rng, p, k, 2), p)
+        if prefix > 230:
             continue
-        assert walk_sigma(prefix, k, 6) == frac_mod(ref_sigma(prefix, k), p, 6)
+        assert walk_sigma(prefix, k, p, 6) == frac_mod(ref_sigma(prefix, k, p), p, 6)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(min_value=2, max_value=5), st.data())
@@ -542,17 +552,16 @@ def test_walk_matches_from_scratch_dp(p, k, data):
     sigma = 0
     for b in path:
         node_mod = p ** node.M
-        digits = to_digits(node.value, p)
         assert node.M == max(M - node.depth, 1)
-        assert node.h_prime % node_mod == h_prime_mod(digits, k, node.M), digits
+        assert node.h_prime % node_mod == h_prime_mod(node.value, k, p, node.M), node.value
         if node.value <= 2000:  # the streamed oracle is linear in the value
-            assert node.h_prime % node_mod == h_prime_streamed(digits, k, node.M)
+            assert node.h_prime % node_mod == h_prime_streamed(node.value, k, p, node.M)
         child = node.child(b)
         oracle = per_child_sigma(node, sigma, b)
-        sigma = (sigma + h_p_mod(to_digits(child.value, p), k, M) * p ** node.depth) % mod
+        sigma = (sigma + h_p_mod(child.value, k, p, M) * p ** node.depth) % mod
         assert oracle == sigma, child.value
         node = child
-    assert node.h_prime % p ** node.M == h_prime_mod(to_digits(node.value, p), k, node.M)
+    assert node.h_prime % p ** node.M == h_prime_mod(node.value, k, p, node.M)
 
 
 def test_walk_folds_each_node_once(monkeypatch):
@@ -564,9 +573,9 @@ def test_walk_folds_each_node_once(monkeypatch):
     events = []
     real_fold, real_add_group = expansion._fold, expansion._add_group
 
-    def fold(prefix, k, limit, M):
-        events.append((prefix, limit))
-        return real_fold(prefix, k, limit, M)
+    def fold(n, s, k, p, limit, M):
+        events.append(("fold", n, s, limit))
+        return real_fold(n, s, k, p, limit, M)
 
     def add_group(dp, B, w, *args):
         events.append((w, B))
@@ -583,10 +592,7 @@ def test_walk_folds_each_node_once(monkeypatch):
         events.clear()
         tree = build_tree(p, k, depth, engine="expansion")
         sc = tree.constants
-        root_groups, value = [], 0
-        for w, digit in enumerate(sc.root_digits.digits):
-            root_groups.append((w, value * (p - 1) + digit))
-            value = value * p + digit
+        root_groups = [group(head) for head in digit_prefixes(k - 1, p)]
         # a level below the walk's reach means it went past that reach and lifted
         reaches = [expansion._next_reach(0, depth, p)]
         while reaches[-1] < len(tree.levels) - 1:
@@ -604,8 +610,8 @@ def test_walk_folds_each_node_once(monkeypatch):
             expected.append(root_groups + [group(node) for node in prefixes]
                             + [group(node) for level in tree.levels[max(start, 1):reach]
                                for node in level])
-        starts = [i for i, event in enumerate(events) if isinstance(event[0], DigitString)]
-        assert [events[i] for i in starts] == [(sc.root_digits, sc.U + r) for r in reaches]
+        starts = [i for i, event in enumerate(events) if event[0] == "fold"]
+        assert [events[i] for i in starts] == [("fold", k - 1, sc.t, sc.U + r) for r in reaches]
         for i, j, want in zip(starts, starts[1:] + [len(events)], expected):
             assert len(set(events[i + 1:j])) == j - i - 1
             assert sorted(events[i + 1:j]) == sorted(want)
@@ -681,7 +687,7 @@ def test_walk_refuses_to_read_past_its_reach():
         node = _WalkNode.root(k, p, M)
         for _ in range(M):
             node = node.child(p - 1)
-        assert node.h_prime % p ** node.M == h_prime_mod(to_digits(node.value, p), k, node.M)
+        assert node.h_prime % p ** node.M == h_prime_mod(node.value, k, p, node.M)
         with pytest.raises(PrecisionError):
             node.child(p - 1).h_prime
         with pytest.raises(PrecisionError):
@@ -761,7 +767,7 @@ def test_derived_walk_precision_needs_no_extra_digits(monkeypatch):
     while len(inputs) < 200:
         p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 8)
         n = k - 1
-        for _ in range(len(to_digits(k - 1, p).digits) + rng.randint(1, 30)):
+        for _ in range(len(to_digits(k - 1, p)) + rng.randint(1, 30)):
             n = n * p + rng.randrange(p)
         inputs.append((n, k, p))
 
@@ -798,10 +804,9 @@ def test_vp_H_expansion_examples():
 def top_down_verdict(n, k, p):
     """vp_H_expansion as one walk at the full p^(s - t): the reference for
     its passes."""
-    d = to_digits(n, p)
     sc = structure_constants(k, p)
-    s = len(d) - 1
-    for v, acc in enumerate(oracle_sigmas(d, k, s - sc.t)):
+    s = len(to_digits(n, p)) - 1
+    for v, acc in enumerate(oracle_sigmas(n, k, p, s - sc.t)):
         if acc and vp_int(acc, p) <= v:
             return ExpansionVerdict(exact_valuation=sc.U + vp_int(acc, p) - k * s)
     return ExpansionVerdict(lower_bound=(s - sc.t) - k * s + sc.U)
@@ -826,9 +831,9 @@ def test_vp_H_expansion_passes_equal_the_top_down_walk(monkeypatch, first_pass):
     inputs = []
     while len(inputs) < 300:
         p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 8)
-        digits = to_digits(k - 1, p).digits
+        digits = to_digits(k - 1, p)
         digits += tuple(rng.randrange(p) for _ in range(rng.randint(1, 60)))
-        inputs.append((DigitString(p, digits).value, k, p))
+        inputs.append((value_of(digits, p), k, p))
     # these start at the deepest level of their tree, so they decide deep
     inputs += deep_expansion_inputs(range(1, 6))
     for n, k, p in inputs:
@@ -858,27 +863,45 @@ def test_vp_H_expansion_pass_schedule(monkeypatch):
 
     monkeypatch.setattr(_WalkNode, "root", classmethod(recording_root))
 
-    def passes(bits):
+    def walk(n, k, p):
         tops.clear()
-        vp_H_expansion(int(bits, 2), 2, 2)
+        vp_H_expansion(n, k, p)
         return tops[:]
+
+    def passes(bits):
+        return walk(int(bits, 2), 2, 2)
+
+    def schedule(u, span, p):
+        """The reaches, by _next_reach from the first pass, of a path of
+        span indices that decides at index u (u = span - 1 for a member)."""
+        reaches = [expansion._next_reach(0, span)]
+        while reaches[-1] <= u:
+            reaches.append(expansion._next_reach(reaches[-1], span, p))
+        return reaches
 
     chain = "".join(map(str, f_sequence(199)))  # 200 digits, s - t = 199
     flip = {"0": "1", "1": "0"}
     # the build recorded the chain's leaf at depth 20, which answers with no pass
     assert passes(chain[:20] + flip[chain[20]] + chain[21:]) == []
+    # a depth-60 node of T_3(14), 63 digits, outlives the first pass
+    node = build_tree(3, 14, 60, engine="expansion").levels[60][0]
     vp_H_expansion.cache_clear()  # the schedule below is that of walks
     assert expansion._FIRST_PASS == 16
-    # no index decides: the reach doubles from 16 up to 199
-    assert passes(chain) == [16, 32, 64, 128, 199]
-    assert passes(chain[:100]) == [16, 32, 64, 99]
-    assert passes(chain[:12]) == [11]
+    # at odd p no index of a member decides: the reach doubles from 16 up
+    # to s - t = 60
+    assert walk(node, 14, 3) == schedule(59, 60, 3) == [16, 32, 60]
+    # at p = 2 a path that outlives the first pass has followed the chain,
+    # and it lifts straight to s - t = 199
+    assert passes(chain) == schedule(198, 199, 2) == [16, 199]
+    assert passes(chain[:100]) == schedule(98, 99, 2) == [16, 99]
+    assert passes(chain[:12]) == schedule(10, 11, 2) == [11]
     # leaving the chain at depth 20 decides v = 19, past the first pass
-    assert passes(chain[:20] + flip[chain[20]] + chain[21:]) == [16, 32]
-    assert passes(chain[:5] + flip[chain[5]] + chain[6:]) == [16]
+    assert passes(chain[:20] + flip[chain[20]] + chain[21:]) == schedule(19, 199, 2) == [16, 199]
+    assert passes(chain[:5] + flip[chain[5]] + chain[6:]) == schedule(4, 199, 2) == [16]
     monkeypatch.setattr(expansion, "_FIRST_PASS", 1)
-    assert passes(chain) == [1, 2, 4, 8, 16, 32, 64, 128, 199]
-    assert passes(chain[:5] + flip[chain[5]] + chain[6:]) == [1, 2, 4, 8]
+    assert walk(node, 14, 3) == schedule(59, 60, 3) == [1, 2, 4, 8, 16, 32, 60]
+    assert passes(chain) == schedule(198, 199, 2) == [1, 199]
+    assert passes(chain[:5] + flip[chain[5]] + chain[6:]) == schedule(4, 199, 2) == [1, 199]
 
 
 def test_vp_H_expansion_rejects_bad_input():
@@ -896,10 +919,10 @@ def test_vp_H_expansion_agrees_with_stirling_route(p, k):
     sc = structure_constants(k, p)
     exact_count = 0
     for _ in range(30):
-        digits = sc.root_digits.digits
+        digits = sc.root_digits
         for _ in range(rng.randint(1, 5)):
             digits = digits + (rng.randrange(p),)
-        n = DigitString(p, digits).value
+        n = value_of(digits, p)
         verdict = vp_H_expansion(n, k, p)
         reference = vp_H(n, k, p)
         if verdict.is_exact:
@@ -917,7 +940,7 @@ def test_vp_H_expansion_exhaustive_small(p, k):
     root = sc.root_digits
     for n in range(2, 257):
         d = to_digits(n, p)
-        if not (d.extends(root) and len(d) >= len(root) + 1):
+        if not (d[:len(root)] == root and len(d) >= len(root) + 1):
             continue
         verdict = vp_H_expansion(n, k, p)
         reference = vp_H(n, k, p)
@@ -985,8 +1008,7 @@ def test_decided_prefix_records_are_first_decisions():
     rng = random.Random(7)
     for _ in range(300):
         p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 6)
-        vp_H_expansion(extend(rng, structure_constants(k, p).root_digits.value, p,
-                              rng.randint(1, 40)), k, p)
+        vp_H_expansion(extend(rng, k - 1, p, rng.randint(1, 40)), k, p)
     assert entries == recorded  # calls read records and write none
     for (k, p, value), u in entries.items():
         root_len = structure_constants(k, p).t + 1

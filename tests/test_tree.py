@@ -4,7 +4,7 @@ import random
 import pytest
 
 from padicharm import tree as tree_module
-from padicharm.core import EngineDisagreement, ilog, to_digits
+from padicharm.core import EngineDisagreement, _spell, ilog, to_digits
 from padicharm.report import CheckReport
 from padicharm.tree import (
     PTree,
@@ -22,14 +22,14 @@ def validate_ptree(tree: PTree) -> CheckReport:
     p^u, spell the root, and whose parent is n // p."""
     sc = tree.constants
     p = tree.p
-    root = sc.root_digits.value
+    root = tree.k - 1
     width = len(sc.root_digits)
     params = {"p": p, "k": tree.k, "levels": len(tree.levels)}
 
     def fail(axiom: str, detail: str, item=None) -> CheckReport:
         witness = {"axiom": axiom, "detail": detail}
         if item is not None:
-            witness["item"] = str(to_digits(item, p))
+            witness["item"] = _spell(item, p)
         return CheckReport(
             claim_id="ptree-axioms",
             parameters=params,
@@ -218,7 +218,7 @@ def test_dual_pass_names_the_first_disagreeing_child(monkeypatch):
     with pytest.raises(EngineDisagreement) as exc:
         build_tree(3, 3)
     assert str(exc.value) == (
-        f"engines disagree on {to_digits(leaf, 3)}: expansion=False, stirling=True")
+        "engines disagree on <2,2,2,0,2,1>_3: expansion=False, stirling=True")
 
 
 def test_dual_pass_builds_no_row_when_no_child_is_under_the_cap(monkeypatch):
@@ -289,7 +289,7 @@ def test_validate_rejects_an_out_of_order_leaf():
     assert not report.passed
     # the deepest leaf now comes first, so its successor is the first misplaced
     assert report.witness["axiom"] == "order"
-    assert report.witness["item"] == str(to_digits(broken.leaves[1], 3))
+    assert report.witness["item"] == _spell(broken.leaves[1], 3)
 
 
 def test_f_sequence_examples():
@@ -303,7 +303,7 @@ def test_f_sequence_matches_tree_levels():
     tree = build_tree(2, 2, 10)
     assert [len(level) for level in tree.levels] == [1] * 11
     for u, level in enumerate(tree.levels):
-        assert to_digits(level[0], 2).digits == f[: u + 1]
+        assert to_digits(level[0], 2) == f[: u + 1]
 
 
 def test_f_sequence_deep_bits_are_pinned():
