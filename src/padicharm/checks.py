@@ -18,7 +18,6 @@ flags and dispatch from that table alone.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -291,20 +290,23 @@ def _reap(pid: int, kill: bool) -> None:
     os.waitpid(pid, 0)
 
 
-def check_structural_identities(
-    p_set: tuple[int, ...] = (2, 3, 5, 7),
-    k_max: int = 200,
-    *,
-    ratio_n_max: int = 12,
-    legendre_n_max: int = 10_000,
-    slice_n_max: int = 2000,
-    slice_p_set: tuple[int, ...] = (2, 3, 5),
-    layer_n_max: int = 200,
-    layer_p_set: tuple[int, ...] = (2, 3),
-    layer_k_set: tuple[int, ...] = (2, 3),
-    layer_prec: int = 9,
-) -> CheckReport:
-    """Brute-force versus formula for the digit-level identities.
+# The suite's sizes.  check_structural_identities reads them when it is
+# called, and its report lists them as its parameters.
+_P_SET = (2, 3, 5, 7)
+_K_MAX = 200
+_RATIO_N_MAX = 12
+_LEGENDRE_N_MAX = 10_000
+_SLICE_N_MAX = 2000
+_SLICE_P_SET = (2, 3, 5)
+_LAYER_N_MAX = 200
+_LAYER_P_SET = (2, 3)
+_LAYER_K_SET = (2, 3)
+_LAYER_PREC = 9
+
+
+def check_structural_identities() -> CheckReport:
+    """Brute-force versus formula for the digit-level identities, at the
+    fixed sizes above.
 
     Covers: H(n,k)*n! = s(n+1,k+1); Legendre's formula against the
     floor-sum; the coprime-block form of the fixed-valuation slices; block
@@ -314,25 +316,19 @@ def check_structural_identities(
     The report is a serial run's: the first failure in report order gives
     the witness, observed holds the sections before it, and an exception
     raised before any failure propagates.  To speed up a passing run, the
-    valuation-slice sweeps of every prime in slice_p_set but the last run
+    valuation-slice sweeps of every prime in _SLICE_P_SET but the last run
     in a forked child while this process runs the other sections; when
     both halves pass, the child's checked counts are added to these.  Any
     other outcome, or an os.fork that raises OSError, runs the whole check
-    again serially, and that run gives the report or raises.  A non-prime
-    p or a layer k below 2 is refused here, before anything forks.
+    again serially, and that run gives the report or raises.
     """
-    # a section would meet bad input only after the fork
-    for p in (*p_set, *slice_p_set):
-        _require_prime(p)
-    for p, k in itertools.product(layer_p_set, layer_k_set):
-        structure_constants(k, p)  # refuses a non-prime p and k < 2
     params = {
-        "p_set": list(p_set),
-        "ratio_n_max": ratio_n_max,
-        "legendre_n_max": legendre_n_max,
-        "slice_n_max": slice_n_max,
-        "k_max": k_max,
-        "layer_n_max": layer_n_max,
+        "p_set": list(_P_SET),
+        "ratio_n_max": _RATIO_N_MAX,
+        "legendre_n_max": _LEGENDRE_N_MAX,
+        "slice_n_max": _SLICE_N_MAX,
+        "k_max": _K_MAX,
+        "layer_n_max": _LAYER_N_MAX,
     }
 
     def report(observed: dict[str, int], witness: dict | None) -> CheckReport:
@@ -347,17 +343,17 @@ def check_structural_identities(
 
     # observed key -> its sections, in report order
     groups = {
-        "harmonic-stirling-ratio": [functools.partial(_ratio_section, ratio_n_max)],
-        "legendre-factorial": [functools.partial(_legendre_section, p_set, legendre_n_max)],
-        "valuation-slice": [functools.partial(_slice_section, p, slice_n_max) for p in slice_p_set],
-        "block-telescoping": [functools.partial(_telescoping_section, p_set, k_max)],
-        "valuation-layer-sum": [
-            functools.partial(_layer_section, layer_p_set, layer_k_set, layer_n_max, layer_prec)
-        ],
+        "harmonic-stirling-ratio": [functools.partial(_ratio_section, _RATIO_N_MAX)],
+        "legendre-factorial": [functools.partial(_legendre_section, _P_SET, _LEGENDRE_N_MAX)],
+        "valuation-slice": [functools.partial(_slice_section, p, _SLICE_N_MAX)
+                            for p in _SLICE_P_SET],
+        "block-telescoping": [functools.partial(_telescoping_section, _P_SET, _K_MAX)],
+        "valuation-layer-sum": [functools.partial(
+            _layer_section, _LAYER_P_SET, _LAYER_K_SET, _LAYER_N_MAX, _LAYER_PREC)],
     }
     every = [s for sections in groups.values() for s in sections]
     in_child = groups["valuation-slice"][:-1]
-    child = _fork_counts(groups, in_child) if in_child else None
+    child = _fork_counts(groups, in_child)
     if child is not None:
         pid, pipe = child
         counts = None

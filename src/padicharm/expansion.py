@@ -107,13 +107,15 @@ digits run through it, since each later term carries p^depth.  Under the
 harmonic rule a child of a depth-u node is a leaf exactly when its
 residue c_V + pi*H_b mod p is nonzero, and then vp(sigma) = u: the
 residue carries nothing more, so the walk returns None for a leaf and
-never computes its sigma.  The decided-prefix store maps (k, p, leaf
-value) to that u, a small int.  build_tree records its leaves there, and
-vp_H_expansion looks up every prefix of n before it walks and answers a
-hit with U + u - k*s and no walk, the valuation the walk through that
-leaf would find.  It is exact at any precision: sigma at depth d reads
-only the first t + 1 + d digits of n, and at most one prefix of n can be
-a leaf.  So verify corollary-2adic, whose samples run through the leaves
+never computes its sigma.  The decided-prefix store holds the (k, p,
+leaf value) keys alone: a leaf of t + 2 + u digits lies under a depth-u
+node, so its u is read off its length.  build_tree records its leaves
+there, and vp_H_expansion looks up every prefix of n before it walks and
+answers a hit with U + u - k*s and no walk, u read off the length of the
+prefix that matches, the valuation the walk through that leaf would
+find.  It is exact at any precision: sigma at depth d reads only the
+first t + 1 + d digits of n, and at most one prefix of n can be a
+leaf.  So verify corollary-2adic, whose samples run through the leaves
 that f_sequence records, still tests the harmonic rule's leaf decisions
 against the paper's branch-bit corollary, and its exact cross against
 Stirling numbers up to DEFAULT_EXACT_CAP is unchanged.  The store is an
@@ -168,8 +170,7 @@ class _Store:
     """A bounded LRU map from a block key to the block's value at the
     largest grades asked for so far: the precision M and, for symmetric
     sums, the degree m.  The decided-prefix store is a plain bounded LRU
-    map from a leaf to its parent's depth, written by record and read by
-    _leaf_depth.
+    set of leaves, written by record and read by _leaf_depth.
 
     A request whose grades the entry covers is served from it; the caller
     reduces the value mod p^M and cuts it to the terms it asked for.  A
@@ -207,14 +208,14 @@ class _Store:
         fn.cache_clear = self.clear
         return fn
 
-    def record(self, items) -> None:
-        """Store each (key, value) of items as the most recently used
-        entry, then drop the least recently used entries past maxsize.
-        For a store read through first rather than fetch."""
+    def record(self, keys) -> None:
+        """Store each of keys as the most recently used entry, then drop the
+        least recently used entries past maxsize.  For a store of keys
+        alone, read through _leaf_depth rather than fetch."""
         entries = self.entries
-        for key, value in items:
+        for key in keys:
             entries.pop(key, None)
-            entries[key] = value
+            entries[key] = True
         for key in list(itertools.islice(entries, max(len(entries) - self.maxsize, 0))):
             del entries[key]
 
@@ -227,21 +228,20 @@ _WEIGHTS = _Store(256)
 _INDEX_SUMS = _Store(512)
 _POWER_SUMS = _Store(65536)
 _ESYMS = _Store(4096)
-# the depth u of each tree leaf's parent, vp of the leaf's sigma, keyed (k, p, leaf value)
+# tree leaves, keyed (k, p, leaf value)
 _DECIDED = _Store(65536)
 
 
 def _leaf_depth(k: int, p: int, value: int, digits) -> int | None:
-    """The stored u of the first recorded leaf among the prefixes that
-    value, a node of T_p(k), gains digit by digit, which becomes the most
-    recently used record; None if none is recorded.  One hit or one miss
-    either way."""
+    """The parent depth u of the first recorded leaf among the prefixes
+    that value, a node of T_p(k), gains digit by digit: the index in digits
+    of the digit that reaches it.  That record becomes the most recently
+    used; None if none is recorded.  One hit or one miss either way."""
     entries = _DECIDED.entries
-    for b in digits:
+    for u, b in enumerate(digits):
         value = value * p + b
-        u = entries.pop((k, p, value), None)
-        if u is not None:
-            entries[k, p, value] = u
+        if entries.pop((k, p, value), False):
+            entries[k, p, value] = True
             _DECIDED.hits += 1
             return u
     _DECIDED.misses += 1
@@ -752,9 +752,10 @@ def vp_H_expansion(n: int, k: int, p: int) -> ExpansionVerdict:
 
     First it looks up the prefixes of n, depth 1 to s - t, in the
     decided-prefix store (module docstring): a leaf that a tree build
-    recorded answers U + u - k*s from its stored u with no walk.  A call
-    records nothing.  cache_info() counts the calls a record answered as
-    hits and those that walked as misses.
+    recorded answers U + u - k*s with no walk, u its parent's depth, read
+    off the length of the prefix that matches.  A call records nothing.
+    cache_info() counts the calls a record answered as hits and those
+    that walked as misses.
 
     The walk escalates precision from the bottom.  It carries sigma mod
     p^top, top its reach: a nonzero residue below p^top has sigma's true

@@ -34,8 +34,9 @@ Rejected children whose parent is a node are kept as leaves: they pin
 exact valuations for every integer whose digits run through them, and
 every build that walks records them in vp_H_expansion's decided-prefix
 store, which later calls through them read instead of walking.  The
-store holds u for a leaf under a depth-u node, which is the valuation
-of the leaf's sigma by the harmonic rule; no leaf computes its sigma.
+store holds the leaves alone: a leaf under a depth-u node has t + 2 + u
+digits, and u is the valuation of its sigma by the harmonic rule, so the
+store reads u off the length; no leaf computes its sigma.
 verify corollary-2adic reads its samples through the leaves f_sequence
 records, so it still tests the harmonic rule's leaf decisions against
 the paper's corollary, and its exact cross up to DEFAULT_EXACT_CAP is
@@ -141,9 +142,9 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
 
     The tree keeps each node and leaf as its int value, never its digits.
     Once the walk (and, in dual mode, the check) is done, an "expansion"
-    or "both" build records each leaf's value and its parent's depth u in
-    vp_H_expansion's decided-prefix store; a "stirling" build computes no
-    sigma and records nothing.
+    or "both" build records each leaf's value in vp_H_expansion's
+    decided-prefix store, which reads its parent's depth off its length; a
+    "stirling" build computes no sigma and records nothing.
     """
     if engine not in ("stirling", "expansion", "both"):
         raise ArgumentError(f"unknown engine {engine!r}")
@@ -156,7 +157,6 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
     levels = [[root.value]]
     frontier = [root]
     leaves: list[int] = []
-    leaf_depths: list[int] = []  # the depth u of each leaf's parent
     status = "truncated"
     # (value, threshold, expansion verdict) of each dual-checked child
     checked: list[tuple[int, int, bool]] = []
@@ -194,7 +194,6 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                     next_frontier.append(child)
                 else:
                     leaves.append(value)
-                    leaf_depths.append(u)
             child_counts.append(len(next_frontier) - before)
         levels.append([node.value for node in next_frontier])
         frontier = next_frontier
@@ -212,7 +211,7 @@ def build_tree(p: int, k: int, max_depth: int = 32, engine: str = "both") -> PTr
                     f"expansion={member_exp}, stirling={member_st}"
                 )
     if engine != "stirling":
-        _DECIDED.record(((k, p, value), u) for value, u in zip(leaves, leaf_depths))
+        _DECIDED.record((k, p, value) for value in leaves)
 
     return PTree(
         p=p,

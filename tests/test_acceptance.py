@@ -99,17 +99,7 @@ def test_c05_integral_scan():
 
 def test_c06_identity_suite():
     t0 = time.time()
-    report = check_structural_identities(
-        p_set=(2, 3, 5, 7),
-        ratio_n_max=12,
-        legendre_n_max=10_000,
-        slice_n_max=2000,
-        slice_p_set=(2, 3, 5),
-        k_max=200,
-        layer_n_max=200,
-        layer_p_set=(2, 3),
-        layer_k_set=(2, 3),
-    )
+    report = check_structural_identities()
     announce(6, report.passed, f"identity suite counts {report.observed}", t0)
     # every comparison of the suite, so none can be dropped quietly
     assert report.observed == {

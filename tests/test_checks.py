@@ -50,14 +50,19 @@ def test_exact_threshold_helpers():
     assert _le_cpi_bound(10, 11) and not _le_cpi_bound(11, 11)
 
 
-def test_structural_identities_small():
-    report = check_structural_identities(
-        p_set=(2, 3),
-        legendre_n_max=500,
-        slice_n_max=200,
-        k_max=40,
-        layer_n_max=60,
-    )
+@pytest.fixture
+def suite(monkeypatch):
+    """suite(name=value, ...) sets the structural suite's size _NAME in
+    checks for this test, so check_structural_identities runs at it."""
+    def use(**sizes):
+        for name, value in sizes.items():
+            monkeypatch.setattr(checks, f"_{name.upper()}", value)
+    return use
+
+
+def test_structural_identities_small(suite):
+    suite(p_set=(2, 3), legendre_n_max=500, slice_n_max=200, k_max=40, layer_n_max=60)
+    report = check_structural_identities()
     assert report.passed, report.witness
     assert report.observed["harmonic-stirling-ratio"] == 78
     assert report.observed["valuation-layer-sum"] > 0
@@ -77,21 +82,23 @@ _SMALL_SUITE = dict(
 
 # (n, v, p): the first comparison, a middle slice, the last n, the top slice
 @pytest.mark.parametrize("at", [(1, 0, 2), (37, 2, 3), (200, 7, 2), (130, 1, 5)], ids=str)
-def test_structural_check_catches_a_wrong_slice(monkeypatch, at):
+def test_structural_check_catches_a_wrong_slice(monkeypatch, suite, at):
     # the slice reference grows one integer per n; a single dropped member
     # anywhere must still be a valuation-slice failure at that (n, v, p)
     monkeypatch.setattr(checks, "a_p_set", _drop_one_member(a_p_set, at))
-    report = check_structural_identities(**_SMALL_SUITE, slice_p_set=(2, 3, 5))
+    suite(**_SMALL_SUITE, slice_p_set=(2, 3, 5))
+    report = check_structural_identities()
     assert not report.passed
     n, v, p = at
     assert report.witness == {"identity": "valuation-slice", "n": n, "v": v, "p": p}
 
 
 @pytest.mark.parametrize("at", [(1, 0, 2), (37, 3, 3), (200, 7, 2), (130, 3, 5)], ids=str)
-def test_structural_check_catches_a_wrong_filter_slice(monkeypatch, at):
+def test_structural_check_catches_a_wrong_filter_slice(monkeypatch, suite, at):
     # the standalone filter is compared on the top slice v = s only
     monkeypatch.setattr(checks, "a_p_set_by_filter", _drop_one_member(a_p_set_by_filter, at))
-    report = check_structural_identities(**_SMALL_SUITE, slice_p_set=(2, 3, 5))
+    suite(**_SMALL_SUITE, slice_p_set=(2, 3, 5))
+    report = check_structural_identities()
     assert not report.passed
     n, v, p = at
     assert report.witness == {"identity": "valuation-slice-filter", "n": n, "v": v, "p": p}
@@ -104,7 +111,7 @@ def test_structural_check_catches_a_wrong_filter_slice(monkeypatch, at):
     (2, (1, 1, 0, 1), 13, 2),
     (3, (1, 0, 1), 10, 1),
 ], ids=str)
-def test_structural_check_catches_a_wrong_layer_sum(monkeypatch, p, digits, n, v):
+def test_structural_check_catches_a_wrong_layer_sum(monkeypatch, suite, p, digits, n, v):
     # h_p_mod is computed once per prefix; a wrong value at one prefix must
     # still fail at the first n that reads it
     def patched(prefix, k, p, M):
@@ -112,9 +119,8 @@ def test_structural_check_catches_a_wrong_layer_sum(monkeypatch, p, digits, n, v
         return real + 1 if to_digits(prefix, p) == digits else real
 
     monkeypatch.setattr(checks, "h_p_mod", patched)
-    report = check_structural_identities(
-        **{**_SMALL_SUITE, "layer_n_max": 40}, layer_p_set=(p,), layer_k_set=(2,)
-    )
+    suite(**{**_SMALL_SUITE, "layer_n_max": 40}, layer_p_set=(p,), layer_k_set=(2,))
+    report = check_structural_identities()
     assert not report.passed
     real = h_p_mod(n // p ** (len(to_digits(n, p)) - len(digits)), 2, p, 9)
     assert report.witness == {
@@ -195,28 +201,31 @@ def _assert_no_child_left():
 
 @pytest.mark.parametrize("fork_fails", [False, True], ids=["forked", "fork-fails"])
 @pytest.mark.parametrize("case", list(_INJECTED))
-def test_structural_failure_report_is_the_serial_one(monkeypatch, case, fork_fails):
+def test_structural_failure_report_is_the_serial_one(monkeypatch, suite, case, fork_fails):
     patches, extra, observed, witness = _INJECTED[case]
     for name, fn in patches.items():
         monkeypatch.setattr(checks, name, fn)
     if fork_fails:
         monkeypatch.setattr(os, "fork", _raise_at(os.fork, (), OSError("no fork")))
-    report = check_structural_identities(**{**_SPLIT_SUITE, **extra})
+    suite(**{**_SPLIT_SUITE, **extra})
+    report = check_structural_identities()
     assert (report.passed, report.observed, report.witness) == (False, observed, witness)
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("fork_fails", [False, True], ids=["forked", "fork-fails"])
-def test_structural_passing_report_is_the_serial_one(monkeypatch, fork_fails):
+def test_structural_passing_report_is_the_serial_one(monkeypatch, suite, fork_fails):
     if fork_fails:
         monkeypatch.setattr(os, "fork", _raise_at(os.fork, (), OSError("no fork")))
-    report = check_structural_identities(**_SPLIT_SUITE)
+    suite(**_SPLIT_SUITE)
+    report = check_structural_identities()
     assert report.passed and report.witness is None
     assert report.observed == {**_TELESCOPING, "valuation-layer-sum": 297}
     _assert_no_child_left()
 
 
-def test_structural_slices_of_all_but_the_last_prime_run_in_a_child(monkeypatch, tmp_path):
+def test_structural_slices_of_all_but_the_last_prime_run_in_a_child(monkeypatch, suite,
+                                                                    tmp_path):
     log = tmp_path / "pids"
     real = checks._slice_section
 
@@ -226,50 +235,51 @@ def test_structural_slices_of_all_but_the_last_prime_run_in_a_child(monkeypatch,
         return real(p, n_max)
 
     monkeypatch.setattr(checks, "_slice_section", logged)
-    assert check_structural_identities(**_SPLIT_SUITE).passed
+    suite(**_SPLIT_SUITE)
+    assert check_structural_identities().passed
     pids = dict(map(int, line.split()) for line in log.read_text().splitlines())
     assert pids[5] == os.getpid()
     assert pids[2] == pids[3] != os.getpid()
     _assert_no_child_left()
 
 
-# (slice_p_set, where p = 4 would run): alone, in the child, in the caller;
-# each is refused before anything forks
+# (slice_p_set, where p = 4 runs): alone, in the child, in the caller;
+# the slice sweep refuses it wherever it runs, and the serial re-run raises
 @pytest.mark.parametrize("slice_p_set", [(4,), (4, 5), (2, 3, 4)], ids=str)
-def test_structural_check_rejects_a_composite_slice_modulus(monkeypatch, slice_p_set):
-    def no_fork():
-        pytest.fail("os.fork called before the composite modulus was refused")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+def test_structural_check_rejects_a_composite_slice_modulus(suite, slice_p_set):
+    suite(**{**_SPLIT_SUITE, "slice_p_set": slice_p_set})
     with pytest.raises(ArgumentError, match=r"^p must be prime, got 4$"):
-        check_structural_identities(**{**_SPLIT_SUITE, "slice_p_set": slice_p_set})
+        check_structural_identities()
     _assert_no_child_left()
 
 
-def test_structural_child_exception_keeps_its_type_and_message(monkeypatch):
+def test_structural_child_exception_keeps_its_type_and_message(monkeypatch, suite):
+    suite(**_SPLIT_SUITE)
     monkeypatch.setattr(checks, "a_p_set", _raise_at(
         a_p_set, (37, 2, 3), ZeroDivisionError("injected at (37, 2, 3)")))
     with pytest.raises(ZeroDivisionError, match=r"^injected at \(37, 2, 3\)$"):
-        check_structural_identities(**_SPLIT_SUITE)
+        check_structural_identities()
     _assert_no_child_left()
 
 
-def test_structural_child_exception_of_an_unnamed_class_is_the_serial_one(monkeypatch):
+def test_structural_child_exception_of_an_unnamed_class_is_the_serial_one(monkeypatch, suite):
     # nothing crosses the pipe but counts: the serial re-run raises the
     # exception itself, whatever its class
+    suite(**_SPLIT_SUITE)
+
     class Local(Exception):
         pass
 
     boom = Local("boom")
     monkeypatch.setattr(checks, "a_p_set", _raise_at(a_p_set, (37, 2, 3), boom))
     with pytest.raises(Local) as info:
-        check_structural_identities(**_SPLIT_SUITE)
+        check_structural_identities()
     assert info.value is boom
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("case, calls", [(None, 1), ("slice-2", 2)], ids=["passing", "slice-2"])
-def test_structural_failure_alone_pays_for_a_serial_re_run(monkeypatch, case, calls):
+def test_structural_failure_alone_pays_for_a_serial_re_run(monkeypatch, suite, case, calls):
     # Legendre runs in the caller, before the slices in report order: once
     # in a passing split run, and again in the serial re-run after the
     # child's p = 2 failure
@@ -287,21 +297,23 @@ def test_structural_failure_alone_pays_for_a_serial_re_run(monkeypatch, case, ca
         return real(*args)
 
     monkeypatch.setattr(checks, "_legendre_section", counted)
-    report = check_structural_identities(**_SPLIT_SUITE)
+    suite(**_SPLIT_SUITE)
+    report = check_structural_identities()
     assert (report.passed, report.observed, report.witness) == expected
     assert pids == [os.getpid()] * calls
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("early", [False, True], ids=["after-the-child", "before-the-child"])
-def test_structural_caller_exception_stops_the_child(monkeypatch, early):
+def test_structural_caller_exception_stops_the_child(monkeypatch, suite, early):
+    suite(**_SPLIT_SUITE)
     if early:  # Legendre runs before the child's sections in report order
         monkeypatch.setattr(checks, "vp_factorial", _raise_at(
             checks.vp_factorial, (37, 3), KeyError("vp_factorial")))
     else:
         monkeypatch.setattr(checks, "h_p_mod", _raise_at(h_p_mod, (), KeyError("h_p_mod")))
     with pytest.raises(KeyError):
-        check_structural_identities(**_SPLIT_SUITE)
+        check_structural_identities()
     _assert_no_child_left()
 
 
@@ -325,15 +337,16 @@ _LATER_FAULTS = {
 
 
 @pytest.mark.parametrize("case", list(_LATER_FAULTS))
-def test_structural_later_fault_of_either_process_is_discarded(monkeypatch, case):
+def test_structural_later_fault_of_either_process_is_discarded(monkeypatch, suite, case):
+    suite(**_SPLIT_SUITE)
     patches, expected = _LATER_FAULTS[case]
     for name, fn in patches.items():
         monkeypatch.setattr(checks, name, fn)
     if expected is ZeroDivisionError:
         with pytest.raises(ZeroDivisionError, match="^p = 3$"):
-            check_structural_identities(**_SPLIT_SUITE)
+            check_structural_identities()
     else:
-        report = check_structural_identities(**_SPLIT_SUITE)
+        report = check_structural_identities()
         assert (report.observed, report.witness) == expected
     _assert_no_child_left()
 
@@ -381,9 +394,10 @@ def test_corollary_2adic_seeded():
 
 def test_corollary_2adic_fails_on_a_record_off_by_one(monkeypatch):
     # The check's samples run through the leaves f_sequence records, so
-    # their verdicts are read from the recorded depth u, vp(sigma).  With
-    # no exact cross at all, a u recorded one too large must still fail
-    # the check.
+    # their verdicts are read from the depth u, vp(sigma), that the length
+    # of the recorded prefix gives.  With no exact cross at all, records
+    # one digit short, each leaf's parent in place of the leaf, must still
+    # fail the check.
     from padicharm.expansion import _DECIDED, vp_H_expansion
 
     monkeypatch.setattr(checks, "DEFAULT_EXACT_CAP", 1)
@@ -392,12 +406,15 @@ def test_corollary_2adic_fails_on_a_record_off_by_one(monkeypatch):
     vp_H_expansion.cache_clear()
     record = _DECIDED.record
     monkeypatch.setattr(_DECIDED, "record",
-                        lambda items: record((key, u + 1) for key, u in items))
+                        lambda keys: record((k, p, leaf // p) for k, p, leaf in keys))
     report = check_corollary_2adic(S=14, sample_count=50, seed=0)
     assert not report.passed
     assert report.witness["exact"] is None
-    r, s = report.witness["first_mismatch"], len(report.witness["digits"]) - 1
-    assert report.witness["verdict"] == str(ExpansionVerdict(exact_valuation=r - 2 * s + 1))
+    # the witness runs through the chain's depth-1 node <1,1>, the first
+    # such record, read as a leaf under the root: u = 0, U = 1
+    assert report.witness["digits"][:2] == [1, 1] and report.witness["first_mismatch"] > 1
+    s = len(report.witness["digits"]) - 1
+    assert report.witness["verdict"] == str(ExpansionVerdict(exact_valuation=1 - 2 * s))
 
 
 def test_corollary_2adic_handpicked_cases():

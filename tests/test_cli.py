@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -361,6 +362,25 @@ def test_verify_randomized_requires_seed(capsys):
 def test_verify_seeded_reports_are_pinned(capsys, argv, expected):
     rc, out, _ = run(capsys, "verify", *argv)
     assert rc == 0 and out == expected
+
+
+def _recorded_verify_reports():
+    """perfbench/golden.json's verify reports, keyed by the arguments after
+    verify: every unseeded check at its defaults and at verify-suite's flags."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.load_golden()["verify"]
+
+
+_RECORDED_VERIFY = _recorded_verify_reports()
+
+
+@pytest.mark.parametrize("command", sorted(_RECORDED_VERIFY))
+def test_verify_unseeded_reports_are_the_recorded_bytes(capsys, command):
+    rc, out, _ = run(capsys, "verify", *shlex.split(command))
+    assert rc == 0 and out == _RECORDED_VERIFY[command] + "\n"
 
 
 def test_verify_monitor(capsys):

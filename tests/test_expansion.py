@@ -722,11 +722,12 @@ def test_harmonic_rule_decides_every_child_as_sigma_does(p, k, depth):
     # The oracle is the per-child sigma rule: child b of a member at depth u
     # is a member iff its sigma vanishes mod p^(u+1).  The harmonic rule
     # (_WalkNode.expansion) must split every child of every node the same
-    # way, give each member the oracle's sigma, and record for each leaf
-    # the oracle sigma's valuation, u.  One walk at the full reach, so
-    # nothing lifts.
+    # way, give each member the oracle's sigma, and record each leaf, whose
+    # length gives the oracle sigma's valuation, u.  One walk at the full
+    # reach, so nothing lifts.
     tree = build_tree(p, k, depth, engine="expansion")
-    recorded = {key[2]: u for key, u in expansion._DECIDED.entries.items() if key[:2] == (k, p)}
+    recorded = {key[2] for key in expansion._DECIDED.entries if key[:2] == (k, p)}
+    root_len = structure_constants(k, p).t + 1
     frontier, levels, leaves = [_WalkNode.root(k, p, depth)], [], []
     for u in range(depth + 1):
         levels.append([node.value for node in frontier])
@@ -741,11 +742,13 @@ def test_harmonic_rule_decides_every_child_as_sigma_does(p, k, depth):
                     next_frontier.append(child)
                 else:
                     assert vp_int(oracle, p) == u, (node.value, b)
-                    assert recorded.pop(node.value * p + b) == u
-                    leaves.append(node.value * p + b)
+                    leaf = node.value * p + b
+                    recorded.remove(leaf)
+                    assert len(to_digits(leaf, p)) - root_len - 1 == u
+                    leaves.append(leaf)
         frontier = next_frontier
     assert (levels, leaves) == (tree.levels, tree.leaves)
-    assert recorded == {}  # every leaf recorded, and nothing else
+    assert recorded == set()  # every leaf recorded, and nothing else
     assert tree.stats.max_children <= most_harmonic_repeats(p)
 
 
@@ -1010,11 +1013,16 @@ def test_decided_prefix_records_are_first_decisions():
         p, k = rng.choice([2, 3, 5, 7]), rng.randint(2, 6)
         vp_H_expansion(extend(rng, k - 1, p, rng.randint(1, 40)), k, p)
     assert entries == recorded  # calls read records and write none
-    for (k, p, value), u in entries.items():
-        root_len = structure_constants(k, p).t + 1
-        depth = len(to_digits(value, p)) - root_len
-        # every proper prefix is a member, so sigma vanishes mod p^(depth - 1)
-        assert u == depth - 1, (k, p, value)
+    for k, p, value in recorded:
+        sc = structure_constants(k, p)
+        s = len(to_digits(value, p)) - 1
+        depth = s - sc.t
+        # every proper prefix is a member, so sigma vanishes mod p^(depth - 1),
+        # and the record answers with u = depth - 1, read off its length
+        hits = vp_H_expansion.cache_info().hits
+        verdict = vp_H_expansion(value, k, p)
+        assert vp_H_expansion.cache_info().hits == hits + 1, (k, p, value)
+        assert verdict.exact_valuation == sc.U + depth - 1 - k * s, (k, p, value)
         for j in range(1, depth):
             assert (k, p, value // p ** j) not in entries, (k, p, value, j)
 
