@@ -36,9 +36,11 @@ both alike.  Two kinds of pair:
              depth 300 (31 767 nodes, 187 978 leaves), alone in its
              interpreter so the peak RSS is its own, listed as "build
              7 15 300 expansion": build_tree is called in process and
-             prints its node and leaf counts, since printing the tree's
-             JSON would hold every leaf's digits at once and that, not
-             the build, would set the peak.
+             prints its node and leaf counts, so the peak is the
+             build's alone.  print-memory prints the expansion-only
+             T_7(15) at depth 200 as JSON, build and print in one
+             peak.  sweep-memory is the two sweeps at 10^6:
+             lower-bound-monitor --p 3 --k 3 and ubound --p 3 --k 2.
              val-ladder is single
              values, which no perfbench workload asks for above n = 3000:
              val --p 3 --k 3 at n = 10^7, 10^15, 10^30, 10^60 with methods
@@ -49,8 +51,10 @@ both alike.  Two kinds of pair:
              extend the root digits of k - 1 in base 3, so its expansion
              call exits 2.
              The first call of each interpreter is cold.  Each call's
-             stdout is hashed so both sides can be compared byte for byte,
-             and a build call's counts are also kept as printed.
+             stdout is hashed as it is written, through a sink that keeps
+             no text, so both sides can be compared byte for byte and a
+             printing call's peak is its own; a build call's counts are
+             also kept as printed.
              Each call also records the interpreter's peak RSS so far
              (ru_maxrss) after it returns.
 
@@ -95,7 +99,7 @@ import workloads  # noqa: E402
 # perfbench workloads, deep-expansion's calls alone, the deep walks, the deep
 # caps and the val ladder
 OPS_GROUPS = ("tree-dual", "verify-suite", "deep-expansion", "vpx-walks", "deep-walk",
-              "deep-cap", "deep-memory", "val-ladder")
+              "deep-cap", "deep-memory", "print-memory", "sweep-memory", "val-ladder")
 OPS_SEED = 1  # the seed of the workloads' operations
 FIXED_OPS = {
     "deep-walk": ("fseq --terms 600", "tree --p 3 --k 14 --max-depth 60 --engine expansion",
@@ -107,6 +111,9 @@ FIXED_OPS = {
                  "tree --p 3 --k 7 --max-depth 100 --engine stirling",
                  "tree --p 3 --k 9 --max-depth 1000 --engine expansion"),
     "deep-memory": ("build 7 15 300 expansion",),
+    "print-memory": ("tree --p 7 --k 15 --max-depth 200 --engine expansion",),
+    "sweep-memory": ("verify lower-bound-monitor --p 3 --k 3 --max-n 1000000",
+                     "verify ubound --p 3 --k 2 --x 1000000"),
 }
 # deep-cap's vp_H_expansion call: n has DEEP_LEAF_DIGITS base-3 digits, the
 # smallest leaf of T_3(9) at depth DEEP_LEAF_DEPTH followed by seeded digits
@@ -119,12 +126,23 @@ CHAIN_DIGITS = (100, 300)
 # each vp_H_expansion call, and for "build P K DEPTH ENGINE", each
 # build_tree call) after the import, and read the peak RSS after it.
 OPS_CHILD = r"""
-import contextlib, hashlib, io, json, resource, sys, time
+import contextlib, hashlib, json, resource, sys, time
 from padicharm import cli, expansion, tree
+
+class Sha256Sink:
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+    def write(self, text):
+        self.sha256.update(text.encode())
+        return len(text)
+    def flush(self):
+        pass
+
 out = []
 for argv in json.loads(sys.argv[1]):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    sink = Sha256Sink()
+    text = None
+    with contextlib.redirect_stdout(sink):
         t0 = time.perf_counter()
         rc = 0
         if argv[0] == "vpx":
@@ -132,15 +150,16 @@ for argv in json.loads(sys.argv[1]):
             print(json.dumps([v.exact_valuation, v.lower_bound]), end="")
         elif argv[0] == "build":
             t = tree.build_tree(*map(int, argv[1:4]), engine=argv[4])
-            print(json.dumps({"nodes": t.node_count, "leaves": len(t.leaves)}), end="")
+            text = json.dumps({"nodes": t.node_count, "leaves": len(t.leaves)})
+            print(text, end="")
         else:
             rc = cli.main(argv)
         s = time.perf_counter() - t0
     rec = {"rc": rc, "seconds": s,
            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-           "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
-    if argv[0] == "build":
-        rec["stdout"] = buf.getvalue()
+           "stdout_sha256": sink.sha256.hexdigest()}
+    if text is not None:
+        rec["stdout"] = text
     out.append(rec)
 print(json.dumps(out))
 """

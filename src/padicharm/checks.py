@@ -26,6 +26,7 @@ import signal
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from typing import BinaryIO, Callable
 
 from .core import (
@@ -526,31 +527,36 @@ def check_ubound(p: int = 3, k: int = 2, x: int = 729) -> CheckReport:
     at most 3 x^0.835.
 
     Only the n that extend the root digits of k - 1 are tested, and each
-    is read as an integer: its digits 0..r are n // p^(s-r)."""
+    is read as an integer: its digits 0..r are n // p^(s-r).  Their
+    valuations are read off vp_H_sweep's pairs as the sweep passes them."""
     sc = structure_constants(k, p)
     if x < (k - 1) * p:
         raise ArgumentError(f"x must be at least (k-1)p = {(k - 1) * p}")
     depth = ilog(x, p) - sc.t + 1
     tree = build_tree(p, k, max_depth=depth)
     nodes = tree.node_values()
-    vals = vp_H_sweep(x, k, p)
+    pairs = vp_H_sweep(x, k, p)
+    swept = k - 1  # the last n read off the sweep, which starts at k
     powers = [p ** i for i in range(ilog(x, p) + 1)]
     exceptions = []
     leaf_exits = 0
     full_chain = 0
     witness = None
     for n, s in _root_class(k - 1, sc.t, p, (k - 1) * p, x):
+        # the sweep moves on to n: its next pair, or past the gap between two runs
+        _, nu = next(pairs) if n == swept + 1 else next(islice(pairs, n - swept - 1, None))
+        swept = n
         exit_at = next(
             (r for r in range(sc.t + 1, s + 1) if n // powers[s - r] not in nodes),
             None,
         )
-        holds = _ubound_holds(n, k, p, vals[n])
+        holds = _ubound_holds(n, k, p, nu)
         if exit_at is not None:
             leaf_exits += 1
             if not holds:
                 witness = {
                     "n": n,
-                    "vp": vals[n],
+                    "vp": nu,
                     "exit_at": exit_at,
                     "reason": "leaf exit must satisfy the bound",
                 }
@@ -789,10 +795,9 @@ def monitor_lower_bound(p: int = 3, k: int = 2, n_max: int = 40) -> CheckReport:
     The additive constant in the known lower bound is unspecified, so this
     reports the observed minimum and never fails.
     """
-    vals = vp_H_sweep(n_max, k, p)
     best = None
     arg = None
-    for n, nu in vals.items():
+    for n, nu in vp_H_sweep(n_max, k, p):
         slack = nu + k * math.log(n, p)
         if best is None or slack < best:
             best, arg = slack, n

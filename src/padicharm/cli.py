@@ -1,9 +1,12 @@
 """Command-line surface: valuations, trees, branch bits, checks, scans.
 
 This is the only module that does I/O.  Machine paths emit line-delimited
-JSON (or DOT for trees, in build_tree's order).  `verify` runs a row of
-checks.CHECKS and parses the flags after the check's name with a parser
-built from that row alone, so `verify NAME --help` lists exactly them
+JSON (or DOT for trees, in build_tree's order).  A tree is written to
+stdout level by level (tree_document, tree_dot), each level's digits
+spelled from the level above, so printing holds about two levels'
+digits beside the tree.  `verify` runs a row of checks.CHECKS and
+parses the flags after the check's name with a parser built from that
+row alone, so `verify NAME --help` lists exactly them
 and a flag the row does not read is a usage error.  A seeded row lists
 seed, and its --seed is required.  A flag left out is not passed, so
 each default lives in the check's signature only.
@@ -27,7 +30,9 @@ import dataclasses
 import functools
 import json
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import TextIO
 
 from . import __version__
 from .core import ArgumentError, EngineDisagreement, PrecisionError, vp
@@ -120,23 +125,67 @@ def _parse_record(line: bytes, path: str, lineno: int) -> CacheRecord:
     return rec
 
 
-def _digits(tree: PTree) -> dict[int, list[int]]:
-    """The digits of each node and leaf of tree, keyed by its value in
-    tree order; each list is its parent's plus one digit."""
-    p = tree.p
-    digits = {tree.levels[0][0]: list(tree.constants.root_digits)}
-    for level in [*tree.levels[1:], tree.leaves]:
-        for value in level:
-            digits[value] = [*digits[value // p], value % p]
-    return digits
+def _spelled_levels(tree: PTree, root, spell):
+    """Per level of tree, in order: its nodes' spellings keyed by value,
+    and the values of the leaves under it, its nodes' rejected children.
+
+    A node's spelling is spell(its parent's, its last digit) and the
+    root's is root, so each level is spelled from the one above alone and
+    only that one is held.  tree.leaves is in (length, value) order,
+    which is value order, so the leaves under level u, those of t + 2 + u
+    digits, are the run of it below p^(t + 2 + u)."""
+    p, leaves = tree.p, tree.leaves
+    spelled = {tree.levels[0][0]: root}
+    i, end = 0, p ** (tree.constants.t + 2)
+    for u, level in enumerate(tree.levels):
+        if u:
+            spelled = {v: spell(spelled[v // p], v % p) for v in level}
+        j = bisect_left(leaves, end, i)
+        yield spelled, leaves[i:j]
+        i, end = j, end * p
 
 
-def tree_document(tree: PTree) -> dict:
-    """JSON-ready view of a built tree in its own order, byte-stable;
-    "built_at" stays null until the next ptree format bump."""
+def _digit_list(digits: list[int], d: int) -> list[int]:
+    return [*digits, d]
+
+
+# tree_document hands json.dumps whole levels, or the leaves under whole
+# levels, until they hold this many digits: a small tree takes one call
+# per list, a deep one about one call per level.  json.dumps holds one
+# fragment of about 60 bytes per digit until it joins them.
+_DUMPS_AT = 4096
+
+
+def _write_json_items(out: TextIO, runs) -> None:
+    """Write the items of runs, pairs (items, the digits they hold), to
+    out in order as the comma-separated inside of a JSON list, one
+    json.dumps call per batch of whole runs that holds _DUMPS_AT digits
+    or ends the list."""
+    sep, batch, held = "", [], 0
+    for items, size in runs:
+        batch += items
+        held += size
+        if held >= _DUMPS_AT:
+            out.write(sep + json.dumps(batch)[1:-1])
+            sep, batch, held = ", ", [], 0
+    if batch:
+        out.write(sep + json.dumps(batch)[1:-1])
+
+
+def tree_document(tree: PTree, out: TextIO) -> None:
+    """Write the JSON view of a built tree to out, byte-stable:
+    json.dumps(doc, sort_keys=True) and a newline, the digit lists of
+    "levels" and "leaves" in the tree's own order.  "built_at" stays null
+    until the next ptree format bump.
+
+    Each node's digits are its parent's plus one, spelled level by level
+    (_spelled_levels), and the two lists are encoded by whole levels, or
+    the leaves under whole levels (_write_json_items), so about one
+    level's digits and _DUMPS_AT more are held beside the tree.
+    "leaves" sorts before "levels", so the levels are spelled twice, once
+    for the leaves under them."""
     stats = tree.stats
-    digits = _digits(tree)
-    return {
+    doc = {
         "format": "ptree-v1",
         "version": __version__,
         "p": tree.p,
@@ -151,8 +200,8 @@ def tree_document(tree: PTree) -> dict:
         "status": tree.status,
         "truncated_at": tree.truncated_at,
         "node_count": tree.node_count,
-        "levels": [[digits[value] for value in level] for level in tree.levels],
-        "leaves": [digits[value] for value in tree.leaves],
+        "levels": [],
+        "leaves": [],
         "child_stats": {
             "min_children": stats.min_children,
             "max_children": stats.max_children,
@@ -161,21 +210,51 @@ def tree_document(tree: PTree) -> dict:
         },
         "built_at": None,
     }
+    # the two lists sort next to each other and are written between head and tail
+    head, tail = json.dumps(doc, sort_keys=True).split('"leaves": [], "levels": []')
+    p, root = tree.p, list(tree.constants.root_digits)
+    leaves = ([_digit_list(digits[v // p], v % p) for v in run]
+              for digits, run in _spelled_levels(tree, root, _digit_list))
+    levels = (list(digits.values()) for digits, _ in _spelled_levels(tree, root, _digit_list))
+    out.write(head + '"leaves": [')
+    _write_json_items(out, ((run, sum(map(len, run))) for run in leaves))
+    out.write('], "levels": [')
+    _write_json_items(out, (([level], sum(map(len, level))) for level in levels))
+    out.write("]" + tail + "\n")
 
 
-def tree_dot(tree: PTree) -> str:
-    """DOT text: one box per digit prefix, leaves dashed, in tree order."""
+def tree_dot(tree: PTree, out: TextIO) -> None:
+    """Write DOT text to out: one box per digit prefix, leaves dashed, in
+    tree order, then the edges to the nodes and to the leaves.
+
+    Labels are spelled level by level, each from its parent's
+    (_spelled_levels), and written one level at a time, so no more than
+    two levels' labels are held beside the tree."""
     p = tree.p
     sep = "" if p <= 10 else "."
-    label = {value: sep.join(map(str, d)) for value, d in _digits(tree).items()}
-    nodes = [value for level in tree.levels for value in level]
-    lines = ["digraph ptree {", "  node [shape=box];"]
-    lines += [f'  "{label[value]}";' for value in nodes]
-    lines += [f'  "{label[value]}" [style=dashed];' for value in tree.leaves]
-    for value in nodes[1:] + tree.leaves:
-        lines.append(f'  "{label[value // p]}" -> "{label[value]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+
+    def spell(label: str, d: int) -> str:
+        return f"{label}{sep}{d}"
+
+    def levels():
+        return _spelled_levels(tree, sep.join(map(str, tree.constants.root_digits)), spell)
+
+    out.write("digraph ptree {\n  node [shape=box];\n")
+    for labels, _ in levels():
+        out.write("".join(f'  "{label}";\n' for label in labels.values()))
+    for labels, leaves in levels():
+        out.write("".join(f'  "{spell(labels[v // p], v % p)}" [style=dashed];\n'
+                          for v in leaves))
+    above = None
+    for labels, _ in levels():
+        if above is not None:
+            out.write("".join(f'  "{above[v // p]}" -> "{label}";\n'
+                              for v, label in labels.items()))
+        above = labels
+    for labels, leaves in levels():
+        out.write("".join(f'  "{labels[v // p]}" -> "{spell(labels[v // p], v % p)}";\n'
+                          for v in leaves))
+    out.write("}\n")
 
 
 def cmd_val(args) -> int:
@@ -230,10 +309,7 @@ def cmd_val(args) -> int:
 
 def cmd_tree(args) -> int:
     tree = build_tree(args.p, args.k, max_depth=args.max_depth, engine=args.engine)
-    if args.format == "dot":
-        sys.stdout.write(tree_dot(tree))
-    else:
-        print(json.dumps(tree_document(tree), sort_keys=True))
+    (tree_dot if args.format == "dot" else tree_document)(tree, sys.stdout)
     return 0
 
 

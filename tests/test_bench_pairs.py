@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -62,6 +63,14 @@ def test_deep_memory_is_one_build_alone(bench_pairs):
     assert bench_pairs.ops_commands("deep-memory") == [["build", "7", "15", "300", "expansion"]]
 
 
+def test_print_and_sweep_memory_are_the_commands_at_scale(bench_pairs):
+    assert bench_pairs.ops_commands("print-memory") == [
+        "tree --p 7 --k 15 --max-depth 200 --engine expansion".split()]
+    assert bench_pairs.ops_commands("sweep-memory") == [
+        "verify lower-bound-monitor --p 3 --k 3 --max-n 1000000".split(),
+        "verify ubound --p 3 --k 2 --x 1000000".split()]
+
+
 def test_ops_child_reports_its_peak_rss_and_build_counts(bench_pairs):
     from padicharm.tree import build_tree
 
@@ -75,6 +84,7 @@ def test_ops_child_reports_its_peak_rss_and_build_counts(bench_pairs):
     tree = build_tree(3, 2, 32, engine="expansion")
     assert records[1]["stdout"] == f'{{"nodes": {tree.node_count}, "leaves": {len(tree.leaves)}}}'
     assert "stdout" not in records[0] and "stdout" not in records[2]  # only hashed
+    assert records[2]["stdout_sha256"] == hashlib.sha256(b'"110"\n').hexdigest()
 
 
 def test_ops_summary_compares_each_groups_peak_rss(tmp_path, monkeypatch, bench_pairs):

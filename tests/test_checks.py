@@ -451,7 +451,7 @@ def _ubound_report_by_digit_scan(p, k, x):
     """check_ubound's report, each n read through its digits."""
     sc = structure_constants(k, p)
     nodes = build_tree(p, k, max_depth=ilog(x, p) - sc.t + 1).node_values()
-    vals = vp_H_sweep(x, k, p)
+    vals = dict(vp_H_sweep(x, k, p))
     exceptions, leaf_exits, full_chain, witness = [], 0, 0, None
     for n in range((k - 1) * p, x + 1):
         d = to_digits(n, p)
