@@ -39,7 +39,10 @@ both alike.  Two kinds of pair:
              prints its node and leaf counts, so the peak is the
              build's alone.  print-memory prints the expansion-only
              T_7(15) at depth 200 as JSON, build and print in one
-             peak.  sweep-memory is the two sweeps at 10^6:
+             peak, then builds and prints it again as DOT in the same
+             interpreter: that call's ru_maxrss shows its own peak only
+             where it is above the JSON call's, and its build reads the
+             leaves the first one recorded.  sweep-memory is the two sweeps at 10^6:
              lower-bound-monitor --p 3 --k 3 and ubound --p 3 --k 2.
              val-ladder is single
              values, which no perfbench workload asks for above n = 3000:
@@ -111,7 +114,8 @@ FIXED_OPS = {
                  "tree --p 3 --k 7 --max-depth 100 --engine stirling",
                  "tree --p 3 --k 9 --max-depth 1000 --engine expansion"),
     "deep-memory": ("build 7 15 300 expansion",),
-    "print-memory": ("tree --p 7 --k 15 --max-depth 200 --engine expansion",),
+    "print-memory": ("tree --p 7 --k 15 --max-depth 200 --engine expansion",
+                     "tree --p 7 --k 15 --max-depth 200 --engine expansion --format dot"),
     "sweep-memory": ("verify lower-bound-monitor --p 3 --k 3 --max-n 1000000",
                      "verify ubound --p 3 --k 2 --x 1000000"),
 }

@@ -527,8 +527,11 @@ def check_ubound(p: int = 3, k: int = 2, x: int = 729) -> CheckReport:
     at most 3 x^0.835.
 
     Only the n that extend the root digits of k - 1 are tested, and each
-    is read as an integer: its digits 0..r are n // p^(s-r).  Their
-    valuations are read off vp_H_sweep's pairs as the sweep passes them."""
+    is read as an integer: its digits 0..r are n // p^(s-r).  The nodes
+    are prefix-closed, so n exits the tree at some digit exactly when n
+    itself is not a node; the first such digit, exit_at, is looked for
+    only for a witness.  The valuations are read off vp_H_sweep's pairs
+    as the sweep passes them."""
     sc = structure_constants(k, p)
     if x < (k - 1) * p:
         raise ArgumentError(f"x must be at least (k-1)p = {(k - 1) * p}")
@@ -537,7 +540,6 @@ def check_ubound(p: int = 3, k: int = 2, x: int = 729) -> CheckReport:
     nodes = tree.node_values()
     pairs = vp_H_sweep(x, k, p)
     swept = k - 1  # the last n read off the sweep, which starts at k
-    powers = [p ** i for i in range(ilog(x, p) + 1)]
     exceptions = []
     leaf_exits = 0
     full_chain = 0
@@ -546,14 +548,11 @@ def check_ubound(p: int = 3, k: int = 2, x: int = 729) -> CheckReport:
         # the sweep moves on to n: its next pair, or past the gap between two runs
         _, nu = next(pairs) if n == swept + 1 else next(islice(pairs, n - swept - 1, None))
         swept = n
-        exit_at = next(
-            (r for r in range(sc.t + 1, s + 1) if n // powers[s - r] not in nodes),
-            None,
-        )
         holds = _ubound_holds(n, k, p, nu)
-        if exit_at is not None:
+        if n not in nodes:
             leaf_exits += 1
             if not holds:
+                exit_at = next(r for r in range(sc.t + 1, s + 1) if n // p ** (s - r) not in nodes)
                 witness = {
                     "n": n,
                     "vp": nu,

@@ -2,9 +2,9 @@
 
 This is the only module that does I/O.  Machine paths emit line-delimited
 JSON (or DOT for trees, in build_tree's order).  A tree is written to
-stdout level by level (tree_document, tree_dot), each level's digits
-spelled from the level above, so printing holds about two levels'
-digits beside the tree.  `verify` runs a row of checks.CHECKS and
+stdout level by level (tree_document, tree_dot), each level's text
+spelled from the level above's, so printing holds about two levels'
+text beside the tree.  `verify` runs a row of checks.CHECKS and
 parses the flags after the check's name with a parser built from that
 row alone, so `verify NAME --help` lists exactly them
 and a flag the row does not read is a usage error.  A seeded row lists
@@ -128,6 +128,8 @@ def _parse_record(line: bytes, path: str, lineno: int) -> CacheRecord:
 def _spelled_levels(tree: PTree, root, spell):
     """Per level of tree, in order: its nodes' spellings keyed by value,
     and the values of the leaves under it, its nodes' rejected children.
+    The one spelling path of both printers: a spelling is a node's JSON
+    digit list or its DOT label, both text.
 
     A node's spelling is spell(its parent's, its last digit) and the
     root's is root, so each level is spelled from the one above alone and
@@ -145,45 +147,19 @@ def _spelled_levels(tree: PTree, root, spell):
         i, end = j, end * p
 
 
-def _digit_list(digits: list[int], d: int) -> list[int]:
-    return [*digits, d]
-
-
-# tree_document hands json.dumps whole levels, or the leaves under whole
-# levels, until they hold this many digits: a small tree takes one call
-# per list, a deep one about one call per level.  json.dumps holds one
-# fragment of about 60 bytes per digit until it joins them.
-_DUMPS_AT = 4096
-
-
-def _write_json_items(out: TextIO, runs) -> None:
-    """Write the items of runs, pairs (items, the digits they hold), to
-    out in order as the comma-separated inside of a JSON list, one
-    json.dumps call per batch of whole runs that holds _DUMPS_AT digits
-    or ends the list."""
-    sep, batch, held = "", [], 0
-    for items, size in runs:
-        batch += items
-        held += size
-        if held >= _DUMPS_AT:
-            out.write(sep + json.dumps(batch)[1:-1])
-            sep, batch, held = ", ", [], 0
-    if batch:
-        out.write(sep + json.dumps(batch)[1:-1])
-
-
 def tree_document(tree: PTree, out: TextIO) -> None:
     """Write the JSON view of a built tree to out, byte-stable:
     json.dumps(doc, sort_keys=True) and a newline, the digit lists of
     "levels" and "leaves" in the tree's own order.  "built_at" stays null
     until the next ptree format bump.
 
-    Each node's digits are its parent's plus one, spelled level by level
-    (_spelled_levels), and the two lists are encoded by whole levels, or
-    the leaves under whole levels (_write_json_items), so about one
-    level's digits and _DUMPS_AT more are held beside the tree.
-    "leaves" sorts before "levels", so the levels are spelled twice, once
-    for the leaves under them."""
+    Each digit list is spelled as JSON text from its parent's, level by
+    level (_spelled_levels): the root's is json.dumps of its digits, a
+    child's its parent's with ", d]" for the closing bracket.  Each
+    level, and the leaves under it, is written as one run, so about two
+    levels' text is held beside the tree, and json.dumps encodes the
+    rest of the document alone.  "leaves" sorts before "levels", so the
+    levels are spelled twice, once for the leaves under them."""
     stats = tree.stats
     doc = {
         "format": "ptree-v1",
@@ -212,14 +188,25 @@ def tree_document(tree: PTree, out: TextIO) -> None:
     }
     # the two lists sort next to each other and are written between head and tail
     head, tail = json.dumps(doc, sort_keys=True).split('"leaves": [], "levels": []')
-    p, root = tree.p, list(tree.constants.root_digits)
-    leaves = ([_digit_list(digits[v // p], v % p) for v in run]
-              for digits, run in _spelled_levels(tree, root, _digit_list))
-    levels = (list(digits.values()) for digits, _ in _spelled_levels(tree, root, _digit_list))
+    p = tree.p
+
+    def spell(text: str, d: int) -> str:
+        return f"{text[:-1]}, {d}]"
+
+    def levels():
+        return _spelled_levels(tree, json.dumps(list(tree.constants.root_digits)), spell)
+
     out.write(head + '"leaves": [')
-    _write_json_items(out, ((run, sum(map(len, run))) for run in leaves))
+    sep = ""
+    for texts, leaves in levels():
+        if leaves:
+            out.write(sep + ", ".join(spell(texts[v // p], v % p) for v in leaves))
+            sep = ", "
     out.write('], "levels": [')
-    _write_json_items(out, (([level], sum(map(len, level))) for level in levels))
+    sep = ""
+    for texts, _ in levels():
+        out.write(sep + "[" + ", ".join(texts.values()) + "]")
+        sep = ", "
     out.write("]" + tail + "\n")
 
 
@@ -227,9 +214,10 @@ def tree_dot(tree: PTree, out: TextIO) -> None:
     """Write DOT text to out: one box per digit prefix, leaves dashed, in
     tree order, then the edges to the nodes and to the leaves.
 
-    Labels are spelled level by level, each from its parent's
-    (_spelled_levels), and written one level at a time, so no more than
-    two levels' labels are held beside the tree."""
+    Labels are spelled as tree_document spells its digit lists, level by
+    level, each from its parent's (_spelled_levels), and written one
+    level at a time, so no more than two levels' labels are held beside
+    the tree."""
     p = tree.p
     sep = "" if p <= 10 else "."
 

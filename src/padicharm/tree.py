@@ -4,8 +4,9 @@ Level u holds the digit prefixes of length t + 1 + u extending the digits
 of k - 1, each as its integer; level 0 is the root k - 1 alone.  A tree
 holds no digits: a node's parent is value // p and its last digit
 value % p, and digits are made only where they are printed
-(cli.tree_document and cli.tree_dot write them level by level, each
-level from the one above) or named (a disagreement, f_sequence's bits).
+(cli.tree_document and cli.tree_dot spell them as text, each level's
+from the one above's, and write them level by level) or named (a
+disagreement, f_sequence's bits).
 A child joins level u + 1 when the weighted sum of its h_p terms
 gains one more power of p, equivalently when vp(H(child_value, k))
 clears W - (k-1)s + 1 for its digit length.

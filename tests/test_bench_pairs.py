@@ -65,7 +65,8 @@ def test_deep_memory_is_one_build_alone(bench_pairs):
 
 def test_print_and_sweep_memory_are_the_commands_at_scale(bench_pairs):
     assert bench_pairs.ops_commands("print-memory") == [
-        "tree --p 7 --k 15 --max-depth 200 --engine expansion".split()]
+        "tree --p 7 --k 15 --max-depth 200 --engine expansion".split(),
+        "tree --p 7 --k 15 --max-depth 200 --engine expansion --format dot".split()]
     assert bench_pairs.ops_commands("sweep-memory") == [
         "verify lower-bound-monitor --p 3 --k 3 --max-n 1000000".split(),
         "verify ubound --p 3 --k 2 --x 1000000".split()]

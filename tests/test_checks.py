@@ -507,6 +507,21 @@ def test_ubound_equals_a_digit_string_scan():
         assert check_ubound(p, k, x).to_json() == want, (p, k, x)
 
 
+@pytest.mark.parametrize("only_above", [False, True])
+@pytest.mark.parametrize("p, k, x", [(3, 2, 243), (2, 3, 100), (5, 4, 700), (3, 10, 2187)])
+def test_ubound_leaf_exit_witness_equals_a_digit_string_scan(monkeypatch, p, k, x, only_above):
+    # the first leaf exit failing the bound is the witness, and its exit_at,
+    # the first digit off the tree, is that of the digit scan.  When every n
+    # fails, that is the first leaf, which exits at its own last digit; when
+    # only n above x // p fail, it is a longer n, which at (p, k) = (3, 2)
+    # and (2, 3) exits the tree digits before its last
+    monkeypatch.setattr(checks, "_ubound_holds",
+                        lambda n, k, p, nu: only_above and n <= x // p)
+    report = check_ubound(p, k, x)
+    assert report.witness["reason"] == "leaf exit must satisfy the bound"
+    assert report.to_json() == _ubound_report_by_digit_scan(p, k, x).to_json()
+
+
 def test_ubound_rejects_small_x():
     with pytest.raises(ValueError):
         check_ubound(3, 4, 5)

@@ -227,17 +227,6 @@ def test_printed_tree_equals_the_whole_document(capsys, p, k, depth, engine, fmt
     assert out == _tree_bytes_by_oracle(build_tree(p, k, depth, engine=engine), fmt)
 
 
-@pytest.mark.parametrize("dumps_at", [1, 300, 10 ** 9])
-def test_printed_tree_does_not_depend_on_the_batch_size(monkeypatch, capsys, dumps_at):
-    # json.dumps takes whole levels, or the leaves under them, in batches of
-    # about _DUMPS_AT digits: one level a call, a few, or all of them at once
-    monkeypatch.setattr(cli, "_DUMPS_AT", dumps_at)
-    rc, out, _ = run(capsys, "tree", "--p", "7", "--k", "5", "--max-depth", "8",
-                     "--engine", "expansion")
-    assert rc == 0
-    assert out == _tree_bytes_by_oracle(build_tree(7, 5, 8, engine="expansion"), "json")
-
-
 class _HashingSink:
     """A write-only stdout that keeps the sha256 of what it is given."""
 
@@ -266,6 +255,21 @@ def test_printing_a_tree_holds_about_one_level(capsys):
     rc, out, _ = run(capsys, *argv)
     assert sink.sha256.hexdigest() == hashlib.sha256(out.encode()).hexdigest()
     assert peak < 5 * 2 ** 20, peak
+
+
+def test_printing_json_holds_about_one_level_of_text():
+    # T_7(5) at depth 40, built first, so the peak is the print's alone.
+    # Spelling each digit list as text from its parent's peaks at about
+    # 0.12 MB traced, DOT at about 0.10 MB; lists of ints encoded by
+    # json.dumps peaked at 1.06 MB
+    tree = build_tree(7, 5, 40, engine="expansion")
+    tracemalloc.start()
+    try:
+        cli.tree_document(tree, _HashingSink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19, peak
 
 
 def test_tree_depth_capped_chain(capsys):
